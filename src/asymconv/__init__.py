@@ -16,7 +16,6 @@ from .convolution_engine import (
     BernsteinCombination,
     CaseTag,
     ConvolutionResult,
-    UnsupportedChirality,
     bernstein_combine,
     classify_case,
     convolve_expansions,
@@ -49,7 +48,6 @@ from .gamma_kernel import (
     fourier_coefficient,
     gauss_sum,
     integer_case_log_coeff,
-    resonant_finite_part,
     tilde_F_const,
 )
 from .quadrature_oracle import (
@@ -89,7 +87,6 @@ __all__ = [
     "SingularTerm",
     "SpecialValue",
     "ToleranceNotMet",
-    "UnsupportedChirality",
     "VerificationReport",
     "beta_tail_integral",
     "bernstein_combine",
@@ -112,7 +109,6 @@ __all__ = [
     "kernel_leading_constant",
     "measure_singular_exponent",
     "monomial_fiber_integral",
-    "resonant_finite_part",
     "thom_sebastiani_demo",
     "tilde_F_const",
     "verify_constant",

@@ -67,15 +67,12 @@ class RunConfig:
     output: Optional[str] = None
     tolerance: float = 1e-2
     jobs: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.tolerance > 0.0):
             raise ValueError("tolerance must be > 0")
         if self.jobs < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def default_tolerance() -> float:
@@ -434,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument("--tolerance", type=float, default=None)
     verify_p.add_argument("--jobs", type=int, default=1)
-    verify_p.add_argument("--seed", type=int, default=0)
 
     bern_p = sub.add_parser(
         "bernstein", help="combine two Bernstein root sets"
@@ -474,7 +470,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             output=getattr(args, "report", None),
             tolerance=tolerance,
             jobs=getattr(args, "jobs", 1),
-            seed=getattr(args, "seed", 0),
         )
     except ValueError as exc:
         return _domain_failure(str(exc))

@@ -27,6 +27,7 @@ from .expansion_algebra import (
     as_fraction,
     degree_rule,
     is_natural,
+    normalize_term,
 )
 from .gamma_kernel import (
     Chirality,
@@ -49,10 +50,6 @@ RHO_NORM: float = 0.5
 #: arguments, x1/2 from the output log basis: (-1) * 4 * 1/2 = -2 exactly.
 #: Confirmed numerically by the oracle calibration test.
 INTEGER_CASE_SCALE: float = -2.0
-
-
-class UnsupportedChirality(ValueError):
-    """The normalized pair fits neither kernel family (defensive guard)."""
 
 
 class CaseTag(str, enum.Enum):
@@ -201,9 +198,10 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
     """Convolve two singular terms, producing the leading output term.
 
     Inputs are rescaled to monic leading log coefficient; the two scalar
-    factors multiply the case constant back at the end.  The output
-    exponent is r1+r2+1 brought back into (-1, 0] by shifting one unit of
-    |s|^2 into the monomial powers when needed.
+    factors multiply the case constant back at the end.  The kernel is
+    ANTI when both terms carry a monomial and the two point opposite ways.
+    The output exponent is r1+r2+1 brought back into (-1, 0] by shifting
+    one unit of |s|^2 into the monomial powers when needed.
     """
     if t1.poly.is_zero or t2.poly.is_zero:
         raise ValueError("cannot convolve a term with zero log polynomial")
@@ -212,21 +210,12 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
     c1 = t1.poly.leading
     c2 = t2.poly.leading
 
-    e1 = t1.m - t1.n
-    e2 = t2.m - t2.n
-    a_eff = t1.r + min(t1.m, t1.n)
-    b_eff = t2.r + min(t2.m, t2.n)
-    p = abs(e1)
-    q = abs(e2)
-    if e1 * e2 >= 0:
-        chir = Chirality.HOLO
-    elif e1 * e2 < 0:
-        chir = Chirality.ANTI
-    else:  # pragma: no cover - defensive, unreachable after normalization
-        raise UnsupportedChirality("pair excess pattern fits no kernel family")
+    a, p, chir1 = normalize_term(t1)
+    b, q, chir2 = normalize_term(t2)
+    chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
 
-    case, base, norm = kernel_leading_constant(p, q, a_eff, b_eff, j, k, chir)
-    degree = degree_rule(a_eff, b_eff, j, k)
+    case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
+    degree = degree_rule(a, b, j, k)
     if case is CaseTag.SMOOTH:
         return ConvolutionResult(
             term=None, case=case, leading_coeff=0j, degree=degree, normalization=0.0

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 RationalInput = Union[Fraction, int, str]
 
@@ -128,12 +128,6 @@ class LogPolynomial:
             return LogPolynomial.zero()
         return LogPolynomial.of_coeffs([c * v for v in self.coefficients])
 
-    def evaluate(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for coeff in reversed(self.coefficients):
-            acc = acc * x + coeff
-        return acc
-
 
 @dataclass(frozen=True)
 class SingularTerm:
@@ -161,52 +155,29 @@ class SingularTerm:
         return (self.r, self.m, self.n)
 
 
-@dataclass(frozen=True)
-class NormalizedKernelTerm:
-    """Canonical kernel form |s|^(2a) * s^p (or sbar^p) * poly(log|s|^2).
+class KernelForm(NamedTuple):
+    """Canonical kernel form |s|^(2a) * s^p (or sbar^p when ANTI).
 
     a = r + min(m, n) and p = |m - n|; this is the shape the closed-form
-    constants and the quadrature kernels are written in.
+    constants and the quadrature kernels are written in.  p = 0 is HOLO.
     """
 
     a: Fraction
     p: int
     chirality: Chirality
-    poly: LogPolynomial
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", as_fraction(self.a))
-        if self.p < 0:
-            raise ValueError("p must be >= 0")
-        if self.a + Fraction(self.p, 2) <= -1:
-            raise ValueError("need a + p/2 > -1, got a=%s p=%d" % (self.a, self.p))
-        if self.p == 0 and self.chirality is not Chirality.HOLO:
-            raise ValueError("p = 0 terms are canonically holo")
 
 
-def normalize_term(
-    r: RationalInput,
-    m: int,
-    n: int,
-    poly: Optional[LogPolynomial] = None,
-) -> NormalizedKernelTerm:
-    """Fold the monomial pair (m, n) into the canonical (a, p, chirality) form.
+def normalize_term(term: SingularTerm) -> KernelForm:
+    """Fold the monomial pair (m, n) of a term into its kernel form.
 
-    |s|^(2r) s^m sbar^n = |s|^(2(r + min(m,n))) * s^(m-n)   when m >= n,
-    and the conjugate power otherwise.
+    |s|^(2r) s^m sbar^n = |s|^(2(r + n)) * s^(m-n)   when m >= n,
+    and the conjugate power otherwise.  The term has already validated
+    r and (m, n), so nothing is checked again here.
     """
-    r = as_fraction(r)
-    if not (-1 < r <= 0):
-        raise ValueError("r must lie in (-1, 0], got %s" % r)
-    if m < 0 or n < 0:
-        raise ValueError("monomial powers must be >= 0")
-    a = r + min(m, n)
-    p = abs(m - n)
-    chirality = Chirality.HOLO if (m >= n or p == 0) else Chirality.ANTI
-    if poly is None:
-        poly = LogPolynomial.constant(1.0)
-    return NormalizedKernelTerm(a=a, p=p, chirality=chirality, poly=poly)
+    m, n = term.m, term.n
+    if m >= n:
+        return KernelForm(term.r + n, m - n, Chirality.HOLO)
+    return KernelForm(term.r + m, n - m, Chirality.ANTI)
 
 
 @dataclass
@@ -244,13 +215,6 @@ class Expansion:
                 continue
             out.append(SingularTerm(r=key[0], m=key[1], n=key[2], poly=poly))
         self.terms = out
-
-    def term_at(self, r: RationalInput, m: int, n: int) -> Optional[SingularTerm]:
-        key = (as_fraction(r), m, n)
-        for term in self.terms:
-            if term.key == key:
-                return term
-        return None
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .convolution_engine import CaseTag, convolve_terms
+from .convolution_engine import convolve_terms
 from .expansion_algebra import LogPolynomial, SingularTerm
 from .quadrature_oracle import (
     KernelSpec,
@@ -31,8 +31,11 @@ from .quadrature_oracle import (
     VerificationReport,
     default_grid,
     eval_kernel_integral,
-    fit_radial_samples,
+    fit_and_compare,
+    scaled_lstsq,
 )
+# Kept as a module attribute: perfbench/tracing.py wraps it by this name.
+from .quadrature_oracle import fit_radial_samples  # noqa: F401
 
 __all__ = [
     "MonomialGerm",
@@ -251,32 +254,9 @@ def thom_sebastiani_demo(
 
     result = convolve_terms(_leading_term(g1), _leading_term(g2))
     values = _demo_samples(g1, g2, spec, grid)
-
-    if result.case is CaseTag.SMOOTH:
-        fit = fit_radial_samples(spec, grid, values, force_log_degree=1)
-        worst = max(abs(fit.singular.coefficient(l)) for l in range(2))
-        return VerificationReport(
-            spec=spec,
-            case=result.case,
-            fitted_coeffs=fit.singular,
-            closed_form=0.0,
-            relative_error=worst,
-            condition_number=fit.condition_number,
-            normalization_used=None,
-        )
-
-    fit = fit_radial_samples(spec, grid, values)
-    fitted = fit.singular.coefficient(max(fit.singular.degree, 0)).real
-    closed = result.leading_coeff.real
-    base = closed / result.normalization
-    return VerificationReport(
-        spec=spec,
-        case=result.case,
-        fitted_coeffs=fit.singular,
-        closed_form=closed,
-        relative_error=abs(fitted - closed) / abs(closed),
-        condition_number=fit.condition_number,
-        normalization_used=fitted / base,
+    return fit_and_compare(
+        spec, grid, values, result.case,
+        result.leading_coeff.real, result.normalization,
     )
 
 
@@ -284,7 +264,6 @@ def measure_singular_exponent(
     g1: MonomialGerm,
     g2: MonomialGerm,
     grid: Optional[SampleGrid] = None,
-    window: float = 0.12,
 ) -> float:
     """Measure the singular exponent of the convolution from samples
     alone, by minimizing the fit residual over a trial exponent.
@@ -317,13 +296,10 @@ def measure_singular_exponent(
     smooth_cols = [sig ** (2.0 * t) for t in range(0, 5)]
 
     def residual(x: float) -> float:
-        cols = [sig ** (2.0 * x)] + smooth_cols
-        a_mat = np.column_stack(cols)
-        scales = np.abs(a_mat).max(axis=0)
-        a_mat = a_mat / scales
-        sol, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
-        return float(np.linalg.norm(a_mat @ sol - y))
+        cols = np.column_stack([sig ** (2.0 * x)] + smooth_cols)
+        return scaled_lstsq(cols, y)[1]
 
+    window = 0.12
     lo = x_model - window
     hi = min(x_model + window, round(x_model) - 0.02)
     if hi <= lo:

@@ -21,9 +21,6 @@ from .expansion_algebra import Chirality, as_fraction, is_natural
 
 RealInput = Union[Fraction, int, str, float]
 
-# Gamma'(1), i.e. minus the Euler-Mascheroni constant.
-GAMMA_PRIME_AT_ONE = -0.57721566490153286061
-
 
 class GammaPoleError(ValueError):
     """A Gamma factor in a numerator sits at a pole that nothing cancels."""
@@ -34,26 +31,23 @@ class SpecialValue:
     """A continued value that may be a pole instead of a number.
 
     When is_pole is set the numeric value is deliberately stored as NaN so
-    accidental arithmetic on a pole is loud; pole_order >= 1 exactly then.
+    accidental arithmetic on a pole is loud.  Every pole met here is simple.
     """
 
     value: float
     is_pole: bool = False
-    pole_order: int = 0
 
     def __post_init__(self) -> None:
-        if self.is_pole != (self.pole_order >= 1):
-            raise ValueError("pole_order >= 1 exactly when is_pole is set")
         if self.is_pole and not math.isnan(self.value):
             raise ValueError("pole values carry NaN (use SpecialValue.pole)")
 
     @staticmethod
     def finite(value: float) -> "SpecialValue":
-        return SpecialValue(value=float(value), is_pole=False, pole_order=0)
+        return SpecialValue(value=float(value), is_pole=False)
 
     @staticmethod
-    def pole(order: int = 1) -> "SpecialValue":
-        return SpecialValue(value=math.nan, is_pole=True, pole_order=order)
+    def pole() -> "SpecialValue":
+        return SpecialValue(value=math.nan, is_pole=True)
 
 
 def _split(x: RealInput) -> Tuple[Optional[Fraction], float]:
@@ -78,14 +72,6 @@ def _require_exact(x: RealInput, name: str) -> Fraction:
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    x = float(x)
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0, got %g" % x)
-    return math.lgamma(x)
 
 
 def _signed_log_gamma(x: float) -> Tuple[float, int]:
@@ -209,7 +195,7 @@ def G_q(a: RealInput, b: RealInput, q: int) -> SpecialValue:
         if is_natural(total):
             r0 = 2 * int(total) + q
             if fourier_coefficient(a_ex, q, r0) != 0.0:
-                return SpecialValue.pole(order=1)
+                return SpecialValue.pole()
             raise ValueError(
                 "indeterminate point: resonant sum with vanishing residue"
             )
@@ -222,7 +208,7 @@ def G_q(a: RealInput, b: RealInput, q: int) -> SpecialValue:
         )
     except GammaPoleError:
         # Float inputs landing exactly on a pole of the continuation.
-        return SpecialValue.pole(order=1)
+        return SpecialValue.pole()
     return SpecialValue.finite(value)
 
 
@@ -282,7 +268,7 @@ def F_const(
     b_ex, b_f = _split(b)
     _check_slice(a_f, p, b_f, q)
     if a_ex is not None and b_ex is not None and is_natural(a_ex + b_ex + 1):
-        return SpecialValue.pole(order=1)
+        return SpecialValue.pole()
     if (a_ex is not None and is_natural(a_ex)) or (
         b_ex is not None and is_natural(b_ex)
     ):
@@ -300,7 +286,7 @@ def F_const(
                 [a_f + b_f + q + 2, -a_f, -b_f],
             )
     except GammaPoleError:
-        return SpecialValue.pole(order=1)
+        return SpecialValue.pole()
     return SpecialValue.finite(value)
 
 
@@ -332,31 +318,6 @@ def tilde_F_const(
         [a_f + p + 1, b_f + q + 1],
         denominators + [-a_f, -b_f],
     )
-
-
-def resonant_finite_part(a: RealInput, b: RealInput, q: int) -> float:
-    """Finite-part constant that accompanies the resonant log term.
-
-    Equals (1/2) (Gamma'(1) + H_n) gamma, where n = a+b+1, H_n is the nth
-    harmonic number and gamma is the angular coefficient of order
-    2(a+b+1)+q.  Nonzero whenever the preconditions hold.
-    """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    a_ex = _require_exact(a, "a")
-    b_ex = _require_exact(b, "b")
-    a_f, b_f = float(a_ex), float(b_ex)
-    if a_f <= -1 or b_f + q / 2 <= -1:
-        raise ValueError("parameters outside the admissible slice")
-    total = a_ex + b_ex + 1
-    if not is_natural(total):
-        raise ValueError("finite part defined on the resonant locus only")
-    if a_ex.denominator == 1:
-        raise ValueError("need a non-integer")
-    n = int(total)
-    r0 = 2 * n + q
-    harmonic = sum(1.0 / i for i in range(1, n + 1))
-    return 0.5 * (GAMMA_PRIME_AT_ONE + harmonic) * fourier_coefficient(a_ex, q, r0)
 
 
 def integer_case_log_coeff(
@@ -424,24 +385,3 @@ def degenerate_case1_coeff(
         )
     return replacement * ratio
 
-
-def log_fourier(p: int, x: float) -> float:
-    """Angular coefficient of log|1 - x e^(i theta)| against the mode p.
-
-    Smooth in x away from the unit circle; the two sides are related by
-    inversion x -> 1/x, with the mode-0 coefficient picking up log x^2.
-    """
-    x = float(x)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 1:
-        raise ValueError("log singularity on the circle: x = 1 excluded")
-    if x < 1:
-        if p == 0:
-            return 0.0
-        k = abs(p)
-        return x**k / k
-    if p == 0:
-        return math.log(x * x)
-    k = abs(p)
-    return (1.0 / x) ** k / k

@@ -27,21 +27,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .convolution_engine import CaseTag, classify_case, kernel_leading_constant
-from .expansion_algebra import (
-    LogPolynomial,
-    RationalInput,
-    as_fraction,
-    degree_rule,
-    is_natural,
-)
-from .gamma_kernel import Chirality, G_q, fourier_coefficient
-
-RealInput = Union[RationalInput, float]
+from .expansion_algebra import LogPolynomial, as_fraction, degree_rule, is_natural
+from .gamma_kernel import Chirality, RealInput, _split, fourier_coefficient
 
 
 class ToleranceNotMet(RuntimeError):
@@ -108,20 +100,19 @@ class KernelSpec:
         return KernelSpec(
             a=as_fraction(data["a"]),
             b=as_fraction(data["b"]),
-            p=int(data["p"]),
-            q=int(data["q"]),
-            j=int(data["j"]),
-            k=int(data["k"]),
+            p=data["p"],
+            q=data["q"],
+            j=data["j"],
+            k=data["k"],
             chirality=Chirality(data.get("chirality", "holo")),
         )
 
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Geometric radius grid plus angular count for parity diagnostics."""
+    """Geometric radius grid and the refinement tolerance of its samples."""
 
     radii: Tuple[float, ...]
-    angles: int = 16
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -134,8 +125,6 @@ class SampleGrid:
             if r >= last:
                 raise ValueError("radii must be strictly decreasing")
             last = r
-        if self.angles < 4:
-            raise ValueError("angles must be >= 4")
         if not (self.tolerance > 0.0):
             raise ValueError("tolerance must be positive")
 
@@ -416,23 +405,18 @@ def eval_kernel_integral(
     spec: KernelSpec,
     s: complex,
     tolerance: float = 1e-6,
-    check: bool = True,
 ) -> complex:
     """Value of the kernel at the sample point s, 0 < |s| <= 1/4.
 
-    With check=True (the default) the integral is evaluated at two
-    resolutions and ToleranceNotMet is raised when they disagree by more
-    than ``tolerance`` relative to the value, or to a thousandth of the
-    gross (unsigned) magnitude when cancellation dominates the value
-    itself.
+    The integral is evaluated at two resolutions and ToleranceNotMet is
+    raised when they disagree by more than ``tolerance`` relative to the
+    value, or to a thousandth of the gross (unsigned) magnitude when
+    cancellation dominates the value itself.
     """
     s = complex(s)
     sigma = abs(s)
     if not (0.0 < sigma <= 0.25):
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
-    if not check:
-        value, _ = _assemble(spec, s, 0)
-        return value
     v0, gross0 = _assemble(spec, s, 0)
     v1, gross1 = _assemble(spec, s, 1)
     delta = abs(v1 - v0)
@@ -448,6 +432,26 @@ def eval_kernel_integral(
 
 # ---------------------------------------------------------------------------
 # expansion fitting
+
+
+#: Highest smooth power |s|^{2t} in the fit model.
+_SMOOTH_CUTOFF = 4
+
+
+def scaled_lstsq(
+    A: np.ndarray, y: np.ndarray
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Least squares on A with each column scaled to unit max-norm.
+
+    Returns (coefficients of the unscaled columns, residual norm, scaled
+    design matrix); the scaling keeps columns of very different size
+    from dominating the solve.
+    """
+    scales = np.abs(A).max(axis=0)
+    scales[scales == 0.0] = 1.0
+    As = A / scales
+    sol, *_ = np.linalg.lstsq(As, y, rcond=None)
+    return sol / scales, float(np.linalg.norm(As @ sol - y)), As
 
 
 @dataclass(frozen=True)
@@ -472,7 +476,6 @@ def fit_radial_samples(
     spec: KernelSpec,
     grid: SampleGrid,
     values: Sequence[float],
-    smooth_cutoff: int = 4,
     force_log_degree: Optional[int] = None,
 ) -> FitResult:
     """Fit the singular plus smooth model to externally supplied samples.
@@ -502,7 +505,7 @@ def fit_radial_samples(
     L = degree_rule(spec.a, spec.b, spec.j, spec.k)
     if force_log_degree is not None:
         L = force_log_degree
-    T = smooth_cutoff
+    T = _SMOOTH_CUTOFF
     t_min = -spec.p if spec.chirality is Chirality.ANTI else 0
 
     if not resonant_exponent and L >= l_min:
@@ -532,18 +535,12 @@ def fit_radial_samples(
     for t in range(t_min, T + 1):
         cols.append(sig ** (2.0 * t))
         labels.append(("smooth", t))
-    A = np.column_stack(cols)
-    scales = np.abs(A).max(axis=0)
-    scales[scales == 0.0] = 1.0
-    As = A / scales
+    coeffs, resid, As = scaled_lstsq(np.column_stack(cols), y)
     cond = float(np.linalg.cond(As))
     if cond >= 1e8:
         raise IllConditioned(
             "design matrix condition number %.3e exceeds 1e8" % cond
         )
-    sol, *_ = np.linalg.lstsq(As, y, rcond=None)
-    coeffs = sol / scales
-    resid = float(np.linalg.norm(As @ sol - y))
 
     sing = [0.0] * (max(L, -1) + 1)
     smooth: List[Tuple[int, float]] = []
@@ -562,38 +559,29 @@ def fit_radial_samples(
     )
 
 
-def extract_leading_coeffs(
-    spec: KernelSpec,
-    grid: Optional[SampleGrid] = None,
-    smooth_cutoff: int = 4,
-    force_log_degree: Optional[int] = None,
-) -> FitResult:
-    """Evaluate the kernel on the grid and fit the expansion model.
-
-    Thin wrapper: samples eval_kernel_integral along the real-sigma ray
-    and delegates to fit_radial_samples.
-    """
-    if grid is None:
-        grid = default_grid(spec)
-    values = [
+def _kernel_samples(spec: KernelSpec, grid: SampleGrid) -> List[float]:
+    """Real parts of eval_kernel_integral along the real-sigma ray."""
+    return [
         eval_kernel_integral(spec, r, tolerance=grid.tolerance).real
         for r in grid.radii
     ]
+
+
+def extract_leading_coeffs(
+    spec: KernelSpec,
+    grid: Optional[SampleGrid] = None,
+    force_log_degree: Optional[int] = None,
+) -> FitResult:
+    """Evaluate the kernel on the grid and fit the expansion model."""
+    if grid is None:
+        grid = default_grid(spec)
     return fit_radial_samples(
-        spec, grid, values, smooth_cutoff=smooth_cutoff,
-        force_log_degree=force_log_degree,
+        spec, grid, _kernel_samples(spec, grid), force_log_degree=force_log_degree
     )
 
 
 # ---------------------------------------------------------------------------
 # direct finite-part construction (independent route to G_q)
-
-
-def _split_real(value: RealInput) -> Tuple[Optional[Fraction], float]:
-    if isinstance(value, float) and not isinstance(value, bool):
-        return None, value
-    f = as_fraction(value)
-    return f, float(f)
 
 
 def _disk3_pieces(af: float, bf: float, q: int, g: int, m: int) -> float:
@@ -605,10 +593,7 @@ def _disk3_pieces(af: float, bf: float, q: int, g: int, m: int) -> float:
     """
 
     def smooth_right(z: np.ndarray, smax: int) -> np.ndarray:
-        base = np.abs(1.0 + z) ** (2.0 * bf) * (1.0 + z) ** q
-        return base[None, ...] if smax == 0 else np.array(
-            [base * np.log(np.abs(1.0 + z) ** 2) ** s for s in range(smax + 1)]
-        )
+        return (np.abs(1.0 + z) ** (2.0 * bf) * (1.0 + z) ** q)[None, ...]
 
     patch1 = _dyadic_disk_quad(smooth_right, 0, 2.0 * af, 0, 0, g, m, 1e-14)[0, 0]
 
@@ -679,7 +664,7 @@ def _outer_tail(
     """
     r_next = N + 1 if (N + 1 - q) % 2 == 0 else N + 2
     gam_next = fourier_coefficient(a, q, r_next)
-    exact, _ = _split_real(a)
+    exact, _ = _split(a)
     if exact is not None and is_natural(exact):
         if N >= max(2 * int(exact) - q, 0):
             return 0.0  # the angular average is a polynomial fully subtracted
@@ -731,8 +716,8 @@ def finite_part_direct(
     log term instead.  Resonant constants are checked through the
     log-column fit of extract_leading_coeffs, not through this route.
     """
-    a_ex, af = _split_real(a)
-    b_ex, bf = _split_real(b)
+    a_ex, af = _split(a)
+    b_ex, bf = _split(b)
     if not isinstance(q, int) or isinstance(q, bool) or q < 0:
         raise ValueError("q must be an integer >= 0")
     if af <= -1.0:
@@ -833,6 +818,43 @@ class VerificationReport:
         )
 
 
+def fit_and_compare(
+    spec: KernelSpec,
+    grid: SampleGrid,
+    values: Sequence[float],
+    case: CaseTag,
+    closed: float,
+    normalization: float,
+) -> VerificationReport:
+    """Fit kernel samples and compare with the closed-form constant.
+
+    ``closed`` is the normalized prediction base * ``normalization``; the
+    measured normalization is fitted / base.  Smooth kernels ignore both
+    and fit singular columns up to log degree max(j + k, 1) anyway: their
+    error is the largest fitted coefficient, which should vanish.
+    """
+    if case is CaseTag.SMOOTH:
+        probe = max(spec.j + spec.k, 1)
+        fit = fit_radial_samples(spec, grid, values, force_log_degree=probe)
+        closed = 0.0
+        error = max(abs(fit.singular.coefficient(l)) for l in range(probe + 1))
+        measured: Optional[float] = None
+    else:
+        fit = fit_radial_samples(spec, grid, values)
+        fitted = fit.singular.coefficient(max(fit.singular.degree, 0)).real
+        error = abs(fitted - closed) / abs(closed)
+        measured = fitted / (closed / normalization)
+    return VerificationReport(
+        spec=spec,
+        case=case,
+        fitted_coeffs=fit.singular,
+        closed_form=closed,
+        relative_error=error,
+        condition_number=fit.condition_number,
+        normalization_used=measured,
+    )
+
+
 def verify_constant(
     spec: KernelSpec, grid: Optional[SampleGrid] = None
 ) -> VerificationReport:
@@ -847,51 +869,5 @@ def verify_constant(
     case, base, norm = kernel_leading_constant(
         spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
     )
-    if case is CaseTag.SMOOTH:
-        probe = max(spec.j + spec.k, 1)
-        fit = extract_leading_coeffs(spec, grid, force_log_degree=probe)
-        worst = max(
-            abs(fit.singular.coefficient(l)) for l in range(probe + 1)
-        )
-        return VerificationReport(
-            spec=spec,
-            case=case,
-            fitted_coeffs=fit.singular,
-            closed_form=0.0,
-            relative_error=worst,
-            condition_number=fit.condition_number,
-            normalization_used=None,
-        )
-    fit = extract_leading_coeffs(spec, grid)
-    fitted = fit.singular.coefficient(max(fit.singular.degree, 0)).real
-    closed = base * norm
-    rel = abs(fitted - closed) / abs(closed)
-    return VerificationReport(
-        spec=spec,
-        case=case,
-        fitted_coeffs=fit.singular,
-        closed_form=closed,
-        relative_error=rel,
-        condition_number=fit.condition_number,
-        normalization_used=fitted / base,
-    )
-
-
-def measure_integer_case_ratio(
-    j: int, k: int, grid: Optional[SampleGrid] = None
-) -> float:
-    """Measured ratio of the BothInteger leading constant at log degrees
-    (j, k) to the pinned j = k = 1 value, on the a = b = 0, p = q = 0
-    kernel.  The j = k = 1 reference is -1/4 times the integer-case
-    scale; the claim 'the ratio is (j+k)!' fails at (1,1) already, so
-    the ratio is only ever measured, never asserted.
-    """
-    if j < 1 or k < 1:
-        raise ValueError("both log degrees must be >= 1")
-    spec = KernelSpec(a=Fraction(0), b=Fraction(0), p=0, q=0, j=j, k=k)
-    if grid is None:
-        grid = default_grid(spec)
-    fit = extract_leading_coeffs(spec, grid)
-    lead = fit.singular.coefficient(max(fit.singular.degree, 0)).real
-    reference = -0.25 * -2.0  # pinned (1,1) constant times the scale
-    return lead / reference
+    values = _kernel_samples(spec, grid)
+    return fit_and_compare(spec, grid, values, case, base * norm, norm)

@@ -258,6 +258,17 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", str(specs)])
         assert code == 3
 
+    @pytest.mark.parametrize("value", [1.9, True, "1"])
+    def test_non_integer_power_is_domain_error(self, tmp_path, capsys, value):
+        # JSON floats, booleans and strings are refused, never truncated
+        bad = dict(SPEC_GENERIC)
+        bad["p"] = value
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([bad]))
+        code, _, err = run(capsys, ["verify", str(specs)])
+        assert code == 3
+        assert "p must be an integer" in err
+
     def test_env_tolerance_must_be_numeric(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ASYMCONV_TOL", "abc")
         specs = tmp_path / "specs.json"

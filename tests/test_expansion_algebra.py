@@ -63,10 +63,6 @@ class TestLogPolynomial:
         right = LogPolynomial.of_coeffs([2.0, -1.0])
         assert (left + right).coefficients == (3.0 + 0j,)
 
-    def test_evaluate(self):
-        poly = LogPolynomial.of_coeffs([1.0, 0.0, 2.0])
-        assert poly.evaluate(3.0) == 1.0 + 18.0
-
     def test_direct_constructor_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
             LogPolynomial((1.0, 0.0))
@@ -114,24 +110,29 @@ class TestCombineTypes:
         assert all(deg >= 0 for deg in combined.entries.values())
 
 
+def _unit_term(r, m, n):
+    return SingularTerm(r, m, n, LogPolynomial.constant(1.0))
+
+
 class TestNormalizeTerm:
     def test_holo_example(self):
-        term = normalize_term(F(-1, 2), 2, 0)
+        term = normalize_term(_unit_term(F(-1, 2), 2, 0))
         assert (term.a, term.p, term.chirality) == (F(-1, 2), 2, Chirality.HOLO)
 
     def test_balanced_powers_are_holo(self):
-        term = normalize_term(F(0), 1, 1)
+        term = normalize_term(_unit_term(F(0), 1, 1))
         assert (term.a, term.p, term.chirality) == (F(1), 0, Chirality.HOLO)
 
     def test_anti_example(self):
-        term = normalize_term(F(-1, 4), 0, 3)
+        term = normalize_term(_unit_term(F(-1, 4), 0, 3))
         assert (term.a, term.p, term.chirality) == (F(-1, 4), 3, Chirality.ANTI)
 
     def test_rejects_r_outside_window(self):
+        # the window is enforced by the term that normalize_term folds
         with pytest.raises(ValueError):
-            normalize_term(F(1, 2), 0, 0)
+            normalize_term(_unit_term(F(1, 2), 0, 0))
         with pytest.raises(ValueError):
-            normalize_term(F(-1), 0, 0)
+            normalize_term(_unit_term(F(-1), 0, 0))
 
     @given(
         st.fractions(min_value=F(-15, 16), max_value=F(0), max_denominator=16),
@@ -139,10 +140,11 @@ class TestNormalizeTerm:
         st.integers(min_value=0, max_value=5),
     )
     def test_round_trip(self, r, m, n):
-        term = normalize_term(r, m, n)
+        term = normalize_term(_unit_term(r, m, n))
         assert term.a - min(m, n) == r
         assert term.p == abs(m - n)
         assert -1 < term.a - min(m, n) <= 0
+        assert (term.chirality is Chirality.ANTI) == (m < n)
 
 
 class TestDegreeRule:
@@ -219,8 +221,8 @@ class TestExpansion:
             terms=[SingularTerm(F(-1, 2), 0, 0, LogPolynomial.of_coeffs([2.0]))],
             smooth_order=1,
         )
-        assert exp.term_at("-1/2", 0, 0).poly.leading == 2.0
-        assert exp.term_at("-1/3", 0, 0) is None
+        assert [term.key for term in exp.terms] == [(F(-1, 2), 0, 0)]
+        assert exp.terms[0].poly.leading == 2.0
 
 
 class TestExponentSetType:

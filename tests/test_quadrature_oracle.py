@@ -21,7 +21,6 @@ from asymconv.quadrature_oracle import (
     eval_kernel_integral,
     extract_leading_coeffs,
     finite_part_direct,
-    measure_integer_case_ratio,
     power_log_integral,
     verify_constant,
 )
@@ -103,8 +102,6 @@ class TestSampleGrid:
             SampleGrid(radii=(0.3, 0.1))
         with pytest.raises(ValueError):
             SampleGrid(radii=())
-        with pytest.raises(ValueError):
-            SampleGrid(radii=(0.2, 0.1), angles=3)
         with pytest.raises(ValueError):
             SampleGrid(radii=(0.2, 0.1), tolerance=0.0)
 
@@ -345,11 +342,3 @@ class TestVerifyConstant:
         row_fields = report.to_csv_row().split(",")
         assert len(header_fields) == len(row_fields) == 13
 
-
-class TestMeasureIntegerCaseRatio:
-    def test_reference_ratio_is_one(self):
-        assert measure_integer_case_ratio(1, 1) == pytest.approx(1.0, abs=1e-4)
-
-    def test_rejects_zero_log_degree(self):
-        with pytest.raises(ValueError):
-            measure_integer_case_ratio(0, 1)
