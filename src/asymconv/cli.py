@@ -30,10 +30,9 @@ from .expansion_algebra import (
     Chirality,
     Expansion,
     ExponentSetType,
-    LogPolynomial,
-    SingularTerm,
     canonical_json,
     combine_types,
+    kernel_term,
 )
 from .fiber_demo import MonomialGerm, thom_sebastiani_demo
 from .quadrature_oracle import (
@@ -118,7 +117,7 @@ def _load_type(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         return _parse_failure(path, exc), None
     try:
-        entries = {Fraction(k): int(v) for k, v in raw["entries"].items()}
+        entries = {Fraction(k): v for k, v in raw["entries"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         sys.stderr.write(
             "parse error in %s: not an exponent-type document (%s)\n" % (path, exc)
@@ -146,29 +145,13 @@ def cmd_types(config: RunConfig) -> int:
 # constant
 
 
-def _term_for(flag: str, x: Fraction, excess: int, conjugate: bool, logdeg: int):
-    """Represent a kernel factor exponent as a normalized singular term."""
-    if x <= -1:
-        raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
-    shift = 0
-    r = x
-    while r > 0:
-        r -= 1
-        shift += 1
-    if conjugate:
-        m, n = shift, shift + excess
-    else:
-        m, n = shift + excess, shift
-    return SingularTerm(r=r, m=m, n=n, poly=LogPolynomial.monomial(logdeg))
-
-
 def cmd_constant(args: argparse.Namespace) -> int:
     try:
-        chirality = Chirality(args.chirality)
-        first = _term_for("a", args.a, args.p, False, args.j)
-        second = _term_for(
-            "b", args.b, args.q, chirality is Chirality.ANTI, args.k
-        )
+        for flag, x in (("a", args.a), ("b", args.b)):
+            if x <= -1:
+                raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
+        first = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
+        second = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)
         result = convolve_terms(first, second)
     except ValueError as exc:
         return _domain_failure(str(exc))

@@ -180,6 +180,33 @@ def normalize_term(term: SingularTerm) -> KernelForm:
     return KernelForm(term.r + m, n - m, Chirality.ANTI)
 
 
+def kernel_term(
+    a: Fraction, p: int, chirality: Chirality, degree: int
+) -> SingularTerm:
+    """Inverse of normalize_term: the unit term (log|s|^2)^degree whose
+    kernel form is |s|^(2a) * s^p (sbar^p when ANTI).
+
+    The whole part of a moves into the monomial pair, leaving r = a -
+    ceil(a) in (-1, 0]; with p = 0 both chiralities give the same term.
+    """
+    if a <= -1:
+        raise ValueError("kernel exponent must be > -1, got %s" % a)
+    shift = math.ceil(a)
+    if chirality is Chirality.ANTI:
+        m, n = shift, shift + p
+    else:
+        m, n = shift + p, shift
+    return SingularTerm(r=a - shift, m=m, n=n, poly=LogPolynomial.monomial(degree))
+
+
+def _exact_int(name: str, value) -> int:
+    """An integer field; floats, bools and strings are refused instead
+    of truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 @dataclass
 class Expansion:
     """A finite list of singular terms plus a smooth remainder marker.
@@ -240,12 +267,14 @@ class Expansion:
             terms.append(
                 SingularTerm(
                     r=Fraction(item["r"]),
-                    m=int(item["m"]),
-                    n=int(item["n"]),
+                    m=_exact_int("m", item["m"]),
+                    n=_exact_int("n", item["n"]),
                     poly=LogPolynomial.of_coeffs(coeffs),
                 )
             )
-        return Expansion(terms=terms, smooth_order=int(data["smooth_order"]))
+        return Expansion(
+            terms=terms, smooth_order=_exact_int("smooth_order", data["smooth_order"])
+        )
 
 
 @dataclass
@@ -264,11 +293,11 @@ class ExponentSetType:
             frac = as_fraction(key)
             if frac <= -1:
                 raise ValueError("exponent %s is not > -1" % frac)
-            if degree < 0:
+            if _exact_int("log degree", degree) < 0:
                 raise ValueError("log degree must be >= 0, got %d" % degree)
             if frac in clean:
                 raise ValueError("duplicate exponent %s" % frac)
-            clean[frac] = int(degree)
+            clean[frac] = degree
         self.entries = clean
 
     def to_json_dict(self) -> dict:
@@ -281,7 +310,7 @@ class ExponentSetType:
     @staticmethod
     def from_json_dict(data: Mapping) -> "ExponentSetType":
         return ExponentSetType(
-            entries={Fraction(k): int(v) for k, v in data["entries"].items()}
+            entries={Fraction(k): v for k, v in data["entries"].items()}
         )
 
 

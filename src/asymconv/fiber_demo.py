@@ -165,43 +165,55 @@ def _cutoff_remainder(
     for thresh in (t1, t2):
         joints.add(thresh - sigma)
         joints.add(thresh + sigma)
-    edges = sorted(x for x in joints if _SAFE_RADIUS <= x <= 1.0)
+    edges = np.array(sorted(x for x in joints if _SAFE_RADIUS <= x <= 1.0))
+    lo, hi = edges[:-1], edges[1:]
+    keep = hi - lo >= 1e-14
+    lo, hi = lo[keep], hi[keep]
     rad_nodes, rad_wts = np.polynomial.legendre.leggauss(g_rad)
     ang_nodes, ang_wts = np.polynomial.legendre.leggauss(g_ang)
 
-    def ring_mean(rho: float) -> float:
-        # angular mean over [0, pi] (the integrand is even in the angle)
-        breaks = [0.0, math.pi]
-        for thresh in (t1, t2):
-            arg = (sigma * sigma + rho * rho - thresh * thresh) / (
-                2.0 * sigma * rho
-            )
-            if -1.0 < arg < 1.0:
-                breaks.append(math.acos(arg))
-        breaks.sort()
-        beta2 = bump_profile(g2, rho ** (1.0 / n2))
-        acc = 0.0
-        for alo, ahi in zip(breaks, breaks[1:]):
-            if ahi - alo < 1e-14:
-                continue
-            theta = 0.5 * (ahi - alo) * ang_nodes + 0.5 * (ahi + alo)
-            w = 0.5 * (ahi - alo) * ang_wts
-            dist2 = sigma * sigma + rho * rho - 2.0 * sigma * rho * np.cos(theta)
-            beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
-            acc += float(
-                np.sum(w * (beta1 * beta2 - 1.0) * dist2 ** af)
-            )
-        return acc / math.pi * rho ** (2.0 * bf)
+    # radial nodes, one row per panel, flattened to one entry per ring
+    half = (0.5 * (hi - lo))[:, None]
+    rho_grid = half * rad_nodes + (0.5 * (hi + lo))[:, None]
+    rad_w = half * rad_wts
+    rho = rho_grid.ravel()
+    rho_list = rho.tolist()
 
+    # angular breaks over [0, pi] (the integrand is even in the angle):
+    # 0, pi and the angles where each ring crosses a joint circle; an
+    # absent crossing repeats pi and so leaves an empty panel.  The
+    # per-ring scalars (acos and the two powers of rho) use Python float
+    # math: numpy's SIMD arccos and power may round the last ulp
+    # differently from libm, and the reports are pinned to libm's bits.
+    cols = [np.zeros_like(rho), np.full_like(rho, math.pi)]
+    for thresh in (t1, t2):
+        arg = (sigma * sigma + rho * rho - thresh * thresh) / (2.0 * sigma * rho)
+        cols.append(np.array(
+            [math.acos(x) if -1.0 < x < 1.0 else math.pi for x in arg.tolist()]
+        ))
+    breaks = np.sort(np.column_stack(cols), axis=1)
+    alo, ahi = breaks[:, :-1], breaks[:, 1:]
+
+    # every ring x angular panel x angular node in one array
+    ahalf = (0.5 * (ahi - alo))[:, :, None]
+    theta = ahalf * ang_nodes + (0.5 * (ahi + alo))[:, :, None]
+    w = ahalf * ang_wts
+    dist2 = (sigma * sigma + rho * rho)[:, None, None] - (
+        2.0 * sigma * rho
+    )[:, None, None] * np.cos(theta)
+    beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
+    beta2 = bump_profile(g2, np.array([r ** (1.0 / n2) for r in rho_list]))
+    panel = np.sum(w * (beta1 * beta2[:, None, None] - 1.0) * dist2 ** af, axis=-1)
+    panel = np.where(ahi - alo < 1e-14, 0.0, panel)
+    # panels add from 0.0 in angular order, as a running float sum would
+    acc = ((0.0 + panel[:, 0]) + panel[:, 1]) + panel[:, 2]
+    ring = acc / math.pi * np.array([r ** (2.0 * bf) for r in rho_list])
+
+    # radial sums left to right, panel by panel
+    terms = rad_w * rho_grid * ring.reshape(rho_grid.shape)
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        if hi - lo < 1e-14:
-            continue
-        rho_vals = 0.5 * (hi - lo) * rad_nodes + 0.5 * (hi + lo)
-        w_vals = 0.5 * (hi - lo) * rad_wts
-        total += sum(
-            w * rho * ring_mean(rho) for rho, w in zip(rho_vals, w_vals)
-        )
+    for row in terms:
+        total += sum(row)
     return total
 
 

@@ -58,6 +58,16 @@ class TestTypes:
         code, _, err = run(capsys, ["types", str(tmp_path / "no.json"), str(tmp_path / "no.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("degree", ["1.8", "true", '"1"'])
+    def test_non_integer_degree_is_domain_error(self, tmp_path, capsys, degree):
+        # a degree is refused, never truncated to an integer
+        doc = tmp_path / "t.json"
+        doc.write_text('{"entries": {"-1/2": %s}}' % degree)
+        code, out, err = run(capsys, ["types", str(doc), str(doc)])
+        assert code == 3
+        assert out == ""
+        assert "log degree must be an integer" in err
+
 
 class TestConstant:
     def test_resonant_cusp_pair(self, capsys):
@@ -138,6 +148,21 @@ class TestConvolve:
         doc.write_text('{"terms": [{"r": "0"}], "smooth_order": 1}')
         code, _, err = run(capsys, ["convolve", str(doc), str(doc)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m", 1.9), ("n", 1.0), ("n", True), ("m", "1"), ("smooth_order", 2.7)],
+    )
+    def test_non_integer_power_is_domain_error(self, tmp_path, capsys, key, value):
+        term = {"r": "-1/2", "m": 1, "n": 0, "log_coeffs": [[1, 0]]}
+        data = {"terms": [term], "smooth_order": 2}
+        (term if key in term else data)[key] = value
+        doc = tmp_path / "e.json"
+        doc.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert code == 3
+        assert out == ""
+        assert "%s must be an integer" % key in err
 
 
 SPEC_GENERIC = {

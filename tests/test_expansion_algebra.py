@@ -15,6 +15,7 @@ from asymconv.expansion_algebra import (
     combine_types,
     degree_rule,
     is_natural,
+    kernel_term,
     normalize_term,
 )
 
@@ -147,6 +148,32 @@ class TestNormalizeTerm:
         assert (term.chirality is Chirality.ANTI) == (m < n)
 
 
+class TestKernelTerm:
+    @given(
+        st.fractions(min_value=F(-1), max_value=F(2), max_denominator=16).filter(
+            lambda x: x > -1
+        ),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(list(Chirality)),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_inverts_normalize_term(self, x, p, chirality, degree):
+        term = kernel_term(x, p, chirality, degree)
+        expected = chirality if p > 0 else Chirality.HOLO
+        assert normalize_term(term) == (x, p, expected)
+        assert term.poly == LogPolynomial.monomial(degree)
+
+    def test_whole_part_moves_into_the_monomials(self):
+        term = kernel_term(F(3, 2), 2, Chirality.ANTI, 1)
+        assert (term.r, term.m, term.n) == (F(-1, 2), 2, 4)
+        term = kernel_term(F(1), 0, Chirality.HOLO, 0)
+        assert (term.r, term.m, term.n) == (F(0), 1, 1)
+
+    def test_rejects_nonintegrable_exponent(self):
+        with pytest.raises(ValueError, match="> -1"):
+            kernel_term(F(-1), 1, Chirality.HOLO, 0)
+
+
 class TestDegreeRule:
     def test_generic(self):
         assert degree_rule(F(-1, 2), F(-1, 4), 1, 1) == 2
@@ -231,6 +258,13 @@ class TestExponentSetType:
             ExponentSetType({F(-3, 2): 0})
         with pytest.raises(ValueError):
             ExponentSetType({F(1, 2): -1})
+
+    @pytest.mark.parametrize("degree", [1.0, 1.8, True, "1"])
+    def test_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="log degree must be an integer"):
+            ExponentSetType({F(-1, 2): degree})
+        with pytest.raises(ValueError, match="log degree must be an integer"):
+            ExponentSetType.from_json_dict({"entries": {"-1/2": degree}})
 
     def test_json_round_trip(self):
         t = ExponentSetType({F(-1, 2): 1, F(5, 12): 0})

@@ -7,7 +7,9 @@ import pytest
 
 from asymconv.convolution_engine import CaseTag
 from asymconv.fiber_demo import (
+    _SAFE_RADIUS,
     MonomialGerm,
+    _cutoff_remainder,
     bump_profile,
     measure_singular_exponent,
     monomial_fiber_integral,
@@ -93,6 +95,85 @@ class TestMonomialFiberIntegral:
         for sigma in (plateau_cubed * 0.99, 0.1, 1e-3, 1e-8):
             value = monomial_fiber_integral(germ, sigma) * sigma ** (2 * (1 - 1 / 3))
             assert value == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def _reference_cutoff_remainder(g1, g2, af, bf, sigma, level):
+    """Scalar form of the cutoff remainder: one ring at a time, one
+    angular panel at a time, with the same breaks and Gauss rules."""
+    g_rad = (24, 32)[level]
+    g_ang = (16, 24)[level]
+    n1, n2 = g1.exponent, g2.exponent
+    t1 = g1.plateau ** n1
+    t2 = g1.support ** n1
+    joints = {
+        _SAFE_RADIUS,
+        0.5,
+        g2.plateau ** n2,
+        0.5 * (g2.plateau ** n2 + g2.support ** n2),
+        g2.support ** n2,
+        1.0,
+    }
+    for thresh in (t1, t2):
+        joints.add(thresh - sigma)
+        joints.add(thresh + sigma)
+    edges = sorted(x for x in joints if _SAFE_RADIUS <= x <= 1.0)
+    rad_nodes, rad_wts = np.polynomial.legendre.leggauss(g_rad)
+    ang_nodes, ang_wts = np.polynomial.legendre.leggauss(g_ang)
+
+    def ring_mean(rho):
+        breaks = [0.0, math.pi]
+        for thresh in (t1, t2):
+            arg = (sigma * sigma + rho * rho - thresh * thresh) / (
+                2.0 * sigma * rho
+            )
+            if -1.0 < arg < 1.0:
+                breaks.append(math.acos(arg))
+        breaks.sort()
+        beta2 = bump_profile(g2, rho ** (1.0 / n2))
+        acc = 0.0
+        for alo, ahi in zip(breaks, breaks[1:]):
+            if ahi - alo < 1e-14:
+                continue
+            theta = 0.5 * (ahi - alo) * ang_nodes + 0.5 * (ahi + alo)
+            w = 0.5 * (ahi - alo) * ang_wts
+            dist2 = sigma * sigma + rho * rho - 2.0 * sigma * rho * np.cos(theta)
+            beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
+            acc += float(np.sum(w * (beta1 * beta2 - 1.0) * dist2 ** af))
+        return acc / math.pi * rho ** (2.0 * bf)
+
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo < 1e-14:
+            continue
+        rho_vals = 0.5 * (hi - lo) * rad_nodes + 0.5 * (hi + lo)
+        w_vals = 0.5 * (hi - lo) * rad_wts
+        total += sum(w * rho * ring_mean(rho) for rho, w in zip(rho_vals, w_vals))
+    return total
+
+
+class TestCutoffRemainder:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("sigma", [0.2, 0.1, 0.2 * 2.0 ** -15])
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [
+            (MonomialGerm(1), MonomialGerm(3)),
+            (MonomialGerm(2), MonomialGerm(3)),
+            (MonomialGerm(5), MonomialGerm(9)),
+            # narrow transition: both joint circles of the first cutoff
+            # cross the rings, and their tangency radii split the panels
+            (
+                MonomialGerm(1, plateau=0.95, support=0.96),
+                MonomialGerm(2, plateau=0.95, support=0.96),
+            ),
+        ],
+    )
+    def test_matches_scalar_reference(self, g1, g2, sigma, level):
+        af = 1.0 / g1.exponent - 1.0
+        bf = 1.0 / g2.exponent - 1.0
+        expected = _reference_cutoff_remainder(g1, g2, af, bf, sigma, level)
+        got = _cutoff_remainder(g1, g2, af, bf, sigma, level)
+        assert math.isclose(got, expected, rel_tol=1e-14)
 
 
 class TestThomSebastianiDemo:
