@@ -3,9 +3,13 @@ convolution, batch verification reports, Bernstein root bookkeeping and
 the monomial demo.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 parse error, 3 domain error.  All JSON output goes through the
-canonical serializer (sorted keys, fixed float formatting), so identical
-inputs produce byte-identical output.
+2 parse error, 3 domain error.  A document that cannot be read, is not
+JSON, or has the wrong shape (a missing key, a JSON type where another
+is expected, such as a float where a rational string belongs) is a
+parse error; a well-formed value the mathematics refuses (including a
+string that is not a rational) is a domain error.  All JSON output goes
+through the canonical serializer (sorted keys, fixed float formatting),
+so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .convolution_engine import (
     CaseTag,
@@ -30,6 +33,7 @@ from .expansion_algebra import (
     Chirality,
     Expansion,
     ExponentSetType,
+    as_fraction,
     canonical_json,
     combine_types,
     kernel_term,
@@ -56,142 +60,112 @@ _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 #: calibration as consistent.
 _RHO_CONSISTENCY = 1e-3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    inputs: Tuple[str, ...] = ()
-    output: Optional[str] = None
-    tolerance: float = 1e-2
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be > 0")
-        if self.jobs < 1:
-            raise ValueError("parallelism must be >= 1")
+#: What a document builder raises when the JSON has the wrong shape.
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, IndexError)
 
 
-def default_tolerance() -> float:
-    """Verification tolerance: ASYMCONV_TOL when set, else 1e-2."""
-    raw = os.environ.get("ASYMCONV_TOL")
-    if raw is None:
-        return 1e-2
+class _Exit(Exception):
+    """_Exit(code, message) ends a command with that exit code and
+    writes the message to stderr."""
+
+
+def _load(path: str, build: Callable, what: str):
+    """build(document) for the JSON document at path.
+
+    An unreadable or malformed file and a shape error from build are
+    parse errors (exit 2); a ValueError from build is a domain error
+    (exit 3), raised with the path in front of its message.
+    """
     try:
-        return float(raw)
-    except ValueError:
-        raise ValueError("ASYMCONV_TOL must parse as a float, got %r" % raw)
-
-
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _parse_failure(path: str, exc: Exception) -> int:
-    if isinstance(exc, json.JSONDecodeError):
-        sys.stderr.write(
-            "parse error in %s at line %d column %d: %s\n"
-            % (path, exc.lineno, exc.colno, exc.msg)
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise _Exit(
+            EXIT_PARSE,
+            "parse error in %s at line %d column %d: %s"
+            % (path, exc.lineno, exc.colno, exc.msg),
         )
-    else:
-        sys.stderr.write("cannot read %s: %s\n" % (path, exc))
-    return EXIT_PARSE
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_PARSE, "cannot read %s: %s" % (path, exc))
+    try:
+        return build(raw)
+    except _SHAPE_ERRORS as exc:
+        raise _Exit(EXIT_PARSE, "parse error in %s: not %s (%s)" % (path, what, exc))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
 
 
-def _domain_failure(message: str) -> int:
-    sys.stderr.write("domain error: %s\n" % message)
-    return EXIT_DOMAIN
+def _each(build: Callable, label: str) -> Callable:
+    """A builder for a JSON array whose items go through build; a failing
+    item is named as "<label> <index>" in the error it raises."""
+
+    def build_all(raw) -> list:
+        if not isinstance(raw, list):
+            raise TypeError("expected a JSON array")
+        out = []
+        for index, item in enumerate(raw):
+            try:
+                out.append(build(item))
+            except _SHAPE_ERRORS as exc:
+                raise TypeError("%s %d: %s" % (label, index, exc)) from exc
+            except ValueError as exc:
+                raise ValueError("%s %d: %s" % (label, index, exc)) from exc
+        return out
+
+    return build_all
+
+
+def _write_csv(path: str, reports: Sequence[VerificationReport]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(VerificationReport.csv_header() + "\n")
+        for report in reports:
+            fh.write(report.to_csv_row() + "\n")
 
 
 # ---------------------------------------------------------------------------
-# types
+# types, convolve, bernstein, constant
 
 
-def _load_type(path: str):
-    """Returns (exit_code, type); exit_code 0 means success."""
-    try:
-        raw = _read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _parse_failure(path, exc), None
-    try:
-        entries = {Fraction(k): v for k, v in raw["entries"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        sys.stderr.write(
-            "parse error in %s: not an exponent-type document (%s)\n" % (path, exc)
-        )
-        return EXIT_PARSE, None
-    try:
-        return EXIT_OK, ExponentSetType(entries=entries)
-    except ValueError as exc:
-        return _domain_failure("%s: %s" % (path, exc)), None
-
-
-def cmd_types(config: RunConfig) -> int:
-    code, left = _load_type(config.inputs[0])
-    if code != EXIT_OK:
-        return code
-    code, right = _load_type(config.inputs[1])
-    if code != EXIT_OK:
-        return code
-    combined = combine_types(left, right)
-    sys.stdout.write(canonical_json(combined.to_json_dict()))
+def cmd_types(args: argparse.Namespace) -> int:
+    left, right = (
+        _load(path, ExponentSetType.from_json_dict, "an exponent-type document")
+        for path in (args.left, args.right)
+    )
+    sys.stdout.write(canonical_json(combine_types(left, right).to_json_dict()))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# constant
+def cmd_convolve(args: argparse.Namespace) -> int:
+    left, right = (
+        _load(path, Expansion.from_json_dict, "an expansion document")
+        for path in (args.left, args.right)
+    )
+    sys.stdout.write(canonical_json(convolve_expansions(left, right).to_json_dict()))
+    return EXIT_OK
+
+
+def cmd_bernstein(args: argparse.Namespace) -> int:
+    left, right = (
+        _load(path, _each(as_fraction, "root"), "a root list")
+        for path in (args.left, args.right)
+    )
+    combo = bernstein_combine(left, right, kappa=args.kappa)
+    doc = {
+        "raw": [str(x) for x in sorted(combo.raw)],
+        "canonical": [str(x) for x in sorted(combo.canonical)],
+        "candidates": [str(x) for x in sorted(combo.candidates)],
+    }
+    sys.stdout.write(canonical_json(doc))
+    return EXIT_OK
 
 
 def cmd_constant(args: argparse.Namespace) -> int:
-    try:
-        for flag, x in (("a", args.a), ("b", args.b)):
-            if x <= -1:
-                raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
-        first = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
-        second = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)
-        result = convolve_terms(first, second)
-    except ValueError as exc:
-        return _domain_failure(str(exc))
-    sys.stdout.write(canonical_json(result.to_json_dict()))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# convolve
-
-
-def _load_expansion(path: str):
-    try:
-        raw = _read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _parse_failure(path, exc), None
-    try:
-        expansion = Expansion.from_json_dict(raw)
-    except (KeyError, TypeError, IndexError) as exc:
-        sys.stderr.write(
-            "parse error in %s: not an expansion document (%s)\n" % (path, exc)
-        )
-        return EXIT_PARSE, None
-    except ValueError as exc:
-        return _domain_failure("%s: %s" % (path, exc)), None
-    return EXIT_OK, expansion
-
-
-def cmd_convolve(config: RunConfig) -> int:
-    code, left = _load_expansion(config.inputs[0])
-    if code != EXIT_OK:
-        return code
-    code, right = _load_expansion(config.inputs[1])
-    if code != EXIT_OK:
-        return code
-    try:
-        out = convolve_expansions(left, right)
-    except ValueError as exc:
-        return _domain_failure(str(exc))
-    sys.stdout.write(canonical_json(out.to_json_dict()))
+    for flag, x in (("a", args.a), ("b", args.b)):
+        if x <= -1:
+            raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
+    first = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
+    second = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)
+    sys.stdout.write(canonical_json(convolve_terms(first, second).to_json_dict()))
     return EXIT_OK
 
 
@@ -199,49 +173,45 @@ def cmd_convolve(config: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(config: RunConfig) -> int:
-    path = config.inputs[0]
+def _verify_one(spec: KernelSpec):
     try:
-        raw = _read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _parse_failure(path, exc)
-    if not isinstance(raw, list):
-        sys.stderr.write("parse error in %s: expected a JSON array of specs\n" % path)
-        return EXIT_PARSE
-    specs: List[KernelSpec] = []
-    for index, item in enumerate(raw):
-        try:
-            specs.append(KernelSpec.from_json_dict(item))
-        except (KeyError, TypeError, AttributeError) as exc:
-            sys.stderr.write(
-                "parse error in %s: spec %d is malformed (%s)\n" % (path, index, exc)
-            )
-            return EXIT_PARSE
-        except ValueError as exc:
-            return _domain_failure("spec %d: %s" % (index, exc))
+        return verify_constant(spec), None
+    except (ToleranceNotMet, IllConditioned) as exc:
+        return None, "%s: %s" % (type(exc).__name__, exc)
 
-    reports: List[Optional[VerificationReport]] = []
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    # Only verify has a tolerance: --tolerance, else ASYMCONV_TOL, else 1e-2.
+    tolerance = args.tolerance
+    if tolerance is None:
+        raw = os.environ.get("ASYMCONV_TOL", "1e-2")
+        try:
+            tolerance = float(raw)
+        except ValueError:
+            raise ValueError("ASYMCONV_TOL must parse as a float, got %r" % raw)
+    if not (tolerance > 0.0):
+        raise ValueError("tolerance must be > 0")
+    if args.jobs < 1:
+        raise ValueError("parallelism must be >= 1")
+    specs: List[KernelSpec] = _load(
+        args.specs, _each(KernelSpec.from_json_dict, "spec"), "a spec list"
+    )
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(_verify_one, specs))
+
+    done: List[VerificationReport] = []
     failures: List[str] = []
-    try:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_verify_one, specs))
-    except ValueError as exc:
-        return _domain_failure(str(exc))
     for spec, (report, problem) in zip(specs, outcomes):
-        reports.append(report)
         if problem is not None:
             failures.append("%s: %s" % (json.dumps(spec.to_json_dict()), problem))
-        elif report.relative_error > config.tolerance:
+            continue
+        done.append(report)
+        if report.relative_error > tolerance:
             failures.append(
                 "%s: relative error %.3e exceeds tolerance %.3e"
-                % (
-                    json.dumps(spec.to_json_dict()),
-                    report.relative_error,
-                    config.tolerance,
-                )
+                % (json.dumps(spec.to_json_dict()), report.relative_error, tolerance)
             )
 
-    done = [r for r in reports if r is not None]
     # The consistency summary concerns the one global measure
     # normalization; both-integer kernels carry their own scale constant
     # and would poison the pool.
@@ -260,20 +230,17 @@ def cmd_verify(config: RunConfig) -> int:
             "consistent": spread <= _RHO_CONSISTENCY,
         }
 
-    doc = {
-        "all_passed": not failures,
-        "tolerance": config.tolerance,
-        "failures": failures,
-        "reports": [r.to_json_dict() for r in done],
-        "rho_norm": rho_block,
-    }
-    if config.output is not None:
-        with open(config.output + ".json", "w", encoding="utf-8") as fh:
+    if args.report is not None:
+        doc = {
+            "all_passed": not failures,
+            "tolerance": tolerance,
+            "failures": failures,
+            "reports": [r.to_json_dict() for r in done],
+            "rho_norm": rho_block,
+        }
+        with open(args.report + ".json", "w", encoding="utf-8") as fh:
             fh.write(canonical_json(doc))
-        with open(config.output + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(VerificationReport.csv_header() + "\n")
-            for report in done:
-                fh.write(report.to_csv_row() + "\n")
+        _write_csv(args.report + ".csv", done)
 
     sys.stdout.write(
         "verified %d specs: %d passed, %d failed\n"
@@ -290,57 +257,9 @@ def cmd_verify(config: RunConfig) -> int:
                 "yes" if rho_block["consistent"] else "no",
             )
         )
-    if failures:
-        for line in failures:
-            sys.stderr.write("FAILED %s\n" % line)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def _verify_one(spec: KernelSpec):
-    try:
-        return verify_constant(spec), None
-    except (ToleranceNotMet, IllConditioned) as exc:
-        return None, "%s: %s" % (type(exc).__name__, exc)
-
-
-# ---------------------------------------------------------------------------
-# bernstein
-
-
-def _load_roots(path: str):
-    try:
-        raw = _read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _parse_failure(path, exc), None
-    if not isinstance(raw, list):
-        sys.stderr.write("parse error in %s: expected a JSON array of roots\n" % path)
-        return EXIT_PARSE, None
-    try:
-        return EXIT_OK, [Fraction(item) for item in raw]
-    except (ValueError, TypeError) as exc:
-        sys.stderr.write("parse error in %s: bad root value (%s)\n" % (path, exc))
-        return EXIT_PARSE, None
-
-
-def cmd_bernstein(config: RunConfig, kappa: int) -> int:
-    code, left = _load_roots(config.inputs[0])
-    if code != EXIT_OK:
-        return code
-    code, right = _load_roots(config.inputs[1])
-    if code != EXIT_OK:
-        return code
-    try:
-        combo = bernstein_combine(left, right, kappa=kappa)
-    except ValueError as exc:
-        return _domain_failure(str(exc))
-    doc = {
-        "raw": [str(x) for x in sorted(combo.raw)],
-        "canonical": [str(x) for x in sorted(combo.canonical)],
-        "candidates": [str(x) for x in sorted(combo.candidates)],
-    }
-    sys.stdout.write(canonical_json(doc))
-    return EXIT_OK
+    for line in failures:
+        sys.stderr.write("FAILED %s\n" % line)
+    return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +267,15 @@ def cmd_bernstein(config: RunConfig, kappa: int) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    try:
-        first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
-        second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
-    except ValueError as exc:
-        return _domain_failure(str(exc))
+    first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
+    second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
     try:
         report = thom_sebastiani_demo(first, second)
-    except ValueError as exc:
-        return _domain_failure(str(exc))
     except ToleranceNotMet as exc:
-        sys.stderr.write("demo quadrature did not converge: %s\n" % exc)
-        return EXIT_VERIFY_FAILED
+        raise _Exit(EXIT_VERIFY_FAILED, "demo quadrature did not converge: %s" % exc)
     sys.stdout.write(canonical_json(report.to_json_dict()))
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(VerificationReport.csv_header() + "\n")
-            fh.write(report.to_csv_row() + "\n")
+        _write_csv(args.csv, [report])
     return EXIT_OK
 
 
@@ -383,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     types_p = sub.add_parser("types", help="combine two expansion types")
     types_p.add_argument("left")
     types_p.add_argument("right")
+    types_p.set_defaults(run=cmd_types)
 
     const_p = sub.add_parser(
         "constant", help="case and leading constant for one kernel"
@@ -397,10 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     const_p.add_argument(
         "--chirality", choices=("holo", "anti"), default="holo"
     )
+    const_p.set_defaults(run=cmd_constant)
 
     conv_p = sub.add_parser("convolve", help="convolve two expansion files")
     conv_p.add_argument("left")
     conv_p.add_argument("right")
+    conv_p.set_defaults(run=cmd_convolve)
 
     verify_p = sub.add_parser(
         "verify", help="batch-verify kernel specs against the oracle"
@@ -414,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument("--tolerance", type=float, default=None)
     verify_p.add_argument("--jobs", type=int, default=1)
+    verify_p.set_defaults(run=cmd_verify)
 
     bern_p = sub.add_parser(
         "bernstein", help="combine two Bernstein root sets"
@@ -421,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     bern_p.add_argument("left")
     bern_p.add_argument("right")
     bern_p.add_argument("--kappa", type=int, default=0)
+    bern_p.set_defaults(run=cmd_bernstein)
 
     demo_p = sub.add_parser("demo", help="end-to-end demonstrations")
     demo_sub = demo_p.add_subparsers(dest="demo_kind", required=True)
@@ -432,44 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     mono_p.add_argument("--plateau", type=float, default=0.9)
     mono_p.add_argument("--support", type=float, default=1.0)
     mono_p.add_argument("--csv", default=None, metavar="PATH")
+    mono_p.set_defaults(run=cmd_demo)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        tolerance = getattr(args, "tolerance", None)
-        if tolerance is None:
-            tolerance = default_tolerance()
-        config = RunConfig(
-            command=args.command,
-            inputs=tuple(
-                getattr(args, name)
-                for name in ("left", "right", "specs")
-                if getattr(args, name, None) is not None
-            ),
-            output=getattr(args, "report", None),
-            tolerance=tolerance,
-            jobs=getattr(args, "jobs", 1),
-        )
+        return args.run(args)
+    except _Exit as exc:
+        code, message = exc.args
+        sys.stderr.write(message + "\n")
+        return code
     except ValueError as exc:
-        return _domain_failure(str(exc))
-
-    if args.command == "types":
-        return cmd_types(config)
-    if args.command == "constant":
-        return cmd_constant(args)
-    if args.command == "convolve":
-        return cmd_convolve(config)
-    if args.command == "verify":
-        return cmd_verify(config)
-    if args.command == "bernstein":
-        return cmd_bernstein(config, args.kappa)
-    if args.command == "demo":
-        return cmd_demo(args)
-    raise AssertionError("unreachable command %r" % args.command)
+        sys.stderr.write("domain error: %s\n" % exc)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -117,22 +117,12 @@ class ConvolutionResult:
             raise ValueError("leading coefficient of a singular case cannot vanish")
 
     def to_json_dict(self) -> dict:
-        term = None
-        if self.term is not None:
-            term = {
-                "r": str(self.term.r),
-                "m": self.term.m,
-                "n": self.term.n,
-                "log_coeffs": [
-                    [c.real, c.imag] for c in self.term.poly.coefficients
-                ],
-            }
         return {
             "case": self.case.value,
             "degree": self.degree,
             "leading_coeff": [self.leading_coeff.real, self.leading_coeff.imag],
             "normalization": self.normalization,
-            "term": term,
+            "term": None if self.term is None else self.term.to_json_dict(),
         }
 
 

@@ -129,6 +129,14 @@ class LogPolynomial:
         return LogPolynomial.of_coeffs([c * v for v in self.coefficients])
 
 
+def _exact_int(name: str, value) -> int:
+    """An integer field; floats, bools and strings are refused instead
+    of truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 @dataclass(frozen=True)
 class SingularTerm:
     """One singular term |s|^(2r) * s^m * sbar^n * poly(log|s|^2).
@@ -153,6 +161,24 @@ class SingularTerm:
     @property
     def key(self) -> Tuple[Fraction, int, int]:
         return (self.r, self.m, self.n)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "r": str(self.r),
+            "m": self.m,
+            "n": self.n,
+            "log_coeffs": [[c.real, c.imag] for c in self.poly.coefficients],
+        }
+
+    @staticmethod
+    def from_json_dict(data: Mapping) -> "SingularTerm":
+        coeffs = [complex(re, im) for re, im in data["log_coeffs"]]
+        return SingularTerm(
+            r=as_fraction(data["r"]),
+            m=_exact_int("m", data["m"]),
+            n=_exact_int("n", data["n"]),
+            poly=LogPolynomial.of_coeffs(coeffs),
+        )
 
 
 class KernelForm(NamedTuple):
@@ -199,14 +225,6 @@ def kernel_term(
     return SingularTerm(r=a - shift, m=m, n=n, poly=LogPolynomial.monomial(degree))
 
 
-def _exact_int(name: str, value) -> int:
-    """An integer field; floats, bools and strings are refused instead
-    of truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return value
-
-
 @dataclass
 class Expansion:
     """A finite list of singular terms plus a smooth remainder marker.
@@ -245,35 +263,15 @@ class Expansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "terms": [
-                {
-                    "r": str(term.r),
-                    "m": term.m,
-                    "n": term.n,
-                    "log_coeffs": [
-                        [c.real, c.imag] for c in term.poly.coefficients
-                    ],
-                }
-                for term in self.terms
-            ],
+            "terms": [term.to_json_dict() for term in self.terms],
             "smooth_order": self.smooth_order,
         }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Expansion":
-        terms = []
-        for item in data["terms"]:
-            coeffs = [complex(re, im) for re, im in item["log_coeffs"]]
-            terms.append(
-                SingularTerm(
-                    r=Fraction(item["r"]),
-                    m=_exact_int("m", item["m"]),
-                    n=_exact_int("n", item["n"]),
-                    poly=LogPolynomial.of_coeffs(coeffs),
-                )
-            )
         return Expansion(
-            terms=terms, smooth_order=_exact_int("smooth_order", data["smooth_order"])
+            terms=[SingularTerm.from_json_dict(item) for item in data["terms"]],
+            smooth_order=_exact_int("smooth_order", data["smooth_order"]),
         )
 
 
@@ -310,18 +308,8 @@ class ExponentSetType:
     @staticmethod
     def from_json_dict(data: Mapping) -> "ExponentSetType":
         return ExponentSetType(
-            entries={Fraction(k): v for k, v in data["entries"].items()}
+            entries={as_fraction(k): v for k, v in data["entries"].items()}
         )
-
-
-def _pair_degree(alpha: Fraction, beta: Fraction, mu: int, nu: int) -> int:
-    """Log-degree bound for the convolution of a degree-mu term at alpha
-    with a degree-nu term at beta."""
-    if is_natural(alpha) or is_natural(beta):
-        return mu + nu - 1
-    if is_natural(alpha + beta + 1):
-        return mu + nu + 1
-    return mu + nu
 
 
 def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetType:
@@ -329,14 +317,17 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
 
     When several (alpha, beta) pairs land on the same sum, the degree kept
     is the maximum over contributing pairs; the type is an upper bound, not
-    an exact census.  A pair whose degree bound drops below zero produces
-    no term; an exponent reached only by such pairs is omitted.
+    an exact census.  Each pair's degree is degree_rule's, so a pair with
+    a smooth factor (a natural exponent carrying no log) produces no term;
+    an exponent reached only by such pairs is omitted.
     """
     combined: Dict[Fraction, int] = {}
+    right_entries = [(beta, nu, is_natural(beta)) for beta, nu in right.entries.items()]
     for alpha, mu in left.entries.items():
-        for beta, nu in right.entries.items():
+        alpha_natural = is_natural(alpha)
+        for beta, nu, beta_natural in right_entries:
             gamma = alpha + beta + 1
-            degree = _pair_degree(alpha, beta, mu, nu)
+            degree = _log_degree(alpha_natural, beta_natural, is_natural(gamma), mu, nu)
             if degree < 0:
                 continue
             if gamma not in combined or combined[gamma] < degree:
@@ -359,11 +350,19 @@ def degree_rule(
         raise ValueError("exponents must be > -1")
     if j < 0 or k < 0:
         raise ValueError("log powers must be >= 0")
-    if (is_natural(a) and j == 0) or (is_natural(b) and k == 0):
+    return _log_degree(is_natural(a), is_natural(b), is_natural(a + b + 1), j, k)
+
+
+def _log_degree(
+    a_natural: bool, b_natural: bool, sum_natural: bool, j: int, k: int
+) -> int:
+    """degree_rule on validated input, given which of a, b and a + b + 1
+    are natural; combine_types calls it with those flags precomputed."""
+    if (a_natural and j == 0) or (b_natural and k == 0):
         return -1
-    if is_natural(a) or is_natural(b):
+    if a_natural or b_natural:
         return j + k - 1
-    if is_natural(a + b + 1):
+    if sum_natural:
         return j + k + 1
     return j + k
 

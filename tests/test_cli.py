@@ -58,6 +58,16 @@ class TestTypes:
         code, _, err = run(capsys, ["types", str(tmp_path / "no.json"), str(tmp_path / "no.json")])
         assert code == 2
 
+    def test_ignores_env_tolerance(self, tmp_path, capsys, monkeypatch):
+        # only verify has a tolerance, so only verify reads ASYMCONV_TOL
+        monkeypatch.setenv("ASYMCONV_TOL", "abc")
+        doc = tmp_path / "t.json"
+        doc.write_text('{"entries": {"-1/2": 1}}')
+        code, out, err = run(capsys, ["types", str(doc), str(doc)])
+        assert code == 0
+        assert json.loads(out) == {"entries": {"0": 3}}
+        assert err == ""
+
     @pytest.mark.parametrize("degree", ["1.8", "true", '"1"'])
     def test_non_integer_degree_is_domain_error(self, tmp_path, capsys, degree):
         # a degree is refused, never truncated to an integer
@@ -364,6 +374,47 @@ class TestBernstein:
         doc.write_text('{"roots": ["-1/2"]}')
         code, _, err = run(capsys, ["bernstein", str(doc), str(doc)])
         assert code == 2
+
+
+# One rule for every document command: a wrong JSON shape (missing key,
+# a float where a rational string belongs) is a parse error, exit 2; a
+# string that is not a rational is a domain error, exit 3.  Exponent-type
+# documents hold their rationals in object keys, which are always strings,
+# so their float case is a float log degree: an integer field, refused as
+# a domain error like every other non-integer count.
+_SPEC = '{"a": %s, "b": "-1/2", "p": 0, "q": 0, "j": 0, "k": 0}'
+_TERM = '{"terms": [{"r": %s, "m": 0, "n": 0, "log_coeffs": [[1, 0]]}], "smooth_order": 1}'
+EXIT_CODE_RULE = [
+    ("types", "string", '{"entries": {"abc": 1}}', 3),
+    ("types", "float", '{"entries": {"-1/2": 1.5}}', 3),
+    ("types", "missing", '{}', 2),
+    ("convolve", "string", _TERM % '"abc"', 3),
+    ("convolve", "float", _TERM % "-0.1", 2),
+    ("convolve", "missing", '{"terms": [{"r": "0"}], "smooth_order": 1}', 2),
+    ("bernstein", "string", '["abc"]', 3),
+    ("bernstein", "float", "[-0.1]", 2),
+    ("bernstein", "missing", '{"roots": ["-1/2"]}', 2),
+    ("verify", "string", "[%s]" % (_SPEC % '"abc"'), 3),
+    ("verify", "float", "[%s]" % (_SPEC % "-0.1"), 2),
+    ("verify", "missing", '[{"a": "-1/2"}]', 2),
+]
+
+
+class TestExitCodeRule:
+    @pytest.mark.parametrize(
+        "command, case, text, expected",
+        EXIT_CODE_RULE,
+        ids=["%s-%s" % row[:2] for row in EXIT_CODE_RULE],
+    )
+    def test_same_mistake_same_code(self, tmp_path, capsys, command, case, text, expected):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        paths = [str(doc)] if command == "verify" else [str(doc), str(doc)]
+        code, out, err = run(capsys, [command] + paths)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("parse error" if expected == 2 else "domain error")
+        assert str(doc) in err
 
 
 class TestDemo:

@@ -91,6 +91,14 @@ class TestCombineTypes:
         right = ExponentSetType({F(-1, 2): 0})
         assert combine_types(left, right).entries == {}
 
+    def test_smooth_factor_gives_no_term(self):
+        # a natural exponent with no log is a smooth factor, so the pair is
+        # Smooth whatever the other side's log degree; degree_rule says -1
+        left = ExponentSetType({F(0): 0})
+        right = ExponentSetType({F(-1, 2): 2})
+        assert degree_rule(F(0), F(-1, 2), 0, 2) == -1
+        assert combine_types(left, right).entries == {}
+
     def test_collision_keeps_max_degree(self):
         left = ExponentSetType({F(-1, 2): 0, F(-1, 4): 2})
         right = ExponentSetType({F(-1, 4): 0, F(-1, 2): 2})
@@ -242,6 +250,25 @@ class TestExpansion:
         assert again == exp
         assert data["smooth_order"] == 4
         assert data["terms"][0]["r"] == "-1/2"
+
+    def test_term_json_round_trip(self):
+        term = SingularTerm(F(-1, 3), 2, 1, LogPolynomial.of_coeffs([0.0, 1.5 - 2j]))
+        data = term.to_json_dict()
+        assert data == {
+            "r": "-1/3", "m": 2, "n": 1, "log_coeffs": [[0.0, 0.0], [1.5, -2.0]]
+        }
+        assert SingularTerm.from_json_dict(data) == term
+        exp = Expansion(terms=[term], smooth_order=1)
+        assert exp.to_json_dict()["terms"] == [data]
+
+    @pytest.mark.parametrize("r", [-0.5, -0.1, True, None])
+    def test_rejects_non_rational_r(self, r):
+        # r goes through as_fraction: a JSON float is never rounded in binary
+        data = {"r": r, "m": 0, "n": 0, "log_coeffs": [[1.0, 0.0]]}
+        with pytest.raises(TypeError):
+            SingularTerm.from_json_dict(data)
+        with pytest.raises(TypeError):
+            Expansion.from_json_dict({"terms": [data], "smooth_order": 1})
 
     def test_term_lookup(self):
         exp = Expansion(
