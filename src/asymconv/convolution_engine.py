@@ -15,6 +15,7 @@ normalization constants below relate those constants to the measure
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -289,13 +290,7 @@ class BernsteinCombination:
 
 def _canonical_rep(x: Fraction) -> Fraction:
     """Representative of x mod 1 in [-1, 0)."""
-    shift = -(-x).__floor__() if x < 0 else x.__floor__() + 1
-    rep = x - shift
-    while rep < -1:
-        rep += 1
-    while rep >= 0:
-        rep -= 1
-    return rep
+    return x - math.floor(x) - 1
 
 
 def bernstein_combine(

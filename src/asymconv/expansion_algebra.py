@@ -172,7 +172,10 @@ class SingularTerm:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SingularTerm":
-        coeffs = [complex(re, im) for re, im in data["log_coeffs"]]
+        pairs = data["log_coeffs"]
+        if any(len(pair) != 2 for pair in pairs):
+            raise TypeError("each log_coeffs entry must be a [re, im] pair")
+        coeffs = [complex(re, im) for re, im in pairs]
         return SingularTerm(
             r=as_fraction(data["r"]),
             m=_exact_int("m", data["m"]),

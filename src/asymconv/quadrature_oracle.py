@@ -9,16 +9,16 @@ by singular-aware quadrature, fits its small-|s| expansion on a geometric
 radius grid, and compares the fitted leading singular coefficient against
 the closed-form Gamma-factor constants.  Everything here is deliberately
 independent of those closed forms: the only shared ingredient is the
-angular coefficient table gamma^r (itself cross-checked against direct
-angular quadrature in the test suite).
+angular coefficient table gamma^r used by finite_part_direct (itself
+cross-checked against direct angular quadrature in the test suite).
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
 shifts, so the inner moments are computed once per kernel and reused for
-every sample radius.  The far annulus 3|s|/2 <= |u| <= 1 is integrated
-per sample with the s-free part of the integrand subtracted and added
-back in closed form, which kills the catastrophic cancellation that
-otherwise eats the signal for p + q >= 1.
+every sample radius.  On the far annulus 3|s|/2 <= |u| <= 1 the angular
+mean keeps one Fourier mode of the integrand, an explicit power series
+in |s|/|u| with its own coefficient recurrence; only its radial integral
+is done by quadrature, per sample.
 """
 
 from __future__ import annotations
@@ -132,9 +132,11 @@ class SampleGrid:
 def default_grid(spec: Optional[KernelSpec] = None) -> SampleGrid:
     """Sixteen geometric radii 0.2 * 2^0 .. 0.2 * 2^-15.
 
-    For total monomial degree p + q >= 4 the deepest radii are dropped:
-    the far-field signal there sits below roundoff of the subtracted
-    integrand, so the small radii would only feed noise into the fit.
+    For total monomial degree p + q >= 4 the deepest radii are dropped.
+    On the oracle sweep of ROADMAP.md, all sixteen radii turn seven of the
+    eight anti (3, 2) specs that the shorter grid refuses (too few radii
+    for the model) into wrong constants: their deep samples carry almost
+    no singular signal.
     """
     depth = 16
     if spec is not None and spec.p + spec.q >= 4:
@@ -149,29 +151,6 @@ def default_grid(spec: Optional[KernelSpec] = None) -> SampleGrid:
 @functools.lru_cache(maxsize=None)
 def _gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
-
-
-def power_log_integral(m: float, n: int, lo: float, hi: float) -> float:
-    """Exact antiderivative of rho^m (Log rho^2)^n over [lo, hi].
-
-    The recursion integrates by parts; m = -1 switches to the pure log
-    primitive.  Used to add back the closed-form part of the far-field
-    subtraction.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not (0 < lo <= hi):
-        raise ValueError("need 0 < lo <= hi")
-    if abs(m + 1.0) < 1e-14:
-        return (math.log(hi * hi) ** (n + 1) - math.log(lo * lo) ** (n + 1)) / (
-            2.0 * (n + 1)
-        )
-    if n == 0:
-        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
-    boundary = (
-        hi ** (m + 1) * math.log(hi * hi) ** n - lo ** (m + 1) * math.log(lo * lo) ** n
-    ) / (m + 1)
-    return boundary - (2.0 * n / (m + 1)) * power_log_integral(m, n - 1, lo, hi)
 
 
 def _dyadic_disk_quad(
@@ -261,8 +240,8 @@ def _cut_collar_quad(
 
 
 _LEVELS = (
-    {"g": 12, "m0": 64, "ma": 48, "far_g": 12, "far_m": 96, "tol": 1e-13},
-    {"g": 16, "m0": 96, "ma": 72, "far_g": 16, "far_m": 144, "tol": 5e-15},
+    {"g": 12, "m0": 64, "ma": 48, "tol": 1e-13},
+    {"g": 16, "m0": 96, "ma": 72, "tol": 5e-15},
 )
 
 
@@ -329,58 +308,77 @@ def _inner_moments(spec: KernelSpec, level: int) -> np.ndarray:
     return patch0 + patch1 + collar
 
 
-def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
-    """Annulus 3|s|/2 <= |u| <= 1 with the s-free surrogate subtracted."""
-    af, bf, p, q, j, k, anti = _floats(spec)
-    cfg = _LEVELS[level]
-    m = max(cfg["far_m"], 8 * (p + q) + 32)
-    g = cfg["far_g"]
-    sigma = abs(s)
-    lo = 1.5 * sigma
+#: Terms of the far-field series.  On the annulus x = |s|/|u| < 2/3 and the
+#: coefficients decay (a + p/2 > -1), so the dropped tail is below
+#: (4/9)^80 < 1e-28 of the leading term; 40 terms already reach roundoff.
+_FAR_TERMS = 80
 
-    edges = [lo]
+
+def _pochhammer_jets(c: float, count: int, order: int) -> np.ndarray:
+    """Rows m < count: Taylor coefficients in e of (-c-e)_m / m!, to e^order.
+
+    Each row follows from the last through the factor (m - c - e)/(m + 1),
+    so a vanishing factor at natural c keeps its e-part exactly.
+    """
+    jet = [1.0] + [0.0] * order
+    rows = [jet]
+    for m in range(count - 1):
+        shifted = [0.0] + jet[:-1]  # e times the jet
+        jet = [((m - c) * x - y) / (m + 1) for x, y in zip(jet, shifted)]
+        rows.append(jet)
+    return np.array(rows)
+
+
+def _far_coefficients(af: float, p: int, n: int, order: int) -> np.ndarray:
+    """Coefficients of the angular mode n of |1-w|^{2a} (1-w)^p, as jets in a.
+
+    Row beta - max(0, -n) holds the Taylor coefficients in e, to e^order, of
+    [(-a-e-p)_(beta+n)/(beta+n)!] [(-a-e)_beta/beta!], the coefficient of
+    x^(2 beta + n) once (1-w)^(a+p) (1-wbar)^a is multiplied out.
+    """
+    b0 = max(0, -n)
+    first = _pochhammer_jets(af + p, b0 + n + _FAR_TERMS, order)[b0 + n :]
+    second = _pochhammer_jets(af, b0 + _FAR_TERMS, order)[b0:]
+    out = np.zeros((_FAR_TERMS, order + 1))
+    for i in range(order + 1):
+        for l in range(i + 1):
+            out[:, i] += first[:, l] * second[:, i - l]
+    return out
+
+
+def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
+    """Annulus 3|s|/2 <= |u| <= 1 through the one angular mode that survives.
+
+    With u = R e^{i theta} and w = s/u, the angular mean of the integrand
+    keeps only the e^{-i n theta} mode of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i,
+    n = p + q (holo) or p - q (anti).  That mode is (s/|s|)^n times the
+    a-derivative d_a^i M_n(x), x = |s|/R, of the power series M_n summed by
+    _far_coefficients; only the radial integral is left to quadrature.
+    """
+    af, bf, p, q, j, k, anti = _floats(spec)
+    n = p - q if anti else p + q
+    sigma = abs(s)
+    edges = [1.5 * sigma]
     while edges[-1] < 1.0:
         edges.append(min(1.0, edges[-1] * 2.0))
-    nodes, wts = _gl(g)
-    rr: List[np.ndarray] = []
-    ww: List[np.ndarray] = []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        rr.append(0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0))
-        ww.append(0.5 * (e1 - e0) * wts)
-    R = np.concatenate(rr)
-    W = np.concatenate(ww)
+    nodes, wts = _gl(_LEVELS[level]["g"])
+    e0 = np.array(edges[:-1])[:, None]
+    e1 = np.array(edges[1:])[:, None]
+    R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
+    W = (0.5 * (e1 - e0) * wts).ravel()
 
-    theta = np.arange(m) * (2.0 * math.pi / m)
-    U = R[:, None] * np.exp(1j * theta)[None, :]
-    w = s / U
-    x, y = w.real, w.imag
-    lam = np.log1p(x * x + y * y - 2.0 * x)  # Log|1-w|^2
-    E = af * lam + p * np.log(1.0 - w)
-    L = np.log(R * R)[:, None]
-    eE = np.exp(E)
-    B = np.zeros_like(E)
-    for i in range(1, j + 1):
-        B = B + math.comb(j, i) * L ** (j - i) * lam**i
-    em1 = (
-        np.expm1(E.real) * np.cos(E.imag)
-        - 2.0 * np.sin(E.imag / 2.0) ** 2
-        + 1j * (np.exp(E.real) * np.sin(E.imag))
-    )
-    D = eE * B + L**j * em1
-    uq = np.conj(U) ** q if anti else U**q
-    P = (-U) ** p * uq * np.abs(U) ** (2.0 * (af + bf))
-    vals = P * L**k * D
-    far = complex(np.sum(W * R * vals.mean(axis=1)))
-
-    # the subtracted surrogate |u|^{2(a+b)} (-u)^p u_or_ubar^q L^{j+k}
-    # integrates to zero unless its angular mode vanishes
-    if not anti and p == 0 and q == 0:
-        far += power_log_integral(2.0 * (af + bf) + 1.0, j + k, lo, 1.0)
-    elif anti and p == q:
-        far += (-1.0) ** p * power_log_integral(
-            2.0 * (af + bf + p) + 1.0, j + k, lo, 1.0
-        )
-    return far
+    x = (sigma / R)[:, None]
+    powers = 2 * np.arange(max(0, -n), max(0, -n) + _FAR_TERMS) + n
+    # powers that underflow are slow to compute and below 1e-304 anyway
+    live = np.log(x) * powers > -700.0
+    xp = np.power(x, powers, out=np.zeros(live.shape), where=live)
+    modes = xp @ _far_coefficients(af, p, n, j)  # (nodes, j + 1)
+    L = np.log(R * R)
+    radial = np.zeros_like(R)
+    for i in range(j + 1):
+        radial += math.perm(j, i) * L ** (j - i) * modes[:, i]  # C(j,i) i!
+    radial *= W * R ** (p + q + 2.0 * (af + bf) + 1.0) * L**k
+    return (-1.0) ** p * (s / sigma) ** n * float(np.sum(radial))
 
 
 def _assemble(spec: KernelSpec, s: complex, level: int) -> Tuple[complex, float]:

@@ -174,6 +174,18 @@ class TestConvolve:
         assert out == ""
         assert "%s must be an integer" % key in err
 
+    @pytest.mark.parametrize("pair", [[1], [1, 0, 5]])
+    def test_log_coeff_pair_of_wrong_length_is_parse_error(self, tmp_path, capsys, pair):
+        doc = tmp_path / "e.json"
+        doc.write_text(json.dumps(
+            {"terms": [{"r": "-1/2", "m": 0, "n": 0, "log_coeffs": [pair]}],
+             "smooth_order": 2}
+        ))
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert code == 2
+        assert out == ""
+        assert "[re, im] pair" in err
+
 
 SPEC_GENERIC = {
     "a": "-3/10", "b": "-2/5", "p": 0, "q": 0, "j": 0, "k": 0,
