@@ -174,9 +174,12 @@ def cmd_constant(args: argparse.Namespace) -> int:
 
 
 def _verify_one(spec: KernelSpec):
+    """(report, None) or (None, reason): a spec the oracle cannot check,
+    including one it refuses with ValueError, fails alone and does not
+    abort the batch."""
     try:
         return verify_constant(spec), None
-    except (ToleranceNotMet, IllConditioned) as exc:
+    except (ToleranceNotMet, IllConditioned, ValueError) as exc:
         return None, "%s: %s" % (type(exc).__name__, exc)
 
 

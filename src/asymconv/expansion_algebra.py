@@ -13,6 +13,7 @@ tests are exact by construction.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -175,7 +176,13 @@ class SingularTerm:
         pairs = data["log_coeffs"]
         if any(len(pair) != 2 for pair in pairs):
             raise TypeError("each log_coeffs entry must be a [re, im] pair")
-        coeffs = [complex(re, im) for re, im in pairs]
+        try:
+            coeffs = [complex(re, im) for re, im in pairs]
+            finite = all(cmath.isfinite(c) for c in coeffs)
+        except OverflowError:  # a JSON integer beyond float range
+            finite = False
+        if not finite:
+            raise ValueError("each log_coeffs entry must be a finite complex number")
         return SingularTerm(
             r=as_fraction(data["r"]),
             m=_exact_int("m", data["m"]),

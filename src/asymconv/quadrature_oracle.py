@@ -1,4 +1,4 @@
-"""Brute-force quadrature oracle for the convolution kernel constants.
+"""Quadrature oracle for the convolution kernel constants.
 
 Evaluates the model kernel
 
@@ -7,18 +7,22 @@ Evaluates the model kernel
 
 by singular-aware quadrature, fits its small-|s| expansion on a geometric
 radius grid, and compares the fitted leading singular coefficient against
-the closed-form Gamma-factor constants.  Everything here is deliberately
-independent of those closed forms: the only shared ingredient is the
-angular coefficient table gamma^r used by finite_part_direct (itself
-cross-checked against direct angular quadrature in the test suite).
+the closed-form Gamma-factor constants.  Everything here is independent
+of those closed forms: nothing is taken from gamma_kernel but the
+chirality type and the exact-or-float split of a parameter.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
 shifts, so the inner moments are computed once per kernel and reused for
-every sample radius.  On the far annulus 3|s|/2 <= |u| <= 1 the angular
-mean keeps one Fourier mode of the integrand, an explicit power series
-in |s|/|u| with its own coefficient recurrence; only its radial integral
-is done by quadrature, per sample.
+every sample radius.  Outside the collar (the annulus 1/2 <= |v| <= 3/2
+less the disk |v - 1| < 1/2), every angular mean is one explicit power
+series: the one Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
+Pochhammer recurrence (_mode_coefficients).  The two disks |v| <= 1/2
+and |v - 1| <= 1/2 integrate its powers exactly, the far annulus
+3|s|/2 <= |u| <= 1 leaves only its radial integral to quadrature, and
+finite_part_direct continues it exactly beyond |t| = 3/2.  Only the
+collar, which touches |v| = 1 where no such series converges
+geometrically, is plain two-dimensional quadrature.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .convolution_engine import CaseTag, classify_case, kernel_leading_constant
 from .expansion_algebra import LogPolynomial, as_fraction, degree_rule, is_natural
-from .gamma_kernel import Chirality, RealInput, _split, fourier_coefficient
+from .gamma_kernel import Chirality, RealInput, _split
 
 
 class ToleranceNotMet(RuntimeError):
@@ -153,52 +157,6 @@ def _gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _dyadic_disk_quad(
-    smooth_pows: Callable[[np.ndarray, int], np.ndarray],
-    smax: int,
-    radial_exp: float,
-    radial_logmax: int,
-    mode: int,
-    g: int,
-    M: int,
-    tol: float,
-) -> np.ndarray:
-    """Quadrature over the disk |z| <= 1/2 of a singular-smooth product.
-
-    Returns T[s, r] = (1/2pi) iint rho^{radial_exp} (Log rho^2)^r
-    e^{i mode theta} F_s(z) dx dy, where F_s is row s of
-    smooth_pows(z, smax).  Radial panels are dyadic toward 0 with
-    Gauss-Legendre nodes, the angular rule is the periodic trapezoid.
-    """
-    nodes, wts = _gl(g)
-    theta = np.arange(M) * (2.0 * math.pi / M)
-    phase = np.exp(1j * mode * theta)
-    ring = np.exp(1j * theta)
-    out = np.zeros((smax + 1, radial_logmax + 1), dtype=complex)
-    hi = 0.5
-    quiet = 0
-    for _ in range(600):
-        lo = hi / 2.0
-        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wts
-        z = r[:, None] * ring[None, :]
-        F = smooth_pows(z, smax)  # (smax+1, g, M)
-        ang = (F * phase[None, None, :]).mean(axis=2)  # (smax+1, g)
-        rad = w * r ** (radial_exp + 1.0)
-        lr = np.log(r * r)
-        LP = np.array([lr**rp for rp in range(radial_logmax + 1)])  # (rmax+1, g)
-        contrib = np.einsum("sg,rg,g->sr", ang, LP, rad)
-        out += contrib
-        if np.abs(contrib).max() < tol * (np.abs(out).max() + 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        hi = lo
-    return out
-
-
 def _cut_collar_quad(
     pair_table: Callable[[np.ndarray], np.ndarray],
     g: int,
@@ -240,8 +198,8 @@ def _cut_collar_quad(
 
 
 _LEVELS = (
-    {"g": 12, "m0": 64, "ma": 48, "tol": 1e-13},
-    {"g": 16, "m0": 96, "ma": 72, "tol": 5e-15},
+    {"g": 12, "ma": 48},
+    {"g": 16, "ma": 72},
 )
 
 
@@ -257,61 +215,11 @@ def _floats(spec: KernelSpec) -> Tuple[float, float, int, int, int, int, bool]:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _inner_moments(spec: KernelSpec, level: int) -> np.ndarray:
-    """Moments of the rescaled inner region |v| <= 3/2 in the u = s*v frame.
-
-    Entry [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
-    |v|^{2b} v^q (Log|v|^2)^kp over the inner region against
-    (1/2pi) dx dy, with v^q conjugated for anti chirality.  These carry
-    no s-dependence; the kernel's inner part is an exact prefactor times
-    a binomial combination of them with powers of Log|s|^2.
-    """
-    af, bf, p, q, j, k, anti = _floats(spec)
-    cfg = _LEVELS[level]
-    m0 = max(cfg["m0"], 8 * max(p, q) + 16)
-
-    def smooth_left(z: np.ndarray, smax: int) -> np.ndarray:
-        base = np.abs(1.0 - z) ** (2.0 * af) * (1.0 - z) ** p
-        lg = np.log(np.abs(1.0 - z) ** 2)
-        return np.array([base * lg**s for s in range(smax + 1)])
-
-    def smooth_right(z: np.ndarray, smax: int) -> np.ndarray:
-        base = np.abs(1.0 + z) ** (2.0 * bf) * (
-            np.conj(1.0 + z) ** q if anti else (1.0 + z) ** q
-        )
-        lg = np.log(np.abs(1.0 + z) ** 2)
-        return np.array([base * lg**s for s in range(smax + 1)])
-
-    mode_q = -q if anti else q
-    patch0 = _dyadic_disk_quad(
-        smooth_left, j, 2.0 * bf + q, k, mode_q, cfg["g"], m0, cfg["tol"]
-    )  # (j+1, k+1)
-    patch1 = (-1.0) ** p * _dyadic_disk_quad(
-        smooth_right, k, 2.0 * af + p, j, p, cfg["g"], m0, cfg["tol"]
-    ).T  # transpose to (j+1, k+1)
-
-    def pair(v: np.ndarray) -> np.ndarray:
-        f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
-        l1 = np.log(np.abs(1.0 - v) ** 2)
-        vq = np.conj(v) ** q if anti else v**q
-        f2 = np.abs(v) ** (2.0 * bf) * vq
-        l2 = np.log(np.abs(v) ** 2)
-        base = f1 * f2
-        table = np.empty((j + 1, k + 1) + v.shape, dtype=complex)
-        for jp in range(j + 1):
-            for kp in range(k + 1):
-                table[jp, kp] = base * l1**jp * l2**kp
-        return table
-
-    collar = _cut_collar_quad(pair, 2 * cfg["g"], cfg["ma"])
-    return patch0 + patch1 + collar
-
-
-#: Terms of the far-field series.  On the annulus x = |s|/|u| < 2/3 and the
-#: coefficients decay (a + p/2 > -1), so the dropped tail is below
+#: Terms of every angular series.  Their variable is at most 2/3 (far
+#: field, outer part of the finite part) or 1/2 (inner disks), and the
+#: coefficients grow at most polynomially, so the dropped tail is of order
 #: (4/9)^80 < 1e-28 of the leading term; 40 terms already reach roundoff.
-_FAR_TERMS = 80
+_SERIES_TERMS = 80
 
 
 def _pochhammer_jets(c: float, count: int, order: int) -> np.ndarray:
@@ -329,21 +237,99 @@ def _pochhammer_jets(c: float, count: int, order: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _far_coefficients(af: float, p: int, n: int, order: int) -> np.ndarray:
-    """Coefficients of the angular mode n of |1-w|^{2a} (1-w)^p, as jets in a.
+def _mode_coefficients(
+    c: float, extra: int, n: int, order: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Angular mode n of |1-w|^{2c} (1-w)^extra as a power series in |w|.
 
-    Row beta - max(0, -n) holds the Taylor coefficients in e, to e^order, of
-    [(-a-e-p)_(beta+n)/(beta+n)!] [(-a-e)_beta/beta!], the coefficient of
-    x^(2 beta + n) once (1-w)^(a+p) (1-wbar)^a is multiplied out.
+    Returns (powers, coefficients): row beta - max(0, -n) holds the power
+    2 beta + n and the Taylor coefficients in e, to e^order, of
+    [(-c-e-extra)_(beta+n)/(beta+n)!] [(-c-e)_beta/beta!], the coefficient
+    of w^(beta+n) wbar^beta once (1-w)^(c+extra) (1-wbar)^c is multiplied
+    out.  The mean of e^{-i n arg w} |1-w|^{2c} (1-w)^extra (Log|1-w|^2)^i
+    is therefore i! times column i summed against |w|^powers.
     """
     b0 = max(0, -n)
-    first = _pochhammer_jets(af + p, b0 + n + _FAR_TERMS, order)[b0 + n :]
-    second = _pochhammer_jets(af, b0 + _FAR_TERMS, order)[b0:]
-    out = np.zeros((_FAR_TERMS, order + 1))
+    first = _pochhammer_jets(c + extra, b0 + n + _SERIES_TERMS, order)[b0 + n :]
+    second = _pochhammer_jets(c, b0 + _SERIES_TERMS, order)[b0:]
+    out = np.zeros((_SERIES_TERMS, order + 1))
     for i in range(order + 1):
         for l in range(i + 1):
             out[:, i] += first[:, l] * second[:, i - l]
-    return out
+    return 2 * np.arange(b0, b0 + _SERIES_TERMS) + n, out
+
+
+def _disk_moments(
+    c: float, extra: int, n: int, order: int, radial_exp: float, logmax: int
+) -> np.ndarray:
+    """Moments over the disk |z| <= 1/2 from the angular mode series.
+
+    T[i, r] = (1/2pi) iint rho^radial_exp (Log rho^2)^r e^{-i n theta}
+    |1-z|^{2c} (1-z)^extra (Log|1-z|^2)^i dx dy for i <= order, r <= logmax.
+    Every power of the series integrates exactly:
+    int_0^{1/2} rho^{E-1} (Log rho^2)^r drho
+      = (1/2)^E sum_l r!/(r-l)! (-2)^l (Log 1/4)^{r-l} / E^{l+1},
+    with E = radial_exp + 2 + 2 beta + n > 0 for every integrable case.
+    """
+    powers, coeffs = _mode_coefficients(c, extra, n, order)
+    E = radial_exp + 2.0 + powers
+    log_edge = math.log(0.25)
+    radial = np.array(
+        [
+            sum(
+                math.perm(r, l) * (-2.0) ** l * log_edge ** (r - l) / E ** (l + 1)
+                for l in range(r + 1)
+            )
+            for r in range(logmax + 1)
+        ]
+    ) * 0.5**E
+    factorials = [math.factorial(i) for i in range(order + 1)]
+    return (coeffs * factorials).T @ radial.T
+
+
+def _inner_table(
+    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
+) -> np.ndarray:
+    """Float-parameter body of _inner_moments; b + q/2 may be <= -1 here
+    as long as b + q > -1, which keeps the angular mean integrable at 0.
+
+    The disk |v| <= 1/2 and, through v = 1 - z, the disk |v - 1| <= 1/2
+    are series in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).
+    The collar between them touches |v| = 1, where neither series
+    converges geometrically, and stays on quadrature.
+    """
+    patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
+    patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+
+    def pair(v: np.ndarray) -> np.ndarray:
+        f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
+        l1 = np.log(np.abs(1.0 - v) ** 2)
+        vq = np.conj(v) ** q if anti else v**q
+        f2 = np.abs(v) ** (2.0 * bf) * vq
+        l2 = np.log(np.abs(v) ** 2)
+        base = f1 * f2
+        table = np.empty((j + 1, k + 1) + v.shape, dtype=complex)
+        for jp in range(j + 1):
+            for kp in range(k + 1):
+                table[jp, kp] = base * l1**jp * l2**kp
+        return table
+
+    cfg = _LEVELS[level]
+    collar = _cut_collar_quad(pair, 2 * cfg["g"], cfg["ma"])
+    return patch0 + patch1 + collar
+
+
+@functools.lru_cache(maxsize=64)
+def _inner_moments(spec: KernelSpec, level: int) -> np.ndarray:
+    """Moments of the rescaled inner region |v| <= 3/2 in the u = s*v frame.
+
+    Entry [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
+    |v|^{2b} v^q (Log|v|^2)^kp over the inner region against
+    (1/2pi) dx dy, with v^q conjugated for anti chirality.  These carry
+    no s-dependence; the kernel's inner part is an exact prefactor times
+    a binomial combination of them with powers of Log|s|^2.
+    """
+    return _inner_table(*_floats(spec), level)
 
 
 def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
@@ -353,7 +339,7 @@ def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
     keeps only the e^{-i n theta} mode of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i,
     n = p + q (holo) or p - q (anti).  That mode is (s/|s|)^n times the
     a-derivative d_a^i M_n(x), x = |s|/R, of the power series M_n summed by
-    _far_coefficients; only the radial integral is left to quadrature.
+    _mode_coefficients; only the radial integral is left to quadrature.
     """
     af, bf, p, q, j, k, anti = _floats(spec)
     n = p - q if anti else p + q
@@ -368,11 +354,11 @@ def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
     W = (0.5 * (e1 - e0) * wts).ravel()
 
     x = (sigma / R)[:, None]
-    powers = 2 * np.arange(max(0, -n), max(0, -n) + _FAR_TERMS) + n
+    powers, coeffs = _mode_coefficients(af, p, n, j)
     # powers that underflow are slow to compute and below 1e-304 anyway
     live = np.log(x) * powers > -700.0
     xp = np.power(x, powers, out=np.zeros(live.shape), where=live)
-    modes = xp @ _far_coefficients(af, p, n, j)  # (nodes, j + 1)
+    modes = xp @ coeffs  # (nodes, j + 1)
     L = np.log(R * R)
     radial = np.zeros_like(R)
     for i in range(j + 1):
@@ -582,137 +568,20 @@ def extract_leading_coeffs(
 # direct finite-part construction (independent route to G_q)
 
 
-def _disk3_pieces(af: float, bf: float, q: int, g: int, m: int) -> float:
-    """Numeric part of the |t| <= 3 integral of |1-t|^{2a} t^q |t|^{2b}.
+def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
+    """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b}
+    against (1/2pi) dx dy, with no Gamma-ratio input.
 
-    Covers everything at distance >= 1/2 from the origin: the unit-point
-    patch, the cut collar, and the full annulus out to 3.  The origin
-    patch is returned by _disk3_origin_series instead.
-    """
-
-    def smooth_right(z: np.ndarray, smax: int) -> np.ndarray:
-        return (np.abs(1.0 + z) ** (2.0 * bf) * (1.0 + z) ** q)[None, ...]
-
-    patch1 = _dyadic_disk_quad(smooth_right, 0, 2.0 * af, 0, 0, g, m, 1e-14)[0, 0]
-
-    def pair(v: np.ndarray) -> np.ndarray:
-        return (
-            np.abs(1.0 - v) ** (2.0 * af)
-            * np.abs(v) ** (2.0 * bf)
-            * v**q
-        )[None, ...]
-
-    collar = _cut_collar_quad(pair, 2 * g, 64)[0]
-
-    # full annulus 3/2 <= |t| <= 3, smooth integrand, trapezoid x GL
-    nodes, wts = _gl(2 * g)
-    theta = np.arange(m) * (2.0 * math.pi / m)
-    ring = np.exp(1j * theta)
-    total = 0.0 + 0.0j
-    for e0, e1 in ((1.5, 2.25), (2.25, 3.0)):
-        r = 0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)
-        w = 0.5 * (e1 - e0) * wts
-        t = r[:, None] * ring[None, :]
-        vals = np.abs(1.0 - t) ** (2.0 * af) * np.abs(t) ** (2.0 * bf) * t**q
-        total += np.sum(w * r * vals.mean(axis=1))
-    return float((patch1 + collar + total).real)
-
-
-def _disk3_origin_series(a: RealInput, bf: float, q: int) -> float:
-    """Origin patch |t| <= 1/2 summed through the angular coefficients.
-
-    The angular average of |1-t|^{2a} e^{iq theta} at radius rho equals
-    sum_r gamma^r rho^r with geometric convergence for rho <= 1/2, so the
-    patch reduces to an explicit series; this leaves all brute-force
-    weight on the regions where no series is available.
-    """
-    acc = 0.0
-    quiet = 0
-    r = q
-    while r <= 800:
-        gam = fourier_coefficient(a, q, r)
-        den = 2.0 * bf + q + 2.0 + r
-        term = gam * 0.5**den / den
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-30):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        r += 2
-    return acc
-
-
-def _outer_tail(
-    a: RealInput,
-    af: float,
-    q: int,
-    c: float,
-    N: int,
-    g: int,
-    m: int,
-) -> float:
-    """Numeric integral of rho^{c-1} (A(rho) - sum_{r<=N} gamma^r rho^-r)
-    over [3, R_out], the radially truncated tail of the construction.
-
-    A(rho) is computed by direct angular quadrature at x = 1/rho; the
-    partial sum uses the closed-form angular coefficients.  R_out is
-    chosen so the first omitted term integrates below 1e-12.
-    """
-    r_next = N + 1 if (N + 1 - q) % 2 == 0 else N + 2
-    gam_next = fourier_coefficient(a, q, r_next)
-    exact, _ = _split(a)
-    if exact is not None and is_natural(exact):
-        if N >= max(2 * int(exact) - q, 0):
-            return 0.0  # the angular average is a polynomial fully subtracted
-    if gam_next == 0.0:
-        r_next += 2
-        gam_next = fourier_coefficient(a, q, r_next)
-    if gam_next == 0.0:
-        return 0.0
-    target = 1e-12
-    r_out = (abs(gam_next) / (target * max(r_next - c, 1.0))) ** (1.0 / (r_next - c))
-    r_out = min(max(r_out, 6.0), 1e5)
-
-    nodes, wts = _gl(g)
-    theta = np.arange(m) * (2.0 * math.pi / m)
-    phase = np.exp(1j * q * theta)
-    emt = np.exp(-1j * theta)
-    rs = np.arange(0, N + 1)
-    gammas = np.array([fourier_coefficient(a, q, int(r)) for r in rs])
-
-    total = 0.0
-    e0 = 3.0
-    while e0 < r_out:
-        e1 = min(r_out, e0 * 2.0)
-        rho = 0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)
-        w = 0.5 * (e1 - e0) * wts
-        x = 1.0 / rho
-        vals = np.abs(1.0 - x[:, None] * emt[None, :]) ** (2.0 * af)
-        A = (vals * phase[None, :]).mean(axis=1).real
-        S = np.zeros_like(rho)
-        for r_idx, gam in zip(rs, gammas):
-            if gam != 0.0:
-                S += gam * x ** float(r_idx)
-        total += float(np.sum(w * rho ** (c - 1.0) * (A - S)))
-        e0 = e1
-    return total
-
-
-def finite_part_direct(
-    a: RealInput, b: RealInput, q: int, N: int = 12
-) -> float:
-    """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b} by the
-    truncate-and-correct construction, with no Gamma-ratio input.
-
-    N is the Fourier subtraction depth; any N > 2(a+b+1) + q + 1 gives
-    the same value up to quadrature error, which is itself a test.  The
-    resonant case a+b+1 in {0, 1, 2, ...} has a pole here and is a
-    domain error: the truncate-and-correct limit does not exist as a
-    plain number on the resonance locus, where the kernel picks up a
-    log term instead.  Resonant constants are checked through the
-    log-column fit of extract_leading_coeffs, not through this route.
+    The near part |t| <= 3/2 is entry [0, 0] of the inner table of the
+    kernel (a, b, 0, q, 0, 0): two disk series and the collar.  Beyond
+    3/2 the angular mean is sum_beta C_beta rho^-r, r = 2 beta + q, the
+    mode q of |1 - 1/t|^{2a}; each power integrates against rho^{c-1},
+    c = 2(a+b+1) + q, to the exact continuation (3/2)^{c-r} / (r - c).
+    The resonant case a+b+1 in {0, 1, 2, ...} puts r = c on a pole and
+    is a domain error: the finite part does not exist as a plain number
+    on the resonance locus, where the kernel picks up a log term instead.
+    Resonant constants are checked through the log-column fit of
+    extract_leading_coeffs, not through this route.
     """
     a_ex, af = _split(a)
     b_ex, bf = _split(b)
@@ -733,17 +602,9 @@ def finite_part_direct(
         if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
             raise ValueError("a+b+1 is numerically resonant")
     c = 2.0 * (af + bf + 1.0) + q
-    if N <= c + 1.0:
-        raise ValueError("need N > 2(a+b+1)+q+1 for a convergent tail")
-
-    value = _disk3_origin_series(a if a_ex is None else a_ex, bf, q)
-    value += _disk3_pieces(af, bf, q, 14, 128)
-    value += _outer_tail(a if a_ex is None else a_ex, af, q, c, N, 16, 128)
-    for r in range(0, N + 1):
-        gam = fourier_coefficient(a if a_ex is None else a_ex, q, r)
-        if gam != 0.0:
-            value += gam * 3.0 ** (c - r) / (r - c)
-    return value
+    near = _inner_table(af, bf, 0, q, 0, 0, False, 1)[0, 0].real
+    r, coeffs = _mode_coefficients(af, 0, q, 0)
+    return float(near + coeffs[:, 0] @ (1.5 ** (c - r) / (r - c)))
 
 
 # ---------------------------------------------------------------------------

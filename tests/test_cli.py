@@ -186,6 +186,23 @@ class TestConvolve:
         assert out == ""
         assert "[re, im] pair" in err
 
+    @pytest.mark.parametrize(
+        "number", ["1" + "0" * 400, "1e400"], ids=["int401", "float1e400"]
+    )
+    def test_log_coeff_out_of_float_range_is_domain_error(
+        self, tmp_path, capsys, number
+    ):
+        # a 401-digit integer overflows complex(); 1e400 parses as inf
+        doc = tmp_path / "e.json"
+        doc.write_text(
+            '{"terms": [{"r": "-1/2", "m": 0, "n": 0, "log_coeffs": [[%s, 0]]}],'
+            ' "smooth_order": 2}' % number
+        )
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert code == 3
+        assert out == ""
+        assert str(doc) in err and "finite complex" in err
+
 
 SPEC_GENERIC = {
     "a": "-3/10", "b": "-2/5", "p": 0, "q": 0, "j": 0, "k": 0,
@@ -289,6 +306,31 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", str(specs)])
         assert code == 0
         assert "verified 0 specs" in out
+
+    def test_refused_spec_fails_alone(self, tmp_path, capsys):
+        # the oracle refuses this spec with ValueError (too few radii for
+        # its model); the batch still reports the good spec
+        refused = {
+            "a": "-1/3", "b": "-1/4", "p": 3, "q": 2, "j": 2, "k": 1,
+            "chirality": "anti",
+        }
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_GENERIC, refused]))
+        blobs = []
+        for jobs in ("1", "2"):
+            base = tmp_path / ("jobs" + jobs)
+            code, out, err = run(
+                capsys,
+                ["verify", str(specs), "--report", str(base), "--jobs", jobs],
+            )
+            assert code == 1
+            assert "1 passed, 1 failed" in out
+            doc = json.loads(base.with_suffix(".json").read_text())
+            assert len(doc["reports"]) == 1
+            (failure,) = doc["failures"]
+            assert "ValueError: " in failure and "ValueError: " in err
+            blobs.append(base.with_suffix(".json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_malformed_spec_entry(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
