@@ -29,6 +29,7 @@ from .quadrature_oracle import (
     SampleGrid,
     ToleranceNotMet,
     VerificationReport,
+    _gl,
     default_grid,
     eval_kernel_integral,
     fit_and_compare,
@@ -169,8 +170,8 @@ def _cutoff_remainder(
     lo, hi = edges[:-1], edges[1:]
     keep = hi - lo >= 1e-14
     lo, hi = lo[keep], hi[keep]
-    rad_nodes, rad_wts = np.polynomial.legendre.leggauss(g_rad)
-    ang_nodes, ang_wts = np.polynomial.legendre.leggauss(g_ang)
+    rad_nodes, rad_wts = _gl(g_rad)
+    ang_nodes, ang_wts = _gl(g_ang)
 
     # radial nodes, one row per panel, flattened to one entry per ring
     half = (0.5 * (hi - lo))[:, None]

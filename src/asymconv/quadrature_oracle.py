@@ -13,10 +13,13 @@ chirality type and the exact-or-float split of a parameter.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
-shifts, so the inner moments are computed once per kernel and reused for
-every sample radius.  Outside the collar (the annulus 1/2 <= |v| <= 3/2
-less the disk |v - 1| < 1/2), every angular mean is one explicit power
-series: the one Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
+shifts.  One cache entry per kernel (_inner_moments) holds everything
+that depends on neither s nor the sample radius: the far field's mode
+coefficients and the inner table of each refinement level, whose two
+disk series are computed once for both; every sample radius reuses it.
+Outside the collar (the annulus 1/2 <= |v| <= 3/2 less the disk
+|v - 1| < 1/2), every angular mean is one explicit power series: the one
+Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
 Pochhammer recurrence (_mode_coefficients).  The two disks |v| <= 1/2
 and |v - 1| <= 1/2 integrate its powers exactly, the far annulus
 3|s|/2 <= |u| <= 1 leaves only its radial integral to quadrature, and
@@ -31,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,9 +155,17 @@ def default_grid(spec: Optional[KernelSpec] = None) -> SampleGrid:
 # low-level quadrature pieces
 
 
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def _gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared package-wide."""
+    return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
 def _cut_collar_quad(
@@ -287,19 +298,22 @@ def _disk_moments(
     return (coeffs * factorials).T @ radial.T
 
 
-def _inner_table(
-    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
+def _disks_table(
+    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
 ) -> np.ndarray:
-    """Float-parameter body of _inner_moments; b + q/2 may be <= -1 here
-    as long as b + q > -1, which keeps the angular mean integrable at 0.
-
-    The disk |v| <= 1/2 and, through v = 1 - z, the disk |v - 1| <= 1/2
-    are series in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).
-    The collar between them touches |v| = 1, where neither series
-    converges geometrically, and stays on quadrature.
-    """
+    """The disk |v| <= 1/2 plus, through v = 1 - z, the disk |v - 1| <= 1/2:
+    series in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).
+    Neither depends on the refinement level."""
     patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
     patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+    return patch0 + patch1
+
+
+def _collar_table(
+    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
+) -> np.ndarray:
+    """The collar between the two disks, which touches |v| = 1 where
+    neither series converges geometrically, by quadrature at ``level``."""
 
     def pair(v: np.ndarray) -> np.ndarray:
         f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
@@ -315,21 +329,48 @@ def _inner_table(
         return table
 
     cfg = _LEVELS[level]
-    collar = _cut_collar_quad(pair, 2 * cfg["g"], cfg["ma"])
-    return patch0 + patch1 + collar
+    return _cut_collar_quad(pair, 2 * cfg["g"], cfg["ma"])
+
+
+def _inner_table(
+    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
+) -> np.ndarray:
+    """Float-parameter inner table of one level, disks + collar; b + q/2
+    may be <= -1 here as long as b + q > -1, which keeps the angular mean
+    integrable at 0."""
+    return _disks_table(af, bf, p, q, j, k, anti) + _collar_table(
+        af, bf, p, q, j, k, anti, level
+    )
+
+
+class _SpecSeries(NamedTuple):
+    """One entry of _inner_moments."""
+
+    powers: np.ndarray
+    coeffs: np.ndarray
+    tables: Tuple[np.ndarray, ...]
 
 
 @functools.lru_cache(maxsize=64)
-def _inner_moments(spec: KernelSpec, level: int) -> np.ndarray:
-    """Moments of the rescaled inner region |v| <= 3/2 in the u = s*v frame.
+def _inner_moments(spec: KernelSpec) -> _SpecSeries:
+    """The one per-spec cache of the oracle: each series of a kernel once.
 
-    Entry [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
-    |v|^{2b} v^q (Log|v|^2)^kp over the inner region against
-    (1/2pi) dx dy, with v^q conjugated for anti chirality.  These carry
-    no s-dependence; the kernel's inner part is an exact prefactor times
-    a binomial combination of them with powers of Log|s|^2.
+    ``powers`` and ``coeffs`` are the far field's angular mode series,
+    _mode_coefficients(a, p, n, j).  ``tables[level]`` holds the moments
+    of the rescaled inner region |v| <= 3/2 in the u = s*v frame: entry
+    [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
+    |v|^{2b} v^q (Log|v|^2)^kp over it against (1/2pi) dx dy, with v^q
+    conjugated for anti chirality.  Both levels share one disk table and
+    add their own collar, bit for bit as _inner_table does.  Nothing here
+    depends on s; the kernel's inner part is an exact prefactor times a
+    binomial combination of the moments with powers of Log|s|^2.
     """
-    return _inner_table(*_floats(spec), level)
+    params = _floats(spec)
+    af, _, p, q, j, _, anti = params
+    powers, coeffs = _mode_coefficients(af, p, p - q if anti else p + q, j)
+    disks = _disks_table(*params)
+    tables = _frozen(*(disks + _collar_table(*params, level) for level in (0, 1)))
+    return _SpecSeries(*_frozen(powers, coeffs), tables)
 
 
 def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
@@ -354,7 +395,7 @@ def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
     W = (0.5 * (e1 - e0) * wts).ravel()
 
     x = (sigma / R)[:, None]
-    powers, coeffs = _mode_coefficients(af, p, n, j)
+    powers, coeffs, _ = _inner_moments(spec)
     # powers that underflow are slow to compute and below 1e-304 anyway
     live = np.log(x) * powers > -700.0
     xp = np.power(x, powers, out=np.zeros(live.shape), where=live)
@@ -369,7 +410,7 @@ def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
 
 def _assemble(spec: KernelSpec, s: complex, level: int) -> Tuple[complex, float]:
     af, bf, p, q, j, k, anti = _floats(spec)
-    mom = _inner_moments(spec, level)
+    mom = _inner_moments(spec).tables[level]
     ls = math.log(abs(s) ** 2)
     inner = 0j
     gross = 0.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import asymconv.quadrature_oracle as oracle
 from asymconv.convolution_engine import CaseTag
 from asymconv.expansion_algebra import Chirality
 from asymconv.gamma_kernel import F_const, G_q
@@ -20,6 +21,10 @@ from asymconv.quadrature_oracle import (
     VerificationReport,
     _disk_moments,
     _far_integral,
+    _floats,
+    _gl,
+    _inner_moments,
+    _inner_table,
     default_grid,
     eval_kernel_integral,
     extract_leading_coeffs,
@@ -309,6 +314,11 @@ class TestFinitePartDirect:
             (-0.6, -0.7, 2, 1.2964067885),
             (-0.3, -0.45, 1, -0.4238958116),
             (F(1, 3), F(-1, 5), 3, None),
+            # high degree: 1.2e-12, 4.5e-12 and 3.0e-11 relative measured,
+            # a loss that grows with q (source not confirmed)
+            (F(-1, 3), F(-1, 5), 12, None),
+            (F(-1, 3), F(-1, 5), 16, None),
+            (F(-1, 3), F(-1, 5), 24, None),
         )
         for a, b, q, frozen in cases:
             direct = finite_part_direct(a, b, q)
@@ -335,6 +345,54 @@ class TestFinitePartDirect:
             finite_part_direct(-1.2, -0.4, 0)
         with pytest.raises(ValueError):
             finite_part_direct(-0.3, -1.4, 0)
+
+
+class TestSpecCache:
+    """_inner_moments computes every series of a spec once."""
+
+    @pytest.mark.parametrize("depth", [16, 12])
+    def test_series_built_once_per_spec(self, monkeypatch, depth):
+        # two disk series and one far-field series, however many radii
+        calls = []
+        original = oracle._mode_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_mode_coefficients", counted)
+        _inner_moments.cache_clear()
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
+        grid = SampleGrid(radii=tuple(0.2 * 2.0**-i for i in range(depth)))
+        verify_constant(spec, grid)
+        _inner_moments.cache_clear()
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0),
+            KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=1, k=1),
+            KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=1, k=1, chirality="anti"),
+            KernelSpec(a=F(0), b=F(-3, 10), p=0, q=1, j=1, k=1, chirality="anti"),
+            KernelSpec(a=F(0), b=F(-1, 3), p=1, q=0, j=1, k=0),
+        ],
+    )
+    def test_cached_tables_are_the_inner_table(self, spec):
+        # the kernel and finite_part_direct share one body, bit for bit
+        _inner_moments.cache_clear()
+        tables = _inner_moments(spec).tables
+        for level in (0, 1):
+            assert np.array_equal(tables[level], _inner_table(*_floats(spec), level))
+
+    def test_shared_arrays_are_read_only(self):
+        with pytest.raises(ValueError):
+            _gl(12)[0][0] = 0.0
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
+        entry = _inner_moments(spec)
+        for arr in (entry.powers, entry.coeffs) + entry.tables:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_oracle_takes_no_closed_form_from_gamma_kernel():
