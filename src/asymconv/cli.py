@@ -15,6 +15,7 @@ so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -286,7 +287,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # wiring
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser: one per main() call would leave its reference
+    cycles to a full garbage collection."""
     parser = argparse.ArgumentParser(
         prog="asymconv",
         description="Convolution of asymptotic expansions: closed-form "

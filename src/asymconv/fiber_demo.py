@@ -18,18 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .convolution_engine import convolve_terms
 from .expansion_algebra import LogPolynomial, SingularTerm
 from .quadrature_oracle import (
+    _SMOOTH_CUTOFF,
     KernelSpec,
     SampleGrid,
-    ToleranceNotMet,
     VerificationReport,
     _gl,
+    _refined,
     default_grid,
     eval_kernel_integral,
     fit_and_compare,
@@ -127,6 +128,26 @@ def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm, sigma_max: float) -> 
         raise ValueError(
             "second germ's plateau^M is narrower than the inner safety radius"
         )
+
+
+def _demo_setup(
+    g1: MonomialGerm, g2: MonomialGerm, grid: Optional[SampleGrid]
+) -> Tuple[KernelSpec, SampleGrid]:
+    """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
+    and b = 1/M - 1, and the grid (its default when None), once the
+    germs' geometry has been checked against the grid's largest radius."""
+    spec = KernelSpec(
+        a=Fraction(1, g1.exponent) - 1,
+        b=Fraction(1, g2.exponent) - 1,
+        p=0,
+        q=0,
+        j=0,
+        k=0,
+    )
+    if grid is None:
+        grid = default_grid(spec)
+    _validate_geometry(g1, g2, max(grid.radii))
+    return spec, grid
 
 
 def _cutoff_remainder(
@@ -231,13 +252,10 @@ def _demo_samples(
         base = eval_kernel_integral(spec, sigma, tolerance=grid.tolerance).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
-        ref = max(abs(base), abs(c1), 1e-300)
-        if abs(c1 - c0) > grid.tolerance * ref:
-            raise ToleranceNotMet(
-                "cutoff remainder moved by %.3e relative under refinement "
-                "at sigma=%.3e" % (abs(c1 - c0) / ref, sigma),
-                achieved=abs(c1 - c0) / ref,
-            )
+        c1 = _refined(
+            c0, c1, max(abs(base), abs(c1)), grid.tolerance,
+            "the cutoff remainder at sigma=%.3e" % sigma,
+        )
         out.append(scale * (base + c1))
     return out
 
@@ -253,17 +271,7 @@ def thom_sebastiani_demo(
     The report's spec field records the effective kernel exponents
     a = 1/N - 1 and b = 1/M - 1 of the two leading fiber terms.
     """
-    spec = KernelSpec(
-        a=Fraction(1, g1.exponent) - 1,
-        b=Fraction(1, g2.exponent) - 1,
-        p=0,
-        q=0,
-        j=0,
-        k=0,
-    )
-    if grid is None:
-        grid = default_grid(spec)
-    _validate_geometry(g1, g2, max(grid.radii))
+    spec, grid = _demo_setup(g1, g2, grid)
 
     result = convolve_terms(_leading_term(g1), _leading_term(g2))
     values = _demo_samples(g1, g2, spec, grid)
@@ -285,17 +293,7 @@ def measure_singular_exponent(
     neither a natural number (where the power degenerates into a log)
     nor too close to a smooth power for the columns to separate.
     """
-    spec = KernelSpec(
-        a=Fraction(1, g1.exponent) - 1,
-        b=Fraction(1, g2.exponent) - 1,
-        p=0,
-        q=0,
-        j=0,
-        k=0,
-    )
-    if grid is None:
-        grid = default_grid(spec)
-    _validate_geometry(g1, g2, max(grid.radii))
+    spec, grid = _demo_setup(g1, g2, grid)
     x_model = float(spec.a + spec.b + 1)
     if abs(x_model - round(x_model)) < 0.02:
         raise ValueError(
@@ -306,7 +304,7 @@ def measure_singular_exponent(
     values = _demo_samples(g1, g2, spec, grid)
     sig = np.array(grid.radii)
     y = np.asarray(values, dtype=float)
-    smooth_cols = [sig ** (2.0 * t) for t in range(0, 5)]
+    smooth_cols = [sig ** (2.0 * t) for t in range(_SMOOTH_CUTOFF + 1)]
 
     def residual(x: float) -> float:
         cols = np.column_stack([sig ** (2.0 * x)] + smooth_cols)

@@ -25,7 +25,9 @@ and |v - 1| <= 1/2 integrate its powers exactly, the far annulus
 3|s|/2 <= |u| <= 1 leaves only its radial integral to quadrature, and
 finite_part_direct continues it exactly beyond |t| = 3/2.  Only the
 collar, which touches |v| = 1 where no such series converges
-geometrically, is plain two-dimensional quadrature.
+geometrically, is plain two-dimensional quadrature.  Kernel samples, the
+fiber demo's cutoff remainders and finite parts all pass one two-level
+refinement test (_refined) or raise ToleranceNotMet.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,42 +170,6 @@ def _gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
-def _cut_collar_quad(
-    pair_table: Callable[[np.ndarray], np.ndarray],
-    g: int,
-    ma: int,
-) -> np.ndarray:
-    """Quadrature over {1/2 <= |v| <= 3/2} minus the open disk |v-1| < 1/2.
-
-    pair_table(v) returns an array (..., v.shape) of integrand values;
-    the result has the leading shape.  The two radii where the excluded
-    disk touches the annulus boundary produce sqrt-type corners in the
-    angular width, removed by the substitution rho = end +/- xi^2.
-    """
-    nodes, wts = _gl(g)
-    anodes, awts = _gl(ma)
-    total: Optional[np.ndarray] = None
-    for lo, hi, from_low in ((0.5, 1.0, True), (1.0, 1.5, False)):
-        span = math.sqrt(hi - lo)
-        xi = 0.5 * span * (nodes + 1.0)
-        wxi = 0.5 * span * wts
-        if from_low:
-            rho = lo + xi**2
-        else:
-            rho = hi - xi**2
-        wrad = 2.0 * xi * wxi * rho  # includes the area jacobian rho
-        cosphi = np.clip((rho**2 + 0.75) / (2.0 * rho), -1.0, 1.0)
-        phic = np.arccos(cosphi)
-        half = math.pi - phic  # integrate theta over [phic, 2pi - phic]
-        theta = math.pi + np.outer(half, anodes)  # (g, ma)
-        wang = np.outer(half, awts) / (2.0 * math.pi)
-        v = rho[:, None] * np.exp(1j * theta)
-        vals = pair_table(v)  # (..., g, ma)
-        acc = np.einsum("...nm,nm->...", vals, wang * wrad[:, None])
-        total = acc if total is None else total + acc
-    return total
-
-
 # ---------------------------------------------------------------------------
 # kernel evaluation
 
@@ -298,49 +264,51 @@ def _disk_moments(
     return (coeffs * factorials).T @ radial.T
 
 
-def _disks_table(
+def _inner_tables(
     af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
-) -> np.ndarray:
-    """The disk |v| <= 1/2 plus, through v = 1 - z, the disk |v - 1| <= 1/2:
-    series in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).
-    Neither depends on the refinement level."""
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Float-parameter moments of |v| <= 3/2: (disks, per-level tables).
+
+    The disks |v| <= 1/2 and, through v = 1 - z, |v - 1| <= 1/2 are series
+    in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).  Each
+    level's table adds the collar between them by quadrature, with
+    rho = end +/- xi^2 removing the sqrt corners where the excluded disk
+    meets the annulus and an angular rule that grows with the top mode
+    p + q.  b + q/2 may be <= -1 as long as b + q > -1, which keeps the
+    angular mean integrable at 0.
+    """
     patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
     patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
-    return patch0 + patch1
-
-
-def _collar_table(
-    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
-) -> np.ndarray:
-    """The collar between the two disks, which touches |v| = 1 where
-    neither series converges geometrically, by quadrature at ``level``."""
-
-    def pair(v: np.ndarray) -> np.ndarray:
-        f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
-        l1 = np.log(np.abs(1.0 - v) ** 2)
-        vq = np.conj(v) ** q if anti else v**q
-        f2 = np.abs(v) ** (2.0 * bf) * vq
-        l2 = np.log(np.abs(v) ** 2)
-        base = f1 * f2
-        table = np.empty((j + 1, k + 1) + v.shape, dtype=complex)
-        for jp in range(j + 1):
-            for kp in range(k + 1):
-                table[jp, kp] = base * l1**jp * l2**kp
-        return table
-
-    cfg = _LEVELS[level]
-    return _cut_collar_quad(pair, 2 * cfg["g"], cfg["ma"])
-
-
-def _inner_table(
-    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool, level: int
-) -> np.ndarray:
-    """Float-parameter inner table of one level, disks + collar; b + q/2
-    may be <= -1 here as long as b + q > -1, which keeps the angular mean
-    integrable at 0."""
-    return _disks_table(af, bf, p, q, j, k, anti) + _collar_table(
-        af, bf, p, q, j, k, anti, level
-    )
+    disks = patch0 + patch1
+    tables = []
+    for cfg in _LEVELS:
+        nodes, wts = _gl(2 * cfg["g"])
+        anodes, awts = _gl(max(cfg["ma"], cfg["ma"] * (p + q) // 16))
+        collar: Optional[np.ndarray] = None
+        for lo, hi, from_low in ((0.5, 1.0, True), (1.0, 1.5, False)):
+            span = math.sqrt(hi - lo)
+            xi = 0.5 * span * (nodes + 1.0)
+            wxi = 0.5 * span * wts
+            rho = lo + xi**2 if from_low else hi - xi**2
+            wrad = 2.0 * xi * wxi * rho  # includes the area jacobian rho
+            cosphi = np.clip((rho**2 + 0.75) / (2.0 * rho), -1.0, 1.0)
+            half = math.pi - np.arccos(cosphi)  # theta over pi -/+ half
+            theta = math.pi + np.outer(half, anodes)
+            wang = np.outer(half, awts) / (2.0 * math.pi)
+            v = rho[:, None] * np.exp(1j * theta)
+            f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
+            l1 = np.log(np.abs(1.0 - v) ** 2)
+            vq = np.conj(v) ** q if anti else v**q
+            base = f1 * (np.abs(v) ** (2.0 * bf) * vq)
+            l2 = np.log(np.abs(v) ** 2)
+            vals = np.empty((j + 1, k + 1) + v.shape, dtype=complex)
+            for jp in range(j + 1):
+                for kp in range(k + 1):
+                    vals[jp, kp] = base * l1**jp * l2**kp
+            acc = np.einsum("...nm,nm->...", vals, wang * wrad[:, None])
+            collar = acc if collar is None else collar + acc
+        tables.append(disks + collar)
+    return disks, tuple(tables)
 
 
 class _SpecSeries(NamedTuple):
@@ -361,16 +329,15 @@ def _inner_moments(spec: KernelSpec) -> _SpecSeries:
     [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
     |v|^{2b} v^q (Log|v|^2)^kp over it against (1/2pi) dx dy, with v^q
     conjugated for anti chirality.  Both levels share one disk table and
-    add their own collar, bit for bit as _inner_table does.  Nothing here
+    add their own collar, as _inner_tables builds them.  Nothing here
     depends on s; the kernel's inner part is an exact prefactor times a
     binomial combination of the moments with powers of Log|s|^2.
     """
     params = _floats(spec)
     af, _, p, q, j, _, anti = params
     powers, coeffs = _mode_coefficients(af, p, p - q if anti else p + q, j)
-    disks = _disks_table(*params)
-    tables = _frozen(*(disks + _collar_table(*params, level) for level in (0, 1)))
-    return _SpecSeries(*_frozen(powers, coeffs), tables)
+    _, tables = _inner_tables(*params)
+    return _SpecSeries(*_frozen(powers, coeffs), _frozen(*tables))
 
 
 def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
@@ -426,6 +393,19 @@ def _assemble(spec: KernelSpec, s: complex, level: int) -> Tuple[complex, float]
     return complex(value), float(abs(pref) * gross + abs(far))
 
 
+def _refined(v0, v1, scale: float, tolerance: float, where: str):
+    """v1, the finer of two refinement levels, or ToleranceNotMet when
+    |v1 - v0| exceeds ``tolerance`` * ``scale`` (floored at 1e-300)."""
+    achieved = abs(v1 - v0) / max(scale, 1e-300)
+    if achieved > tolerance:
+        raise ToleranceNotMet(
+            "refinement moved %s by %.3e relative (tolerance %.1e)"
+            % (where, achieved, tolerance),
+            achieved=achieved,
+        )
+    return v1
+
+
 def eval_kernel_integral(
     spec: KernelSpec,
     s: complex,
@@ -444,15 +424,8 @@ def eval_kernel_integral(
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
     v0, gross0 = _assemble(spec, s, 0)
     v1, gross1 = _assemble(spec, s, 1)
-    delta = abs(v1 - v0)
-    scale = max(abs(v1), 1e-3 * max(gross0, gross1), 1e-300)
-    if delta > tolerance * scale:
-        raise ToleranceNotMet(
-            "refinement moved the value by %.3e relative (tolerance %.1e) at |s|=%.3e"
-            % (delta / scale, tolerance, sigma),
-            achieved=delta / scale,
-        )
-    return v1
+    scale = max(abs(v1), 1e-3 * max(gross0, gross1))
+    return _refined(v0, v1, scale, tolerance, "the value at |s|=%.3e" % sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +586,14 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
     """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b}
     against (1/2pi) dx dy, with no Gamma-ratio input.
 
-    The near part |t| <= 3/2 is entry [0, 0] of the inner table of the
+    The near part |t| <= 3/2 is entry [0, 0] of the inner tables of the
     kernel (a, b, 0, q, 0, 0): two disk series and the collar.  Beyond
     3/2 the angular mean is sum_beta C_beta rho^-r, r = 2 beta + q, the
     mode q of |1 - 1/t|^{2a}; each power integrates against rho^{c-1},
     c = 2(a+b+1) + q, to the exact continuation (3/2)^{c-r} / (r - c).
+    Both collar levels must agree to eval_kernel_integral's default 1e-6
+    of the value, or of a thousandth of |disk| + |collar| + |outer| when
+    those cancel (integer a gives 0), else ToleranceNotMet.
     The resonant case a+b+1 in {0, 1, 2, ...} puts r = c on a pole and
     is a domain error: the finite part does not exist as a plain number
     on the resonance locus, where the kernel picks up a log term instead.
@@ -643,9 +619,16 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
         if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
             raise ValueError("a+b+1 is numerically resonant")
     c = 2.0 * (af + bf + 1.0) + q
-    near = _inner_table(af, bf, 0, q, 0, 0, False, 1)[0, 0].real
+    disks, tables = _inner_tables(af, bf, 0, q, 0, 0, False)
+    disk, near0, near1 = (float(t[0, 0].real) for t in (disks,) + tables)
     r, coeffs = _mode_coefficients(af, 0, q, 0)
-    return float(near + coeffs[:, 0] @ (1.5 ** (c - r) / (r - c)))
+    outer = float(coeffs[:, 0] @ (1.5 ** (c - r) / (r - c)))
+    value = near1 + outer
+    gross = abs(disk) + abs(near1 - disk) + abs(outer)
+    return _refined(
+        near0 + outer, value, max(abs(value), 1e-3 * gross), 1e-6,
+        "the finite part at q=%d" % q,
+    )
 
 
 # ---------------------------------------------------------------------------

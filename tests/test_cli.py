@@ -6,6 +6,7 @@ stable contract: 0 success, 1 verification failure, 2 parse error,
 3 domain error.
 """
 
+import gc
 import json
 
 import pytest
@@ -509,3 +510,18 @@ class TestParserShell:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        # one parser for the process: in-process callers such as a
+        # benchmark loop must not pile up parsers until a full collection
+        main(["constant", "-a", "-1/3", "-b", "-1/4"])
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                assert main(["constant", "-a", "-1/3", "-b", "-1/4"]) == 0
+            left = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert left < 100

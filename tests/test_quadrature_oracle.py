@@ -24,7 +24,7 @@ from asymconv.quadrature_oracle import (
     _floats,
     _gl,
     _inner_moments,
-    _inner_table,
+    _inner_tables,
     default_grid,
     eval_kernel_integral,
     extract_leading_coeffs,
@@ -262,7 +262,7 @@ class TestDiskMoments:
     largest entry; 1e-14 leaves a margin of fifteen.
     """
 
-    # (c, extra, n, order, radial_exp, logmax), as _inner_table calls it
+    # (c, extra, n, order, radial_exp, logmax), as _inner_tables calls it
     CASES = [
         (-1 / 3, 0, 0, 0, -0.5, 0),
         # holo patch0 of a=-2/5, b=-7/20, (1,1): the negative mode -q
@@ -314,8 +314,8 @@ class TestFinitePartDirect:
             (-0.6, -0.7, 2, 1.2964067885),
             (-0.3, -0.45, 1, -0.4238958116),
             (F(1, 3), F(-1, 5), 3, None),
-            # high degree: 1.2e-12, 4.5e-12 and 3.0e-11 relative measured,
-            # a loss that grows with q (source not confirmed)
+            # high degree: 1.2e-12, 4.5e-12 and 2.9e-11 relative measured,
+            # the collar's roundoff on |v|^q, which grows like 1.5^q
             (F(-1, 3), F(-1, 5), 12, None),
             (F(-1, 3), F(-1, 5), 16, None),
             (F(-1, 3), F(-1, 5), 24, None),
@@ -326,6 +326,19 @@ class TestFinitePartDirect:
             assert direct == pytest.approx(closed, rel=1e-10)
             if frozen is not None:
                 assert direct == pytest.approx(frozen, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [36, 40, 48])
+    def test_high_degree_agrees(self, q):
+        # the angular rule grows with q; 3.9e-9, 5.1e-9 and 3.8e-7 measured
+        direct = finite_part_direct(F(-1, 3), F(-1, 5), q)
+        assert direct == pytest.approx(G_q(F(-1, 3), F(-1, 5), q).value, rel=1e-6)
+
+    def test_high_degree_refuses(self):
+        # the two collar levels disagree by 3.2 relative: a typed refusal,
+        # never a confident wrong number
+        with pytest.raises(ToleranceNotMet) as exc:
+            finite_part_direct(F(-1, 3), F(-1, 5), 64)
+        assert exc.value.achieved > 1e-6
 
     def test_integer_a_vanishes(self):
         assert abs(finite_part_direct(1, F(-13, 5), 2)) < 1e-10
@@ -382,8 +395,10 @@ class TestSpecCache:
         # the kernel and finite_part_direct share one body, bit for bit
         _inner_moments.cache_clear()
         tables = _inner_moments(spec).tables
-        for level in (0, 1):
-            assert np.array_equal(tables[level], _inner_table(*_floats(spec), level))
+        _, direct = _inner_tables(*_floats(spec))
+        assert len(tables) == len(direct) == 2
+        for cached, built in zip(tables, direct):
+            assert np.array_equal(cached, built)
 
     def test_shared_arrays_are_read_only(self):
         with pytest.raises(ValueError):
