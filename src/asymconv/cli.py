@@ -275,8 +275,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
     try:
         report = thom_sebastiani_demo(first, second)
-    except ToleranceNotMet as exc:
-        raise _Exit(EXIT_VERIFY_FAILED, "demo quadrature did not converge: %s" % exc)
+    except (ToleranceNotMet, IllConditioned) as exc:
+        raise _Exit(EXIT_VERIFY_FAILED, "demo refused: %s: %s" % (type(exc).__name__, exc))
     sys.stdout.write(canonical_json(report.to_json_dict()))
     if args.csv is not None:
         _write_csv(args.csv, [report])

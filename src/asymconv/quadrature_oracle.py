@@ -13,21 +13,18 @@ chirality type and the exact-or-float split of a parameter.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
-shifts.  One cache entry per kernel (_inner_moments) holds everything
-that depends on neither s nor the sample radius: the far field's mode
-coefficients and the inner table of each refinement level, whose two
-disk series are computed once for both; every sample radius reuses it.
-Outside the collar (the annulus 1/2 <= |v| <= 3/2 less the disk
+shifts.  Outside the collar (the annulus 1/2 <= |v| <= 3/2 less the disk
 |v - 1| < 1/2), every angular mean is one explicit power series: the one
 Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
-Pochhammer recurrence (_mode_coefficients).  The two disks |v| <= 1/2
-and |v - 1| <= 1/2 integrate its powers exactly, the far annulus
-3|s|/2 <= |u| <= 1 leaves only its radial integral to quadrature, and
-finite_part_direct continues it exactly beyond |t| = 3/2.  Only the
-collar, which touches |v| = 1 where no such series converges
-geometrically, is plain two-dimensional quadrature.  Kernel samples, the
-fiber demo's cutoff remainders and finite parts all pass one two-level
-refinement test (_refined) or raise ToleranceNotMet.
+Pochhammer recurrence (_mode_coefficients).  Each power of it integrates
+exactly in the radius (_power_log_antiderivative) over the two disks
+|v| <= 1/2 and |v - 1| <= 1/2, over the far annulus 3|s|/2 <= |u| <= 1,
+and beyond |t| = 3/2 in finite_part_direct.  The collar, which touches
+|v| = 1 where no such series converges geometrically, is the only
+quadrature, at two refinement levels; kernel samples, finite parts and
+the fiber demo's cutoff remainders all pass one two-level test
+(_refined) or raise ToleranceNotMet.  Every series of a kernel is
+computed once, in its _inner_moments cache entry.
 """
 
 from __future__ import annotations
@@ -192,10 +189,12 @@ def _floats(spec: KernelSpec) -> Tuple[float, float, int, int, int, int, bool]:
     )
 
 
-#: Terms of every angular series.  Their variable is at most 2/3 (far
-#: field, outer part of the finite part) or 1/2 (inner disks), and the
-#: coefficients grow at most polynomially, so the dropped tail is of order
-#: (4/9)^80 < 1e-28 of the leading term; 40 terms already reach roundoff.
+#: Terms of every angular series.  Each power is integrated exactly in the
+#: radius, so outside the collar the truncation is the only error.  The
+#: variable is at most 2/3 (far field, outer part of the finite part) or
+#: 1/2 (inner disks), and the coefficients grow at most polynomially, so
+#: the dropped tail is of order (4/9)^80 < 1e-28 of the leading term; 40
+#: terms already reach roundoff.
 _SERIES_TERMS = 80
 
 
@@ -236,6 +235,19 @@ def _mode_coefficients(
     return 2 * np.arange(b0, b0 + _SERIES_TERMS) + n, out
 
 
+def _power_log_antiderivative(E, mmax: int, L: float, x_pow) -> np.ndarray:
+    """Rows m = 0..mmax: X^E sum_l m!/(m-l)! (-2)^l (Log X^2)^(m-l) / E^(l+1),
+    the antiderivative of R^(E-1) (Log R^2)^m at R = X for E != 0, given
+    L = Log X^2 and x_pow = X^E (times any factor the caller folds in).
+    """
+    P = [E ** (l + 1) for l in range(mmax + 1)]
+    rows = [
+        sum(math.perm(m, l) * (-2.0) ** l * L ** (m - l) / P[l] for l in range(m + 1))
+        for m in range(mmax + 1)
+    ]
+    return np.array(rows) * x_pow
+
+
 def _disk_moments(
     c: float, extra: int, n: int, order: int, radial_exp: float, logmax: int
 ) -> np.ndarray:
@@ -243,23 +255,13 @@ def _disk_moments(
 
     T[i, r] = (1/2pi) iint rho^radial_exp (Log rho^2)^r e^{-i n theta}
     |1-z|^{2c} (1-z)^extra (Log|1-z|^2)^i dx dy for i <= order, r <= logmax.
-    Every power of the series integrates exactly:
-    int_0^{1/2} rho^{E-1} (Log rho^2)^r drho
-      = (1/2)^E sum_l r!/(r-l)! (-2)^l (Log 1/4)^{r-l} / E^{l+1},
-    with E = radial_exp + 2 + 2 beta + n > 0 for every integrable case.
+    Every power of the series integrates exactly: rho^{E-1} (Log rho^2)^r
+    from 0 to 1/2, with E = radial_exp + 2 + 2 beta + n > 0 for every
+    integrable case, is _power_log_antiderivative at X = 1/2.
     """
     powers, coeffs = _mode_coefficients(c, extra, n, order)
     E = radial_exp + 2.0 + powers
-    log_edge = math.log(0.25)
-    radial = np.array(
-        [
-            sum(
-                math.perm(r, l) * (-2.0) ** l * log_edge ** (r - l) / E ** (l + 1)
-                for l in range(r + 1)
-            )
-            for r in range(logmax + 1)
-        ]
-    ) * 0.5**E
+    radial = _power_log_antiderivative(E, logmax, math.log(0.25), 0.5**E)
     factorials = [math.factorial(i) for i in range(order + 1)]
     return (coeffs * factorials).T @ radial.T
 
@@ -340,47 +342,46 @@ def _inner_moments(spec: KernelSpec) -> _SpecSeries:
     return _SpecSeries(*_frozen(powers, coeffs), _frozen(*tables))
 
 
-def _far_integral(spec: KernelSpec, s: complex, level: int) -> complex:
+def _far_integral(spec: KernelSpec, s: complex) -> complex:
     """Annulus 3|s|/2 <= |u| <= 1 through the one angular mode that survives.
 
-    With u = R e^{i theta} and w = s/u, the angular mean of the integrand
-    keeps only the e^{-i n theta} mode of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i,
-    n = p + q (holo) or p - q (anti).  That mode is (s/|s|)^n times the
-    a-derivative d_a^i M_n(x), x = |s|/R, of the power series M_n summed by
-    _mode_coefficients; only the radial integral is left to quadrature.
+    The angular mean keeps only the mode n = p + q (holo) or p - q (anti)
+    of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i, w = s/u: (s/|s|)^n times d_a^i
+    of _mode_coefficients' series in |s|/R.  Its power r integrates exactly,
+    sigma^r int_{3 sigma/2}^1 R^(E-1) (Log R^2)^m dR with E = c - r,
+    c = 2(a+b+1) + p + q and m = j - i + k, sigma^r (3 sigma/2)^E written
+    sigma^c (3/2)^E.  Where |E T| <= 1, T = log(3 sigma/2), the two ends
+    cancel (at E = 0 no antiderivative exists): that power takes the series
+    in log R, 2^m sum_t E^t/t! (-T^(t+m+1))/(t+m+1).
     """
     af, bf, p, q, j, k, anti = _floats(spec)
-    n = p - q if anti else p + q
     sigma = abs(s)
-    edges = [1.5 * sigma]
-    while edges[-1] < 1.0:
-        edges.append(min(1.0, edges[-1] * 2.0))
-    nodes, wts = _gl(_LEVELS[level]["g"])
-    e0 = np.array(edges[:-1])[:, None]
-    e1 = np.array(edges[1:])[:, None]
-    R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
-    W = (0.5 * (e1 - e0) * wts).ravel()
-
-    x = (sigma / R)[:, None]
     powers, coeffs, _ = _inner_moments(spec)
-    # powers that underflow are slow to compute and below 1e-304 anyway
-    live = np.log(x) * powers > -700.0
-    xp = np.power(x, powers, out=np.zeros(live.shape), where=live)
-    modes = xp @ coeffs  # (nodes, j + 1)
-    L = np.log(R * R)
-    radial = np.zeros_like(R)
-    for i in range(j + 1):
-        radial += math.perm(j, i) * L ** (j - i) * modes[:, i]  # C(j,i) i!
-    radial *= W * R ** (p + q + 2.0 * (af + bf) + 1.0) * L**k
-    return (-1.0) ** p * (s / sigma) ** n * float(np.sum(radial))
+    c = 2.0 * (af + bf + 1.0) + p + q
+    E = c - powers
+    T = math.log(1.5 * sigma)
+    near = np.abs(E * T) <= 1.0  # E steps by 2: one power, rarely two
+    E_exact = np.where(near, 1.0, E)  # near powers are overwritten below
+    t = np.arange(25)  # |E T| <= 1: 25 terms reach roundoff
+    jets = E[near, None] ** t / np.cumprod(np.maximum(t, 1))  # E^t / t!
+    with np.errstate(under="ignore"):
+        top, bottom = sigma**powers, sigma**c * 1.5**E
+    radial = _power_log_antiderivative(E_exact, j + k, 0.0, top)
+    radial -= _power_log_antiderivative(E_exact, j + k, 2.0 * T, bottom)
+    m = np.arange(j + k + 1)[:, None]
+    ends = T ** (t + m + 1) / (t + m + 1)  # int_0^T u^(t+m) du
+    radial[:, near] = -(2.0**m) * top[near] * (ends @ jets.T)
+    # row m = j - i + k meets column i with weight C(j, i) i!
+    far = sum(math.perm(j, i) * coeffs[:, i] @ radial[j - i + k] for i in range(j + 1))
+    return complex((-1.0) ** p * (s / sigma) ** (p - q if anti else p + q) * far)
 
 
-def _assemble(spec: KernelSpec, s: complex, level: int) -> Tuple[complex, float]:
+def _assemble(spec: KernelSpec, s: complex, level: int, far: complex):
+    """(value, gross): the inner part at one level plus the exact far field."""
     af, bf, p, q, j, k, anti = _floats(spec)
     mom = _inner_moments(spec).tables[level]
     ls = math.log(abs(s) ** 2)
-    inner = 0j
-    gross = 0.0
+    inner, gross = 0j, 0.0
     for jp in range(j + 1):
         for kp in range(k + 1):
             c = math.comb(j, jp) * math.comb(k, kp) * ls ** ((j - jp) + (k - kp))
@@ -388,9 +389,7 @@ def _assemble(spec: KernelSpec, s: complex, level: int) -> Tuple[complex, float]
             gross += abs(c * mom[jp, kp])
     pref = abs(s) ** (2.0 * (af + bf + 1.0)) * s**p
     pref *= np.conj(s) ** q if anti else s**q
-    far = _far_integral(spec, s, level)
-    value = pref * inner + far
-    return complex(value), float(abs(pref) * gross + abs(far))
+    return complex(pref * inner + far), float(abs(pref) * gross + abs(far))
 
 
 def _refined(v0, v1, scale: float, tolerance: float, where: str):
@@ -413,17 +412,19 @@ def eval_kernel_integral(
 ) -> complex:
     """Value of the kernel at the sample point s, 0 < |s| <= 1/4.
 
-    The integral is evaluated at two resolutions and ToleranceNotMet is
-    raised when they disagree by more than ``tolerance`` relative to the
-    value, or to a thousandth of the gross (unsigned) magnitude when
-    cancellation dominates the value itself.
+    The collar is evaluated at two resolutions, everything else exactly,
+    and ToleranceNotMet is raised when the two values disagree by more
+    than ``tolerance`` (> 0) relative to the value, or to a thousandth of
+    the gross (unsigned) magnitude when cancellation dominates the value.
     """
     s = complex(s)
     sigma = abs(s)
     if not (0.0 < sigma <= 0.25):
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
-    v0, gross0 = _assemble(spec, s, 0)
-    v1, gross1 = _assemble(spec, s, 1)
+    if not (tolerance > 0.0):
+        raise ValueError("tolerance must be positive, got %r" % tolerance)
+    far = _far_integral(spec, s)
+    (v0, gross0), (v1, gross1) = (_assemble(spec, s, level, far) for level in (0, 1))
     scale = max(abs(v1), 1e-3 * max(gross0, gross1))
     return _refined(v0, v1, scale, tolerance, "the value at |s|=%.3e" % sigma)
 
@@ -590,7 +591,7 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
     kernel (a, b, 0, q, 0, 0): two disk series and the collar.  Beyond
     3/2 the angular mean is sum_beta C_beta rho^-r, r = 2 beta + q, the
     mode q of |1 - 1/t|^{2a}; each power integrates against rho^{c-1},
-    c = 2(a+b+1) + q, to the exact continuation (3/2)^{c-r} / (r - c).
+    c = 2(a+b+1) + q, to minus _power_log_antiderivative at X = 3/2.
     Both collar levels must agree to eval_kernel_integral's default 1e-6
     of the value, or of a thousandth of |disk| + |collar| + |outer| when
     those cancel (integer a gives 0), else ToleranceNotMet.
@@ -618,11 +619,12 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
         xr = af + bf + 1.0
         if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
             raise ValueError("a+b+1 is numerically resonant")
-    c = 2.0 * (af + bf + 1.0) + q
     disks, tables = _inner_tables(af, bf, 0, q, 0, 0, False)
     disk, near0, near1 = (float(t[0, 0].real) for t in (disks,) + tables)
     r, coeffs = _mode_coefficients(af, 0, q, 0)
-    outer = float(coeffs[:, 0] @ (1.5 ** (c - r) / (r - c)))
+    E = 2.0 * (af + bf + 1.0) + q - r
+    radial = _power_log_antiderivative(E, 0, math.log(2.25), 1.5**E)
+    outer = -float(coeffs[:, 0] @ radial[0])
     value = near1 + outer
     gross = abs(disk) + abs(near1 - disk) + abs(outer)
     return _refined(

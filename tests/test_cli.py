@@ -499,6 +499,16 @@ class TestDemo:
         code, _, err = run(capsys, ["demo", "monomial", "--n", "0", "--m", "2"])
         assert code == 3
 
+    def test_ill_conditioned_fit_is_a_refusal(self, capsys):
+        # a + b + 1 = 1/2000 lies within 1e-3 of the smooth power 0
+        code, out, err = run(
+            capsys,
+            ["demo", "monomial", "--n", "1", "--m", "2000", "--plateau", "0.9999"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "IllConditioned" in err
+
 
 class TestParserShell:
     def test_missing_subcommand_is_usage_error(self):

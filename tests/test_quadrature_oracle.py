@@ -142,6 +142,14 @@ class TestEvalKernelIntegral:
             eval_kernel_integral(spec, 0.21, tolerance=1e-16)
         assert exc.value.achieved > 0.0
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
+    def test_rejects_tolerance_not_positive(self, tolerance):
+        # nan used to pass the unchecked finer level through, and a negative
+        # tolerance raised a ToleranceNotMet that blamed the quadrature
+        spec = KernelSpec(a=F(-7, 10), b=F(-3, 5), p=1, q=1, j=2, k=1, chirality="anti")
+        with pytest.raises(ValueError):
+            eval_kernel_integral(spec, 0.21, tolerance=tolerance)
+
     def test_rotation_covariance_holo(self):
         spec = KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=0, k=0)
         base = eval_kernel_integral(spec, 0.1)
@@ -198,16 +206,19 @@ class TestEvalKernelIntegral:
 
 
 class TestFarIntegral:
-    """The one-mode series against a brute-force angular mean.
+    """The closed-form far field against two references.
 
-    The reference averages the full far integrand over 256 equispaced
-    angles (spectrally exact here, since |s/u| <= 2/3 keeps it analytic)
-    on its own 24-node Gauss-Legendre rule over the same dyadic radial
+    At sigma >= 0.01 the reference averages the full far integrand over
+    256 equispaced angles (spectrally exact here, since |s/u| <= 2/3 keeps
+    it analytic) on a 24-node Gauss-Legendre rule over dyadic radial
     panels.  Its roundoff is eps times the integrand before the angular
-    mean cancels it down to the one surviving mode.  Measured on these
-    cases: at most 2.4e-13 relative at level 1, and 1.2e-12 at level 0,
-    whose 12-node radial rule is the coarser one; rel 1e-11 leaves a
-    margin of eight.
+    mean cancels it down to the one surviving mode, which grows with
+    depth (6.2e-7 at sigma = 6.1e-6), so the deep radii compare with a
+    radial Gauss-Legendre quadrature of the same mode series instead.
+    Measured on these cases: at most 2.4e-13 relative against the angular
+    mean and 2.9e-15 against the series quadrature, under bounds of 1e-11
+    and 1e-13.  Choosing the series branch by |E| alone instead of |E T|
+    is off by orders of magnitude at sigma = 1e-30 on the E = 1/2 spec.
     """
 
     SPECS = [
@@ -219,6 +230,13 @@ class TestFarIntegral:
         KernelSpec(a=F(0), b=F(-3, 10), p=0, q=1, j=1, k=1, chirality="anti"),
         # natural a: the log powers come only from the a-derivatives
         KernelSpec(a=F(1), b=F(-1, 3), p=1, q=1, j=2, k=1),
+        # resonant: one power has E = c - r = 0 and no antiderivative
+        KernelSpec(a=F(-1, 2), b=F(-1, 2), p=1, q=1, j=2, k=1),
+        KernelSpec(a=F(-1, 2), b=F(-1, 2), p=2, q=1, j=2, k=1, chirality="anti"),
+        # near resonance: E = 1/50, where the two ends cancel
+        KernelSpec(a=F(-49, 100), b=F(-1, 2), p=1, q=1, j=2, k=1),
+        # E = 1/2: |E| is small, yet |E log(3 sigma/2)| is not at depth
+        KernelSpec(a=F(-1, 4), b=F(-1, 2), p=0, q=0, j=2, k=1),
     ]
 
     @staticmethod
@@ -242,14 +260,44 @@ class TestFarIntegral:
             total += np.sum(0.5 * (e1 - e0) * wts * r * f.mean(axis=1))
         return total
 
+    @staticmethod
+    def series_quadrature(spec, s):
+        # the mode series summed at 16 Gauss-Legendre nodes per dyadic
+        # radial panel: the radial integral the closed form replaces
+        af, bf, p, q, j, k, anti = _floats(spec)
+        n = p - q if anti else p + q
+        sigma = abs(s)
+        edges = [1.5 * sigma]
+        while edges[-1] < 1.0:
+            edges.append(min(1.0, edges[-1] * 2.0))
+        nodes, wts = np.polynomial.legendre.leggauss(16)
+        e0 = np.array(edges[:-1])[:, None]
+        e1 = np.array(edges[1:])[:, None]
+        R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
+        W = (0.5 * (e1 - e0) * wts).ravel()
+        powers, coeffs, _ = _inner_moments(spec)
+        with np.errstate(under="ignore"):
+            modes = (sigma / R)[:, None] ** powers @ coeffs
+        L = np.log(R * R)
+        radial = sum(math.perm(j, i) * L ** (j - i) * modes[:, i] for i in range(j + 1))
+        radial *= W * R ** (p + q + 2.0 * (af + bf) + 1.0) * L**k
+        return (-1.0) ** p * (s / sigma) ** n * np.sum(radial)
+
     @pytest.mark.parametrize("sigma", [0.2, 0.05, 0.01])
     def test_matches_angular_mean(self, sigma):
         s = sigma * complex(math.cos(0.4), math.sin(0.4))
         for spec in self.SPECS:
             reference = self.brute_force(spec, s)
-            for level in (0, 1):
-                value = _far_integral(spec, s, level)
-                assert abs(value - reference) <= 1e-11 * abs(reference), (spec, level)
+            value = _far_integral(spec, s)
+            assert abs(value - reference) <= 1e-11 * abs(reference), spec
+
+    @pytest.mark.parametrize("sigma", [6.1e-6, 1e-30])
+    def test_matches_series_quadrature_deep(self, sigma):
+        s = sigma * complex(math.cos(0.4), math.sin(0.4))
+        for spec in self.SPECS:
+            reference = self.series_quadrature(spec, s)
+            value = _far_integral(spec, s)
+            assert abs(value - reference) <= 1e-13 * abs(reference), spec
 
 
 class TestDiskMoments:
@@ -415,7 +463,8 @@ def test_oracle_takes_no_closed_form_from_gamma_kernel():
     # split with the closed forms it checks, and nothing else
     import asymconv.quadrature_oracle as oracle
 
-    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
     taken = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gamma_kernel"):
