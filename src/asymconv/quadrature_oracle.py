@@ -23,13 +23,15 @@ and beyond |t| = 3/2 in finite_part_direct.  The collar, which touches
 |v| = 1 where no such series converges geometrically, is the only
 quadrature, at two refinement levels; kernel samples, finite parts and
 the fiber demo's cutoff remainders all pass one two-level test
-(_refined) or raise ToleranceNotMet.  Every series of a kernel is
-computed once, in its _inner_moments cache entry.
+(_refined) or raise ToleranceNotMet.  Every series of a kernel, with the
+far field's smooth weights and end polynomial, is computed once in its
+_inner_moments cache entry, and a kernel sample only evaluates them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,8 +215,14 @@ def _pochhammer_jets(c: float, count: int, order: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _mode_jets(c: float, extra: int, order: int, modes: Sequence[int]) -> tuple:
+    """_mode_coefficients' jets of c + extra and c, long enough for ``modes``."""
+    first = _pochhammer_jets(c + extra, _SERIES_TERMS + max(*modes, 0), order)
+    return first, _pochhammer_jets(c, _SERIES_TERMS - min(*modes, 0), order)
+
+
 def _mode_coefficients(
-    c: float, extra: int, n: int, order: int
+    c: float, extra: int, n: int, order: int, jets=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Angular mode n of |1-w|^{2c} (1-w)^extra as a power series in |w|.
 
@@ -223,11 +231,13 @@ def _mode_coefficients(
     [(-c-e-extra)_(beta+n)/(beta+n)!] [(-c-e)_beta/beta!], the coefficient
     of w^(beta+n) wbar^beta once (1-w)^(c+extra) (1-wbar)^c is multiplied
     out.  The mean of e^{-i n arg w} |1-w|^{2c} (1-w)^extra (Log|1-w|^2)^i
-    is therefore i! times column i summed against |w|^powers.
+    is therefore i! times column i summed against |w|^powers.  Two modes
+    of one kernel may share their ``jets`` (_mode_jets).
     """
     b0 = max(0, -n)
-    first = _pochhammer_jets(c + extra, b0 + n + _SERIES_TERMS, order)[b0 + n :]
-    second = _pochhammer_jets(c, b0 + _SERIES_TERMS, order)[b0:]
+    jets = jets or _mode_jets(c, extra, order, (n,))
+    first = jets[0][b0 + n : b0 + n + _SERIES_TERMS]
+    second = jets[1][b0 : b0 + _SERIES_TERMS]
     out = np.zeros((_SERIES_TERMS, order + 1))
     for i in range(order + 1):
         for l in range(i + 1):
@@ -249,7 +259,7 @@ def _power_log_antiderivative(E, mmax: int, L: float, x_pow) -> np.ndarray:
 
 
 def _disk_moments(
-    c: float, extra: int, n: int, order: int, radial_exp: float, logmax: int
+    c: float, extra: int, n: int, order: int, radial_exp: float, logmax: int, jets=None
 ) -> np.ndarray:
     """Moments over the disk |z| <= 1/2 from the angular mode series.
 
@@ -259,7 +269,7 @@ def _disk_moments(
     from 0 to 1/2, with E = radial_exp + 2 + 2 beta + n > 0 for every
     integrable case, is _power_log_antiderivative at X = 1/2.
     """
-    powers, coeffs = _mode_coefficients(c, extra, n, order)
+    powers, coeffs = _mode_coefficients(c, extra, n, order, jets)
     E = radial_exp + 2.0 + powers
     radial = _power_log_antiderivative(E, logmax, math.log(0.25), 0.5**E)
     factorials = [math.factorial(i) for i in range(order + 1)]
@@ -268,8 +278,8 @@ def _disk_moments(
 
 def _inner_tables(
     af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Float-parameter moments of |v| <= 3/2: (disks, per-level tables).
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """Moments of |v| <= 3/2 and the far series: (disks, tables, series).
 
     The disks |v| <= 1/2 and, through v = 1 - z, |v - 1| <= 1/2 are series
     in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).  Each
@@ -277,9 +287,11 @@ def _inner_tables(
     rho = end +/- xi^2 removing the sqrt corners where the excluded disk
     meets the annulus and an angular rule that grows with the top mode
     p + q.  b + q/2 may be <= -1 as long as b + q > -1, which keeps the
-    angular mean integrable at 0.
+    angular mean integrable at 0.  The far series shares jets with patch0.
     """
-    patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
+    far_mode, near_mode = (p - q, q) if anti else (p + q, -q)
+    jets = _mode_jets(af, p, j, (far_mode, near_mode))
+    patch0 = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
     patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
     disks = patch0 + patch1
     tables = []
@@ -310,86 +322,104 @@ def _inner_tables(
             acc = np.einsum("...nm,nm->...", vals, wang * wrad[:, None])
             collar = acc if collar is None else collar + acc
         tables.append(disks + collar)
-    return disks, tuple(tables)
+    return disks, np.array(tables), _mode_coefficients(af, p, far_mode, j, jets)
 
 
 class _SpecSeries(NamedTuple):
-    """One entry of _inner_moments."""
+    """One entry of _inner_moments: every s-independent piece of a kernel."""
 
-    powers: np.ndarray
-    coeffs: np.ndarray
-    tables: Tuple[np.ndarray, ...]
+    powers: np.ndarray  # r, the far series' powers of sigma / R
+    coeffs: np.ndarray  # [r, i]: its Taylor columns in the a-derivative
+    tables: np.ndarray  # [level, jp, kp]: the inner moments
+    weights: np.ndarray  # [r, m]: (-1)^p perm(j, i) coeffs[r, i], m = j - i + k
+    smooth: np.ndarray  # [r]: the far field's upper end R = 1
+    ends: np.ndarray  # [r, n]: its lower end R = 3 sigma/2
+    ends_total: Tuple[float, ...]  # [n]: ends summed over r
+    inner: Tuple[Tuple[complex, ...], ...]  # [level][o]: of (Log|s|^2)^o
+    gross: Tuple[Tuple[float, ...], ...]  # [level][o]: inner, unsigned
+    window: Tuple[int, ...]  # the powers that can be near: |E| <= 1.1
+    c: float  # 2(a+b+1) + p + q
+    mode: int  # n = p + q (holo) or p - q (anti)
 
 
 @functools.lru_cache(maxsize=64)
 def _inner_moments(spec: KernelSpec) -> _SpecSeries:
-    """The one per-spec cache of the oracle: each series of a kernel once.
+    """The one per-spec cache of the oracle: each series of a kernel once,
+    and every piece of a kernel sample that does not depend on s.
 
-    ``powers`` and ``coeffs`` are the far field's angular mode series,
-    _mode_coefficients(a, p, n, j).  ``tables[level]`` holds the moments
-    of the rescaled inner region |v| <= 3/2 in the u = s*v frame: entry
-    [jp, kp] integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp *
-    |v|^{2b} v^q (Log|v|^2)^kp over it against (1/2pi) dx dy, with v^q
-    conjugated for anti chirality.  Both levels share one disk table and
-    add their own collar, as _inner_tables builds them.  Nothing here
-    depends on s; the kernel's inner part is an exact prefactor times a
-    binomial combination of the moments with powers of Log|s|^2.
+    ``tables[level, jp, kp]`` integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp
+    * |v|^{2b} v^q (Log|v|^2)^kp (v^q conjugated for anti chirality) over
+    |v| <= 3/2 against (1/2pi) dx dy; ``inner`` is their binomial
+    combination, a polynomial in Log|s|^2.  The far field's power r meets
+    int R^(E-1) (Log R^2)^m dR, E = c - r, whose antiderivative is X^E
+    times a polynomial in Log X^2 with coefficients perm(m, m-n) (-2)^(m-n)
+    / E^(m-n+1): the smooth weights at X = 1, the end polynomial at
+    X = 3 sigma/2.  |E| <= 1/745 is always near (|log(3 sigma/2)| <= 745
+    for every double sigma > 0): its rows are zero, so 0 never divides.
     """
-    params = _floats(spec)
-    af, _, p, q, j, _, anti = params
-    powers, coeffs = _mode_coefficients(af, p, p - q if anti else p + q, j)
-    _, tables = _inner_tables(*params)
-    return _SpecSeries(*_frozen(powers, coeffs), _frozen(*tables))
+    af, bf, p, q, j, k, anti = params = _floats(spec)
+    _, tables, (powers, coeffs) = _inner_tables(*params)
+    c = 2.0 * (af + bf + 1.0) + p + q
+    E = c - powers
+    perms = [(-1) ** p * math.perm(j, i) for i in range(j + 1)]
+    weights = np.zeros((len(powers), j + k + 1))
+    weights[:, k:] = (coeffs * perms)[:, ::-1]
+    divisor = np.where(np.abs(E) <= 1.0 / 745.0, np.inf, E)  # 1/inf = 0
+    poly = np.zeros_like(weights)  # [r, n]: coefficient of (Log X^2)^n
+    for m in range(k, j + k + 1):
+        for n in range(m + 1):
+            scale = math.perm(m, m - n) * (-2.0) ** (m - n)
+            poly[:, n] += weights[:, m] * scale / divisor ** (m - n + 1)
+    ends = poly * 1.5 ** E[:, None]
+    shifted = np.zeros((2, 2, j + k + 1), dtype=complex)  # [inner|gross, level, o]
+    for jp, kp in itertools.product(range(j + 1), range(k + 1)):
+        term = math.comb(j, jp) * math.comb(k, kp) * tables[:, jp, kp]
+        shifted[:, :, j - jp + k - kp] += term, abs(term)
+    return _SpecSeries(
+        *_frozen(powers, coeffs, tables, weights, poly[:, 0].copy(), ends),
+        ends_total=tuple(ends.sum(axis=0).tolist()),
+        inner=tuple(map(tuple, shifted[0].tolist())),
+        gross=tuple(map(tuple, shifted[1].real.tolist())),
+        # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
+        window=tuple(np.flatnonzero(np.abs(E) <= 1.1).tolist()),
+        c=c, mode=p - q if anti else p + q,
+    )
 
 
-def _far_integral(spec: KernelSpec, s: complex) -> complex:
+def _horner(coeffs: Sequence, x):
+    """sum_n coeffs[n] x^n: a kernel sample's polynomials are short."""
+    return functools.reduce(lambda acc, coeff: acc * x + coeff, reversed(coeffs), 0.0)
+
+
+def _far_integral(entry: _SpecSeries, s: complex) -> complex:
     """Annulus 3|s|/2 <= |u| <= 1 through the one angular mode that survives.
 
     The angular mean keeps only the mode n = p + q (holo) or p - q (anti)
-    of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i, w = s/u: (s/|s|)^n times d_a^i
-    of _mode_coefficients' series in |s|/R.  Its power r integrates exactly,
-    sigma^r int_{3 sigma/2}^1 R^(E-1) (Log R^2)^m dR with E = c - r,
-    c = 2(a+b+1) + p + q and m = j - i + k, sigma^r (3 sigma/2)^E written
-    sigma^c (3/2)^E.  Where |E T| <= 1, T = log(3 sigma/2), the two ends
-    cancel (at E = 0 no antiderivative exists): that power takes the series
-    in log R, 2^m sum_t E^t/t! (-T^(t+m+1))/(t+m+1).
+    of |1-w|^{2a} (1-w)^p (Log|1-w|^2)^i, w = s/u.  Its power r integrates
+    exactly to sigma^r smooth_r - sigma^c sum_n (2T)^n ends[r, n],
+    T = log(3 sigma/2), except where |E T| <= 1 and the two ends cancel
+    (at E = 0 no antiderivative exists): that power takes the series in
+    log R, 2^m sum_t E^t/t! (-T^(t+m+1))/(t+m+1).
     """
-    af, bf, p, q, j, k, anti = _floats(spec)
     sigma = abs(s)
-    powers, coeffs, _ = _inner_moments(spec)
-    c = 2.0 * (af + bf + 1.0) + p + q
-    E = c - powers
     T = math.log(1.5 * sigma)
-    near = np.abs(E * T) <= 1.0  # E steps by 2: one power, rarely two
-    E_exact = np.where(near, 1.0, E)  # near powers are overwritten below
-    t = np.arange(25)  # |E T| <= 1: 25 terms reach roundoff
-    jets = E[near, None] ** t / np.cumprod(np.maximum(t, 1))  # E^t / t!
+    # E steps by 2: one power, rarely two
+    near = [r for r in entry.window if abs((entry.c - entry.powers[r]) * T) <= 1.0]
     with np.errstate(under="ignore"):
-        top, bottom = sigma**powers, sigma**c * 1.5**E
-    radial = _power_log_antiderivative(E_exact, j + k, 0.0, top)
-    radial -= _power_log_antiderivative(E_exact, j + k, 2.0 * T, bottom)
-    m = np.arange(j + k + 1)[:, None]
-    ends = T ** (t + m + 1) / (t + m + 1)  # int_0^T u^(t+m) du
-    radial[:, near] = -(2.0**m) * top[near] * (ends @ jets.T)
-    # row m = j - i + k meets column i with weight C(j, i) i!
-    far = sum(math.perm(j, i) * coeffs[:, i] @ radial[j - i + k] for i in range(j + 1))
-    return complex((-1.0) ** p * (s / sigma) ** (p - q if anti else p + q) * far)
-
-
-def _assemble(spec: KernelSpec, s: complex, level: int, far: complex):
-    """(value, gross): the inner part at one level plus the exact far field."""
-    af, bf, p, q, j, k, anti = _floats(spec)
-    mom = _inner_moments(spec).tables[level]
-    ls = math.log(abs(s) ** 2)
-    inner, gross = 0j, 0.0
-    for jp in range(j + 1):
-        for kp in range(k + 1):
-            c = math.comb(j, jp) * math.comb(k, kp) * ls ** ((j - jp) + (k - kp))
-            inner += c * mom[jp, kp]
-            gross += abs(c * mom[jp, kp])
-    pref = abs(s) ** (2.0 * (af + bf + 1.0)) * s**p
-    pref *= np.conj(s) ** q if anti else s**q
-    return complex(pref * inner + far), float(abs(pref) * gross + abs(far))
+        top = sigma**entry.powers
+    if not near:
+        far = entry.smooth @ top - sigma**entry.c * _horner(entry.ends_total, 2.0 * T)
+    else:
+        far = np.delete(entry.smooth, near) @ np.delete(top, near)
+        far -= sigma**entry.c * _horner(np.delete(entry.ends, near, 0).sum(0), 2.0 * T)
+        t = np.arange(25)  # |E T| <= 1: 25 terms reach roundoff
+        E = entry.c - entry.powers[near, None]
+        jets = E**t / np.cumprod(np.maximum(t, 1))  # E^t / t!
+        m = np.arange(len(entry.ends_total))[:, None]
+        ends = T ** (t + m + 1) / (t + m + 1)  # int_0^T u^(t+m) du
+        radial = -(2.0**m) * top[near] * (ends @ jets.T)  # [m, near power]
+        far += np.sum(entry.weights[near].T * radial)
+    return complex((s / sigma) ** entry.mode * far)
 
 
 def _refined(v0, v1, scale: float, tolerance: float, where: str):
@@ -423,9 +453,13 @@ def eval_kernel_integral(
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be positive, got %r" % tolerance)
-    far = _far_integral(spec, s)
-    (v0, gross0), (v1, gross1) = (_assemble(spec, s, level, far) for level in (0, 1))
-    scale = max(abs(v1), 1e-3 * max(gross0, gross1))
+    entry = _inner_moments(spec)
+    far = _far_integral(entry, s)
+    ls = math.log(sigma**2)
+    pref = sigma**entry.c * (s / sigma) ** entry.mode
+    v0, v1 = (pref * _horner(poly, ls) + far for poly in entry.inner)
+    gross = abs(pref) * max(_horner(poly, abs(ls)) for poly in entry.gross) + abs(far)
+    scale = max(abs(v1), 1e-3 * gross)
     return _refined(v0, v1, scale, tolerance, "the value at |s|=%.3e" % sigma)
 
 
@@ -619,9 +653,8 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
         xr = af + bf + 1.0
         if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
             raise ValueError("a+b+1 is numerically resonant")
-    disks, tables = _inner_tables(af, bf, 0, q, 0, 0, False)
-    disk, near0, near1 = (float(t[0, 0].real) for t in (disks,) + tables)
-    r, coeffs = _mode_coefficients(af, 0, q, 0)
+    disks, tables, (r, coeffs) = _inner_tables(af, bf, 0, q, 0, 0, False)
+    disk, near0, near1 = (float(t[0, 0].real) for t in (disks, *tables))
     E = 2.0 * (af + bf + 1.0) + q - r
     radial = _power_log_antiderivative(E, 0, math.log(2.25), 1.5**E)
     outer = -float(coeffs[:, 0] @ radial[0])

@@ -206,7 +206,7 @@ class TestEvalKernelIntegral:
 
 
 class TestFarIntegral:
-    """The closed-form far field against two references.
+    """The closed-form far field against three references.
 
     At sigma >= 0.01 the reference averages the full far integrand over
     256 equispaced angles (spectrally exact here, since |s/u| <= 2/3 keeps
@@ -215,10 +215,14 @@ class TestFarIntegral:
     mean cancels it down to the one surviving mode, which grows with
     depth (6.2e-7 at sigma = 6.1e-6), so the deep radii compare with a
     radial Gauss-Legendre quadrature of the same mode series instead.
-    Measured on these cases: at most 2.4e-13 relative against the angular
-    mean and 2.9e-15 against the series quadrature, under bounds of 1e-11
-    and 1e-13.  Choosing the series branch by |E| alone instead of |E T|
-    is off by orders of magnitude at sigma = 1e-30 on the E = 1/2 spec.
+    The third is the per-sample formula that evaluated both ends of every
+    power's antiderivative at each sigma, before the cache entry held
+    their s-independent parts.  Measured on these cases: at most 2.4e-13
+    relative against the angular mean, 4.5e-15 against the series
+    quadrature and 1.2e-14 against the per-sample formula, under bounds of
+    1e-11, 1e-13 and 1e-13.  Choosing the series branch by |E| alone
+    instead of |E T| is off by orders of magnitude at sigma = 1e-30 on the
+    E = 1/2 spec.
     """
 
     SPECS = [
@@ -261,6 +265,33 @@ class TestFarIntegral:
         return total
 
     @staticmethod
+    def per_sample_reference(spec, s):
+        # both ends of _power_log_antiderivative at every sample, and the
+        # series in log R where |E T| <= 1
+        af, bf, p, q, j, k, anti = _floats(spec)
+        sigma = abs(s)
+        entry = _inner_moments(spec)
+        powers, coeffs = entry.powers, entry.coeffs
+        c = 2.0 * (af + bf + 1.0) + p + q
+        E = c - powers
+        T = math.log(1.5 * sigma)
+        near = np.abs(E * T) <= 1.0
+        E_exact = np.where(near, 1.0, E)
+        t = np.arange(25)
+        jets = E[near, None] ** t / np.cumprod(np.maximum(t, 1))
+        with np.errstate(under="ignore"):
+            top, bottom = sigma**powers, sigma**c * 1.5**E
+        radial = oracle._power_log_antiderivative(E_exact, j + k, 0.0, top)
+        radial -= oracle._power_log_antiderivative(E_exact, j + k, 2.0 * T, bottom)
+        m = np.arange(j + k + 1)[:, None]
+        ends = T ** (t + m + 1) / (t + m + 1)
+        radial[:, near] = -(2.0**m) * top[near] * (ends @ jets.T)
+        far = sum(
+            math.perm(j, i) * coeffs[:, i] @ radial[j - i + k] for i in range(j + 1)
+        )
+        return complex((-1.0) ** p * (s / sigma) ** (p - q if anti else p + q) * far)
+
+    @staticmethod
     def series_quadrature(spec, s):
         # the mode series summed at 16 Gauss-Legendre nodes per dyadic
         # radial panel: the radial integral the closed form replaces
@@ -275,9 +306,9 @@ class TestFarIntegral:
         e1 = np.array(edges[1:])[:, None]
         R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
         W = (0.5 * (e1 - e0) * wts).ravel()
-        powers, coeffs, _ = _inner_moments(spec)
+        entry = _inner_moments(spec)
         with np.errstate(under="ignore"):
-            modes = (sigma / R)[:, None] ** powers @ coeffs
+            modes = (sigma / R)[:, None] ** entry.powers @ entry.coeffs
         L = np.log(R * R)
         radial = sum(math.perm(j, i) * L ** (j - i) * modes[:, i] for i in range(j + 1))
         radial *= W * R ** (p + q + 2.0 * (af + bf) + 1.0) * L**k
@@ -288,7 +319,7 @@ class TestFarIntegral:
         s = sigma * complex(math.cos(0.4), math.sin(0.4))
         for spec in self.SPECS:
             reference = self.brute_force(spec, s)
-            value = _far_integral(spec, s)
+            value = _far_integral(_inner_moments(spec), s)
             assert abs(value - reference) <= 1e-11 * abs(reference), spec
 
     @pytest.mark.parametrize("sigma", [6.1e-6, 1e-30])
@@ -296,8 +327,35 @@ class TestFarIntegral:
         s = sigma * complex(math.cos(0.4), math.sin(0.4))
         for spec in self.SPECS:
             reference = self.series_quadrature(spec, s)
-            value = _far_integral(spec, s)
+            value = _far_integral(_inner_moments(spec), s)
             assert abs(value - reference) <= 1e-13 * abs(reference), spec
+
+    def test_matches_per_sample_reference(self):
+        # the grid radii, two deep ones, and sigma on both sides of each
+        # switch |E T| = 1 between the near series and the two ends
+        for spec in self.SPECS:
+            entry = _inner_moments(spec)
+            sigmas = [0.2 * 2.0**-i for i in range(16)] + [6.1e-6, 1e-30]
+            E = entry.c - entry.powers
+            for absE in np.abs(E[E != 0.0]):
+                for f in (0.999999, 1.000001):
+                    sigma = math.exp(-f / absE) / 1.5
+                    if 0.0 < sigma <= 0.25:
+                        sigmas.append(sigma)
+            for sigma in sigmas:
+                s = sigma * complex(math.cos(0.4), math.sin(0.4))
+                reference = self.per_sample_reference(spec, s)
+                value = _far_integral(entry, s)
+                assert abs(value - reference) <= 1e-13 * abs(reference), (spec, sigma)
+
+    def test_exact_resonance_leaves_the_ends_finite(self):
+        # E = c - r = 0 at r = 2: the cache never divides by it
+        spec = KernelSpec(a=F(-1, 2), b=F(-1, 2), p=1, q=1, j=2, k=1)
+        entry = _inner_moments(spec)
+        resonant = entry.c - entry.powers == 0.0
+        assert np.count_nonzero(resonant) == 1
+        assert np.isfinite(entry.smooth).all() and np.isfinite(entry.ends).all()
+        assert not entry.smooth[resonant].any() and not entry.ends[resonant].any()
 
 
 class TestDiskMoments:
@@ -429,6 +487,41 @@ class TestSpecCache:
         _inner_moments.cache_clear()
         assert len(calls) == 3
 
+    def test_pochhammer_jets_built_once_per_factor(self, monkeypatch):
+        # the far series and the disk |v| <= 1/2 share the jets of a + p
+        # and a; the disk |v - 1| <= 1/2 reads those of b + q and b
+        calls = []
+        original = oracle._pochhammer_jets
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_pochhammer_jets", counted)
+        _inner_moments.cache_clear()
+        verify_constant(KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0))
+        _inner_moments.cache_clear()
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("depth", [16, 12])
+    def test_one_sample_per_radius(self, monkeypatch, depth):
+        # perfbench divides the oracle sweep's time by these calls, and its
+        # tracer wraps eval_kernel_integral by its module-global name
+        calls = []
+        original = oracle.eval_kernel_integral
+
+        def counted(spec, s, *args, **kwargs):
+            calls.append(s)
+            return original(spec, s, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eval_kernel_integral", counted)
+        _inner_moments.cache_clear()
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
+        grid = SampleGrid(radii=tuple(0.2 * 2.0**-i for i in range(depth)))
+        verify_constant(spec, grid)
+        _inner_moments.cache_clear()
+        assert calls == list(grid.radii)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -443,7 +536,7 @@ class TestSpecCache:
         # the kernel and finite_part_direct share one body, bit for bit
         _inner_moments.cache_clear()
         tables = _inner_moments(spec).tables
-        _, direct = _inner_tables(*_floats(spec))
+        _, direct, _ = _inner_tables(*_floats(spec))
         assert len(tables) == len(direct) == 2
         for cached, built in zip(tables, direct):
             assert np.array_equal(cached, built)
@@ -453,7 +546,9 @@ class TestSpecCache:
             _gl(12)[0][0] = 0.0
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
         entry = _inner_moments(spec)
-        for arr in (entry.powers, entry.coeffs) + entry.tables:
+        arrays = [v for v in entry if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
