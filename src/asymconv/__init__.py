@@ -51,15 +51,11 @@ from .gamma_kernel import (
     tilde_F_const,
 )
 from .quadrature_oracle import (
-    FitResult,
     IllConditioned,
     KernelSpec,
-    SampleGrid,
     ToleranceNotMet,
     VerificationReport,
-    default_grid,
     eval_kernel_integral,
-    extract_leading_coeffs,
     finite_part_direct,
     fit_radial_samples,
     verify_constant,
@@ -75,7 +71,6 @@ __all__ = [
     "Expansion",
     "ExponentSetType",
     "F_const",
-    "FitResult",
     "G_q",
     "INTEGER_CASE_SCALE",
     "IllConditioned",
@@ -83,7 +78,6 @@ __all__ = [
     "LogPolynomial",
     "MonomialGerm",
     "RHO_NORM",
-    "SampleGrid",
     "SingularTerm",
     "SpecialValue",
     "ToleranceNotMet",
@@ -96,11 +90,9 @@ __all__ = [
     "combine_types",
     "convolve_expansions",
     "convolve_terms",
-    "default_grid",
     "degenerate_case1_coeff",
     "degree_rule",
     "eval_kernel_integral",
-    "extract_leading_coeffs",
     "finite_part_direct",
     "fit_radial_samples",
     "fourier_coefficient",

@@ -18,20 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
 
 import numpy as np
 
 from .convolution_engine import convolve_terms
 from .expansion_algebra import LogPolynomial, SingularTerm
 from .quadrature_oracle import (
+    _SAMPLE_TOLERANCE,
     _SMOOTH_CUTOFF,
     KernelSpec,
-    SampleGrid,
     VerificationReport,
     _gl,
+    _radii,
     _refined,
-    default_grid,
     eval_kernel_integral,
     fit_and_compare,
     scaled_lstsq,
@@ -50,9 +49,6 @@ __all__ = [
 #: Inner radius below which the cutoff remainder vanishes identically;
 #: germs must keep their plateaus wide enough to clear it (validated).
 _SAFE_RADIUS = 0.35
-
-#: Largest sample radius the demo accepts, matching the default grid.
-_MAX_SIGMA = 0.2
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,6 @@ def _leading_term(germ: MonomialGerm) -> SingularTerm:
 
 
 def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm, sigma_max: float) -> None:
-    if sigma_max > _MAX_SIGMA + 1e-12:
-        raise ValueError(
-            "sample radii must stay <= %.2f for the cutoff split" % _MAX_SIGMA
-        )
     if g1.plateau ** g1.exponent - sigma_max < _SAFE_RADIUS:
         raise ValueError(
             "first germ's plateau^N leaves no room around the sample point; "
@@ -130,12 +122,10 @@ def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm, sigma_max: float) -> 
         )
 
 
-def _demo_setup(
-    g1: MonomialGerm, g2: MonomialGerm, grid: Optional[SampleGrid]
-) -> Tuple[KernelSpec, SampleGrid]:
+def _demo_setup(g1: MonomialGerm, g2: MonomialGerm) -> KernelSpec:
     """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
-    and b = 1/M - 1, and the grid (its default when None), once the
-    germs' geometry has been checked against the grid's largest radius."""
+    and b = 1/M - 1, once the germs' geometry has been checked against
+    its largest sample radius."""
     spec = KernelSpec(
         a=Fraction(1, g1.exponent) - 1,
         b=Fraction(1, g2.exponent) - 1,
@@ -144,10 +134,8 @@ def _demo_setup(
         j=0,
         k=0,
     )
-    if grid is None:
-        grid = default_grid(spec)
-    _validate_geometry(g1, g2, max(grid.radii))
-    return spec, grid
+    _validate_geometry(g1, g2, max(_radii(spec)))
+    return spec
 
 
 def _cutoff_remainder(
@@ -243,49 +231,40 @@ def _demo_samples(
     g1: MonomialGerm,
     g2: MonomialGerm,
     spec: KernelSpec,
-    grid: SampleGrid,
 ) -> list:
     af, bf = float(spec.a), float(spec.b)
     scale = 1.0 / (g1.exponent * g2.exponent)
     out = []
-    for sigma in grid.radii:
-        base = eval_kernel_integral(spec, sigma, tolerance=grid.tolerance).real
+    for sigma in _radii(spec):
+        base = eval_kernel_integral(spec, sigma).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
         c1 = _refined(
-            c0, c1, max(abs(base), abs(c1)), grid.tolerance,
+            c0, c1, max(abs(base), abs(c1)), _SAMPLE_TOLERANCE,
             "the cutoff remainder at sigma=%.3e" % sigma,
         )
         out.append(scale * (base + c1))
     return out
 
 
-def thom_sebastiani_demo(
-    g1: MonomialGerm,
-    g2: MonomialGerm,
-    grid: Optional[SampleGrid] = None,
-) -> VerificationReport:
+def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationReport:
     """Convolve the two fiber integrals numerically and compare the
     fitted leading coefficient against the engine's predicted term.
 
     The report's spec field records the effective kernel exponents
     a = 1/N - 1 and b = 1/M - 1 of the two leading fiber terms.
     """
-    spec, grid = _demo_setup(g1, g2, grid)
+    spec = _demo_setup(g1, g2)
 
     result = convolve_terms(_leading_term(g1), _leading_term(g2))
-    values = _demo_samples(g1, g2, spec, grid)
+    values = _demo_samples(g1, g2, spec)
     return fit_and_compare(
-        spec, grid, values, result.case,
+        spec, values, result.case,
         result.leading_coeff.real, result.normalization,
     )
 
 
-def measure_singular_exponent(
-    g1: MonomialGerm,
-    g2: MonomialGerm,
-    grid: Optional[SampleGrid] = None,
-) -> float:
+def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
     """Measure the singular exponent of the convolution from samples
     alone, by minimizing the fit residual over a trial exponent.
 
@@ -293,7 +272,7 @@ def measure_singular_exponent(
     neither a natural number (where the power degenerates into a log)
     nor too close to a smooth power for the columns to separate.
     """
-    spec, grid = _demo_setup(g1, g2, grid)
+    spec = _demo_setup(g1, g2)
     x_model = float(spec.a + spec.b + 1)
     if abs(x_model - round(x_model)) < 0.02:
         raise ValueError(
@@ -301,8 +280,8 @@ def measure_singular_exponent(
             "the trial-exponent scan cannot separate it from a smooth power"
         )
 
-    values = _demo_samples(g1, g2, spec, grid)
-    sig = np.array(grid.radii)
+    values = _demo_samples(g1, g2, spec)
+    sig = np.array(_radii(spec))
     y = np.asarray(values, dtype=float)
     smooth_cols = [sig ** (2.0 * t) for t in range(_SMOOTH_CUTOFF + 1)]
 

@@ -251,6 +251,26 @@ def _check_slice(a_f: float, p: int, b_f: float, q: int) -> None:
         )
 
 
+def _generic_ratio(
+    p: int, q: int, a_f: float, b_f: float, chirality2: Chirality,
+    reciprocals: List[float],
+) -> float:
+    """The Gamma ratio shared by the generic constant and its one-natural
+    limit: Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-1) / Gamma(a+b+p+q+2) for
+    HOLO, (-1)^p Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-p-1) / Gamma(a+b+q+2)
+    for ANTI, each times 1/Gamma(x) for every x in ``reciprocals``."""
+    if chirality2 is Chirality.HOLO:
+        return _gamma_ratio(
+            [a_f + p + 1, b_f + q + 1, -a_f - b_f - 1],
+            [a_f + b_f + p + q + 2] + reciprocals,
+        )
+    sign = -1.0 if p % 2 else 1.0
+    return sign * _gamma_ratio(
+        [a_f + p + 1, b_f + q + 1, -a_f - b_f - p - 1],
+        [a_f + b_f + q + 2] + reciprocals,
+    )
+
+
 def F_const(
     p: int, q: int, a: RealInput, b: RealInput, chirality2: Chirality
 ) -> SpecialValue:
@@ -274,17 +294,7 @@ def F_const(
     ):
         return SpecialValue.finite(0.0)
     try:
-        if chirality2 is Chirality.HOLO:
-            value = _gamma_ratio(
-                [a_f + p + 1, b_f + q + 1, -a_f - b_f - 1],
-                [a_f + b_f + p + q + 2, -a_f, -b_f],
-            )
-        else:
-            sign = -1.0 if p % 2 else 1.0
-            value = sign * _gamma_ratio(
-                [a_f + p + 1, b_f + q + 1, -a_f - b_f - p - 1],
-                [a_f + b_f + q + 2, -a_f, -b_f],
-            )
+        value = _generic_ratio(p, q, a_f, b_f, chirality2, [-a_f, -b_f])
     except GammaPoleError:
         return SpecialValue.pole()
     return SpecialValue.finite(value)
@@ -365,23 +375,7 @@ def degenerate_case1_coeff(
     b_nat = is_natural(b_ex)
     if a_nat == b_nat:
         raise ValueError("exactly one of a, b must be natural")
-    if a_nat:
-        n = int(a_ex)
-        other_reciprocal = [-b_f]
-    else:
-        n = int(b_ex)
-        other_reciprocal = [-a_f]
+    n, other = (int(a_ex), b_f) if a_nat else (int(b_ex), a_f)
     replacement = float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
-    if chirality2 is Chirality.HOLO:
-        ratio = _gamma_ratio(
-            [a_f + p + 1, b_f + q + 1, -a_f - b_f - 1],
-            [a_f + b_f + p + q + 2] + other_reciprocal,
-        )
-    else:
-        sign = -1.0 if p % 2 else 1.0
-        ratio = sign * _gamma_ratio(
-            [a_f + p + 1, b_f + q + 1, -a_f - b_f - p - 1],
-            [a_f + b_f + q + 2] + other_reciprocal,
-        )
-    return replacement * ratio
+    return replacement * _generic_ratio(p, q, a_f, b_f, chirality2, [-other])
 

@@ -5,11 +5,12 @@ Evaluates the model kernel
     K(s) = (1/2pi) iint_{|u| <= 1}  |s-u|^{2a} (s-u)^p (Log|s-u|^2)^j
                                   * |u|^{2b} (u^q or ubar^q) (Log|u|^2)^k  dx dy
 
-by singular-aware quadrature, fits its small-|s| expansion on a geometric
-radius grid, and compares the fitted leading singular coefficient against
-the closed-form Gamma-factor constants.  Everything here is independent
-of those closed forms: nothing is taken from gamma_kernel but the
-chirality type and the exact-or-float split of a parameter.
+by singular-aware quadrature, fits its small-|s| expansion on one fixed
+geometric radius grid (_radii), and compares the fitted leading singular
+coefficient against the closed-form Gamma-factor constants.  Everything
+here is independent of those closed forms: nothing is taken from
+gamma_kernel but the chirality type and the exact-or-float split of a
+parameter.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
@@ -39,7 +40,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .convolution_engine import CaseTag, classify_case, kernel_leading_constant
+from .convolution_engine import CaseTag, kernel_leading_constant
 from .expansion_algebra import LogPolynomial, as_fraction, degree_rule, is_natural
 from .gamma_kernel import Chirality, RealInput, _split
 
@@ -53,7 +54,7 @@ class ToleranceNotMet(RuntimeError):
 
 
 class IllConditioned(RuntimeError):
-    """The fit model cannot separate its columns on the given grid."""
+    """The fit model cannot separate its columns at the sample radii."""
 
 
 @dataclass(frozen=True)
@@ -116,29 +117,12 @@ class KernelSpec:
         )
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Geometric radius grid and the refinement tolerance of its samples."""
-
-    radii: Tuple[float, ...]
-    tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.radii:
-            raise ValueError("grid needs at least one radius")
-        last = 0.25 + 1e-15
-        for r in self.radii:
-            if not (0.0 < r <= 0.25):
-                raise ValueError("radii must lie in (0, 1/4], got %r" % r)
-            if r >= last:
-                raise ValueError("radii must be strictly decreasing")
-            last = r
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+#: Refinement tolerance of every kernel sample and cutoff remainder.
+_SAMPLE_TOLERANCE = 1e-6
 
 
-def default_grid(spec: Optional[KernelSpec] = None) -> SampleGrid:
-    """Sixteen geometric radii 0.2 * 2^0 .. 0.2 * 2^-15.
+def _radii(spec: KernelSpec) -> Tuple[float, ...]:
+    """The sample radii: sixteen geometric radii 0.2 * 2^0 .. 0.2 * 2^-15.
 
     For total monomial degree p + q >= 4 the deepest radii are dropped.
     On the oracle sweep of ROADMAP.md, all sixteen radii turn seven of the
@@ -146,10 +130,8 @@ def default_grid(spec: Optional[KernelSpec] = None) -> SampleGrid:
     for the model) into wrong constants: their deep samples carry almost
     no singular signal.
     """
-    depth = 16
-    if spec is not None and spec.p + spec.q >= 4:
-        depth = 12
-    return SampleGrid(radii=tuple(0.2 * 2.0**-i for i in range(depth)))
+    depth = 12 if spec.p + spec.q >= 4 else 16
+    return tuple(0.2 * 2.0**-i for i in range(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +420,7 @@ def _refined(v0, v1, scale: float, tolerance: float, where: str):
 def eval_kernel_integral(
     spec: KernelSpec,
     s: complex,
-    tolerance: float = 1e-6,
+    tolerance: float = _SAMPLE_TOLERANCE,
 ) -> complex:
     """Value of the kernel at the sample point s, 0 < |s| <= 1/4.
 
@@ -487,61 +469,39 @@ def scaled_lstsq(
     return sol / scales, float(np.linalg.norm(As @ sol - y)), As
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares readout of the small-|s| expansion of one kernel.
-
-    ``singular`` collects the coefficients of
-    |s|^{2(a+b+1)} sigma^{p+q} (Log sigma^2)^l in log-degree order (slot
-    0 may be structurally absent for resonant exponents, where it is not
-    separable from the smooth part; it is reported as zero).  ``smooth``
-    pairs each modelled smooth power 2t with its coefficient.
-    """
-
-    case: CaseTag
-    singular: LogPolynomial
-    smooth: Tuple[Tuple[int, float], ...]
-    condition_number: float
-    residual: float
-
-
 def fit_radial_samples(
-    spec: KernelSpec,
-    grid: SampleGrid,
-    values: Sequence[float],
-    force_log_degree: Optional[int] = None,
-) -> FitResult:
-    """Fit the singular plus smooth model to externally supplied samples.
+    spec: KernelSpec, values: Sequence[float]
+) -> Tuple[LogPolynomial, float]:
+    """Fit the singular plus smooth model to kernel samples at _radii(spec).
 
-    ``values`` holds the raw kernel values at grid.radii (real parts);
+    ``values`` holds the raw kernel values at those radii (real parts);
     the monomial phase sigma^{p+q} is divided out here.  The singular
     block uses log powers l = l_min..L with L from the degree rule
     (l_min = 1 when a+b+1 is a natural number, since the log-free
-    singular column is then indistinguishable from a smooth power).
-    ``force_log_degree`` overrides L, which is how a Smooth kernel is
-    checked to have no singular content: fit the columns anyway and see
-    that their coefficients vanish.
+    singular column is then indistinguishable from a smooth power).  A
+    Smooth kernel (degree rule -1) is fitted up to the probe degree
+    L = max(j + k, 1) anyway, so that its vanishing singular content shows.
 
-    Raises IllConditioned when a non-resonant exponent sits within 1e-3
-    of a modelled smooth power, or when the scaled design matrix has
-    condition number >= 1e8.
+    Returns the singular coefficients in log-degree order (slot 0 is zero
+    for resonant exponents) and the condition number of the scaled design
+    matrix.  Raises IllConditioned when a non-resonant exponent sits
+    within 1e-3 of a modelled smooth power, or when that condition number
+    is >= 1e8.
     """
-    if len(values) != len(grid.radii):
-        raise ValueError(
-            "got %d samples for %d radii" % (len(values), len(grid.radii))
-        )
-    case = classify_case(spec.a, spec.b, spec.j, spec.k)
+    radii = _radii(spec)
+    if len(values) != len(radii):
+        raise ValueError("got %d samples for %d radii" % (len(values), len(radii)))
     x = spec.a + spec.b + 1
     xf = float(x)
     resonant_exponent = is_natural(x)
     l_min = 1 if resonant_exponent else 0
     L = degree_rule(spec.a, spec.b, spec.j, spec.k)
-    if force_log_degree is not None:
-        L = force_log_degree
+    if L < 0:
+        L = max(spec.j + spec.k, 1)
     T = _SMOOTH_CUTOFF
     t_min = -spec.p if spec.chirality is Chirality.ANTI else 0
 
-    if not resonant_exponent and L >= l_min:
+    if not resonant_exponent:
         gap = min(abs(xf - t) for t in range(t_min, T + 1))
         if gap < 1e-3:
             raise IllConditioned(
@@ -549,68 +509,31 @@ def fit_radial_samples(
                 "use the resonant model only for exact resonance" % xf
             )
 
-    n_sing = max(0, L - l_min + 1)
+    n_sing = L - l_min + 1
     n_cols = n_sing + (T - t_min + 1)
-    if len(grid.radii) < n_cols + 2:
+    if len(radii) < n_cols + 2:
         raise ValueError(
             "grid has %d radii but the model has %d columns; need at least %d"
-            % (len(grid.radii), n_cols, n_cols + 2)
+            % (len(radii), n_cols, n_cols + 2)
         )
 
-    sig = np.array(grid.radii)
+    sig = np.array(radii)
     y = np.asarray(values, dtype=float) / sig ** (spec.p + spec.q)
-    cols: List[np.ndarray] = []
-    labels: List[Tuple[str, int]] = []
     lss = np.log(sig**2)
-    for l in range(l_min, L + 1):
-        cols.append(sig ** (2.0 * xf) * lss**l)
-        labels.append(("singular", l))
-    for t in range(t_min, T + 1):
-        cols.append(sig ** (2.0 * t))
-        labels.append(("smooth", t))
-    coeffs, resid, As = scaled_lstsq(np.column_stack(cols), y)
+    cols = [sig ** (2.0 * xf) * lss**l for l in range(l_min, L + 1)]
+    cols += [sig ** (2.0 * t) for t in range(t_min, T + 1)]
+    coeffs, _, As = scaled_lstsq(np.column_stack(cols), y)
     cond = float(np.linalg.cond(As))
     if cond >= 1e8:
         raise IllConditioned(
             "design matrix condition number %.3e exceeds 1e8" % cond
         )
-
-    sing = [0.0] * (max(L, -1) + 1)
-    smooth: List[Tuple[int, float]] = []
-    for (kind, idx), c in zip(labels, coeffs):
-        if kind == "singular":
-            sing[idx] = float(c)
-        else:
-            smooth.append((idx, float(c)))
-    singular = LogPolynomial.of_coeffs(sing) if sing else LogPolynomial.zero()
-    return FitResult(
-        case=case,
-        singular=singular,
-        smooth=tuple(smooth),
-        condition_number=cond,
-        residual=resid,
-    )
+    return LogPolynomial.of_coeffs([0.0] * l_min + coeffs[:n_sing].tolist()), cond
 
 
-def _kernel_samples(spec: KernelSpec, grid: SampleGrid) -> List[float]:
-    """Real parts of eval_kernel_integral along the real-sigma ray."""
-    return [
-        eval_kernel_integral(spec, r, tolerance=grid.tolerance).real
-        for r in grid.radii
-    ]
-
-
-def extract_leading_coeffs(
-    spec: KernelSpec,
-    grid: Optional[SampleGrid] = None,
-    force_log_degree: Optional[int] = None,
-) -> FitResult:
-    """Evaluate the kernel on the grid and fit the expansion model."""
-    if grid is None:
-        grid = default_grid(spec)
-    return fit_radial_samples(
-        spec, grid, _kernel_samples(spec, grid), force_log_degree=force_log_degree
-    )
+def _kernel_samples(spec: KernelSpec) -> List[float]:
+    """Real parts of eval_kernel_integral at _radii(spec), one call each."""
+    return [eval_kernel_integral(spec, r).real for r in _radii(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +556,7 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
     is a domain error: the finite part does not exist as a plain number
     on the resonance locus, where the kernel picks up a log term instead.
     Resonant constants are checked through the log-column fit of
-    extract_leading_coeffs, not through this route.
+    verify_constant, not through this route.
     """
     a_ex, af = _split(a)
     b_ex, bf = _split(b)
@@ -738,54 +661,48 @@ class VerificationReport:
 
 def fit_and_compare(
     spec: KernelSpec,
-    grid: SampleGrid,
     values: Sequence[float],
     case: CaseTag,
     closed: float,
     normalization: float,
 ) -> VerificationReport:
-    """Fit kernel samples and compare with the closed-form constant.
+    """Fit kernel samples at _radii(spec) and compare with the closed form.
 
     ``closed`` is the normalized prediction base * ``normalization``; the
-    measured normalization is fitted / base.  Smooth kernels ignore both
-    and fit singular columns up to log degree max(j + k, 1) anyway: their
-    error is the largest fitted coefficient, which should vanish.
+    measured normalization is fitted / base.  Smooth kernels ignore both:
+    the fit probes their singular columns anyway, and their error is the
+    largest fitted coefficient, which should vanish.
     """
+    singular, cond = fit_radial_samples(spec, values)
     if case is CaseTag.SMOOTH:
-        probe = max(spec.j + spec.k, 1)
-        fit = fit_radial_samples(spec, grid, values, force_log_degree=probe)
         closed = 0.0
-        error = max(abs(fit.singular.coefficient(l)) for l in range(probe + 1))
+        error = max((abs(c) for c in singular.coefficients), default=0.0)
         measured: Optional[float] = None
     else:
-        fit = fit_radial_samples(spec, grid, values)
-        fitted = fit.singular.coefficient(max(fit.singular.degree, 0)).real
+        fitted = singular.coefficient(max(singular.degree, 0)).real
         error = abs(fitted - closed) / abs(closed)
         measured = fitted / (closed / normalization)
     return VerificationReport(
         spec=spec,
         case=case,
-        fitted_coeffs=fit.singular,
+        fitted_coeffs=singular,
         closed_form=closed,
         relative_error=error,
-        condition_number=fit.condition_number,
+        condition_number=cond,
         normalization_used=measured,
     )
 
 
-def verify_constant(
-    spec: KernelSpec, grid: Optional[SampleGrid] = None
-) -> VerificationReport:
-    """Fit the kernel on the grid and compare with the closed-form constant.
+def verify_constant(spec: KernelSpec) -> VerificationReport:
+    """Fit the kernel at its sample radii and compare with the closed-form
+    constant.
 
     Routes through the same case classification as the convolution
     engine; BothInteger kernels outside j = k = 1 have no asserted
     closed form and raise ValueError.
     """
-    if grid is None:
-        grid = default_grid(spec)
     case, base, norm = kernel_leading_constant(
         spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
     )
-    values = _kernel_samples(spec, grid)
-    return fit_and_compare(spec, grid, values, case, base * norm, norm)
+    values = _kernel_samples(spec)
+    return fit_and_compare(spec, values, case, base * norm, norm)

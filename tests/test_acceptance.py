@@ -25,7 +25,6 @@ from asymconv import (
     bernstein_combine,
     beta_tail_integral,
     binomial_gamma_sum,
-    extract_leading_coeffs,
     finite_part_direct,
     fourier_coefficient,
     gauss_sum,
@@ -208,13 +207,13 @@ def test_criterion_05_resonant_log_degree():
     predicted = tilde_F_const(0, 0, F(-1, 2), F(-1, 2), Chirality.HOLO)
     if predicted != -1.0:
         failures.append("closed form is %.12f, expected -1" % predicted)
-    fit = extract_leading_coeffs(
+    fitted_coeffs = verify_constant(
         KernelSpec(a=F(-1, 2), b=F(-1, 2), p=0, q=0, j=0, k=0)
-    )
-    if fit.singular.degree != 1:
-        failures.append("fitted log degree %d, expected 1" % fit.singular.degree)
+    ).fitted_coeffs
+    if fitted_coeffs.degree != 1:
+        failures.append("fitted log degree %d, expected 1" % fitted_coeffs.degree)
     else:
-        fitted = fit.singular.coefficient(1).real
+        fitted = fitted_coeffs.coefficient(1).real
         target = predicted * RHO_NORM
         if abs(fitted - target) > 1e-2 * abs(target):
             failures.append("log coefficient %.6f vs %.6f" % (fitted, target))

@@ -16,7 +16,7 @@ from asymconv.fiber_demo import (
     monomial_fiber_integral,
     thom_sebastiani_demo,
 )
-from asymconv.quadrature_oracle import SampleGrid, ToleranceNotMet
+from asymconv.quadrature_oracle import ToleranceNotMet
 
 F = Fraction
 
@@ -228,21 +228,14 @@ class TestThomSebastianiDemo:
             thom_sebastiani_demo(
                 MonomialGerm(2), MonomialGerm(1, plateau=0.3, support=0.9)
             )
-        wide = SampleGrid(radii=tuple(0.25 * 2.0 ** -i for i in range(10)))
-        with pytest.raises(ValueError):
-            thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(2), wide)
 
     def test_remainder_refusal_is_typed(self, monkeypatch):
         # a zero pure-power part leaves the remainder as the scale; its two
         # levels differ by ~7e-14 relative at sigma = 0.2, far above 1e-16
-        monkeypatch.setattr(
-            fiber_demo, "eval_kernel_integral", lambda spec, s, tolerance: 0j
-        )
-        grid = SampleGrid(
-            radii=tuple(0.2 * 2.0**-i for i in range(16)), tolerance=1e-16
-        )
+        monkeypatch.setattr(fiber_demo, "eval_kernel_integral", lambda spec, s: 0j)
+        monkeypatch.setattr(fiber_demo, "_SAMPLE_TOLERANCE", 1e-16)
         with pytest.raises(ToleranceNotMet) as exc:
-            thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3), grid)
+            thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
         assert exc.value.achieved > 0.0
         assert "cutoff remainder" in str(exc.value)
 

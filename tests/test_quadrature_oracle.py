@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asymconv.quadrature_oracle as oracle
-from asymconv.convolution_engine import CaseTag
+from asymconv.convolution_engine import CaseTag, classify_case
 from asymconv.expansion_algebra import Chirality
 from asymconv.gamma_kernel import F_const, G_q
 from asymconv.quadrature_oracle import (
     IllConditioned,
     KernelSpec,
-    SampleGrid,
     ToleranceNotMet,
     VerificationReport,
     _disk_moments,
@@ -25,10 +24,12 @@ from asymconv.quadrature_oracle import (
     _gl,
     _inner_moments,
     _inner_tables,
-    default_grid,
+    _kernel_samples,
+    _radii,
     eval_kernel_integral,
-    extract_leading_coeffs,
     finite_part_direct,
+    fit_radial_samples,
+    scaled_lstsq,
     verify_constant,
 )
 
@@ -92,25 +93,17 @@ class TestKernelSpec:
 
 
 class TestSampleGrid:
+    """The fixed sample radii of every kernel fit."""
+
     def test_default_grid(self):
-        grid = default_grid()
-        assert len(grid.radii) == 16
-        assert grid.radii[0] == pytest.approx(0.2)
-        assert all(r1 > r2 for r1, r2 in zip(grid.radii, grid.radii[1:]))
+        radii = _radii(KernelSpec(a=F(0), b=F(0), p=1, q=2, j=0, k=0))
+        assert len(radii) == 16
+        assert radii[0] == pytest.approx(0.2)
+        assert all(r1 > r2 for r1, r2 in zip(radii, radii[1:]))
 
     def test_default_grid_drops_depth_for_high_degree(self):
         spec = KernelSpec(a=F(0), b=F(0), p=2, q=2, j=0, k=0)
-        assert len(default_grid(spec).radii) == 12
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            SampleGrid(radii=(0.1, 0.2))
-        with pytest.raises(ValueError):
-            SampleGrid(radii=(0.3, 0.1))
-        with pytest.raises(ValueError):
-            SampleGrid(radii=())
-        with pytest.raises(ValueError):
-            SampleGrid(radii=(0.2, 0.1), tolerance=0.0)
+        assert len(_radii(spec)) == 12
 
 
 class TestEvalKernelIntegral:
@@ -194,11 +187,14 @@ class TestEvalKernelIntegral:
         # after removing the fitted smooth part, halving |s| scales the
         # remainder by 2^{-2(a+b+1)}
         spec = KernelSpec(a=F(-3, 4), b=F(-4, 5), p=0, q=0, j=0, k=0)
-        fit = extract_leading_coeffs(spec)
-        smooth = dict(fit.smooth)
+        sig = np.array(_radii(spec))
+        # the fit's columns: |s|^{2(a+b+1)} = |s|^-1.1 and |s|^0 .. |s|^8
+        cols = [sig**-1.1] + [sig ** (2.0 * t) for t in range(5)]
+        coeffs, _, _ = scaled_lstsq(np.column_stack(cols), _kernel_samples(spec))
+        smooth = coeffs[1:]
 
         def smooth_at(sigma):
-            return sum(c * sigma ** (2 * t) for t, c in smooth.items())
+            return sum(c * sigma ** (2 * t) for t, c in enumerate(smooth))
 
         k1 = eval_kernel_integral(spec, 0.05).real - smooth_at(0.05)
         k2 = eval_kernel_integral(spec, 0.025).real - smooth_at(0.025)
@@ -471,6 +467,7 @@ class TestSpecCache:
 
     @pytest.mark.parametrize("depth", [16, 12])
     def test_series_built_once_per_spec(self, monkeypatch, depth):
+        # p + q >= 4 samples twelve radii, p + q < 4 sixteen
         # two disk series and one far-field series, however many radii
         calls = []
         original = oracle._mode_coefficients
@@ -481,9 +478,10 @@ class TestSpecCache:
 
         monkeypatch.setattr(oracle, "_mode_coefficients", counted)
         _inner_moments.cache_clear()
-        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
-        grid = SampleGrid(radii=tuple(0.2 * 2.0**-i for i in range(depth)))
-        verify_constant(spec, grid)
+        pq = {16: 1, 12: 2}[depth]
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=pq, q=pq, j=1, k=0)
+        assert len(_radii(spec)) == depth
+        verify_constant(spec)
         _inner_moments.cache_clear()
         assert len(calls) == 3
 
@@ -516,11 +514,11 @@ class TestSpecCache:
 
         monkeypatch.setattr(oracle, "eval_kernel_integral", counted)
         _inner_moments.cache_clear()
-        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
-        grid = SampleGrid(radii=tuple(0.2 * 2.0**-i for i in range(depth)))
-        verify_constant(spec, grid)
+        pq = {16: 1, 12: 2}[depth]
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=pq, q=pq, j=1, k=0)
+        verify_constant(spec)
         _inner_moments.cache_clear()
-        assert calls == list(grid.radii)
+        assert calls == [0.2 * 2.0**-i for i in range(depth)]
 
     @pytest.mark.parametrize(
         "spec",
@@ -571,34 +569,38 @@ def test_oracle_takes_no_closed_form_from_gamma_kernel():
 
 
 class TestExtractLeadingCoeffs:
+    """fit_radial_samples on the kernel's own samples."""
+
     def test_generic_fit(self):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
-        fit = extract_leading_coeffs(spec)
+        singular, cond = fit_radial_samples(spec, _kernel_samples(spec))
         closed = F_const(0, 0, F(-1, 3), F(-1, 4), HOLO).value * 0.5
-        lead = fit.singular.coefficient(0).real
+        lead = singular.coefficient(0).real
         assert lead == pytest.approx(closed, rel=1e-8)
         assert lead == pytest.approx(-0.3535351606, abs=1e-6)
-        assert fit.case is CaseTag.GENERIC
-        assert fit.condition_number < 1e8
+        assert classify_case(spec.a, spec.b, spec.j, spec.k) is CaseTag.GENERIC
+        assert cond < 1e8
 
     def test_resonant_fit_has_explicit_log_column(self):
         spec = KernelSpec(a=F(-1, 2), b=F(-1, 2), p=0, q=0, j=0, k=0)
-        fit = extract_leading_coeffs(spec)
-        assert fit.case is CaseTag.RESONANT
-        assert fit.singular.degree == 1
-        assert fit.singular.coefficient(1).real == pytest.approx(-0.5, abs=1e-3)
+        singular, _ = fit_radial_samples(spec, _kernel_samples(spec))
+        assert classify_case(spec.a, spec.b, spec.j, spec.k) is CaseTag.RESONANT
+        assert singular.degree == 1
+        assert singular.coefficient(1).real == pytest.approx(-0.5, abs=1e-3)
         # the log-free singular slot is not separable from the smooth part
-        assert fit.singular.coefficient(0) == 0.0
+        assert singular.coefficient(0) == 0.0
 
     def test_near_resonance_is_ill_conditioned(self):
         spec = KernelSpec(a=F(-1, 5), b=F(-7999, 10000), p=0, q=0, j=0, k=0)
         with pytest.raises(IllConditioned):
-            extract_leading_coeffs(spec)
+            fit_radial_samples(spec, _kernel_samples(spec))
 
     def test_grid_too_small(self):
-        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
-        with pytest.raises(ValueError):
-            extract_leading_coeffs(spec, SampleGrid(radii=(0.2, 0.1, 0.05)))
+        # anti (3, 2) samples twelve radii; j = k = 1 needs three singular
+        # columns next to eight smooth ones, and two radii to spare
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=3, q=2, j=1, k=1, chirality="anti")
+        with pytest.raises(ValueError, match="grid has 12 radii"):
+            verify_constant(spec)
 
 
 class TestVerifyConstant:
