@@ -187,20 +187,15 @@ def _cutoff_remainder(
     rho_grid = half * rad_nodes + (0.5 * (hi + lo))[:, None]
     rad_w = half * rad_wts
     rho = rho_grid.ravel()
-    rho_list = rho.tolist()
 
     # angular breaks over [0, pi] (the integrand is even in the angle):
     # 0, pi and the angles where each ring crosses a joint circle; an
-    # absent crossing repeats pi and so leaves an empty panel.  The
-    # per-ring scalars (acos and the two powers of rho) use Python float
-    # math: numpy's SIMD arccos and power may round the last ulp
-    # differently from libm, and the reports are pinned to libm's bits.
+    # absent crossing repeats pi and so leaves an empty panel
     cols = [np.zeros_like(rho), np.full_like(rho, math.pi)]
     for thresh in (t1, t2):
         arg = (sigma * sigma + rho * rho - thresh * thresh) / (2.0 * sigma * rho)
-        cols.append(np.array(
-            [math.acos(x) if -1.0 < x < 1.0 else math.pi for x in arg.tolist()]
-        ))
+        crossing = np.arccos(np.clip(arg, -1.0, 1.0))
+        cols.append(np.where(np.abs(arg) < 1.0, crossing, math.pi))
     breaks = np.sort(np.column_stack(cols), axis=1)
     alo, ahi = breaks[:, :-1], breaks[:, 1:]
 
@@ -212,19 +207,11 @@ def _cutoff_remainder(
         2.0 * sigma * rho
     )[:, None, None] * np.cos(theta)
     beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
-    beta2 = bump_profile(g2, np.array([r ** (1.0 / n2) for r in rho_list]))
+    beta2 = bump_profile(g2, rho ** (1.0 / n2))
     panel = np.sum(w * (beta1 * beta2[:, None, None] - 1.0) * dist2 ** af, axis=-1)
     panel = np.where(ahi - alo < 1e-14, 0.0, panel)
-    # panels add from 0.0 in angular order, as a running float sum would
-    acc = ((0.0 + panel[:, 0]) + panel[:, 1]) + panel[:, 2]
-    ring = acc / math.pi * np.array([r ** (2.0 * bf) for r in rho_list])
-
-    # radial sums left to right, panel by panel
-    terms = rad_w * rho_grid * ring.reshape(rho_grid.shape)
-    total = 0.0
-    for row in terms:
-        total += sum(row)
-    return total
+    ring = np.sum(panel, axis=-1) / math.pi * rho ** (2.0 * bf)
+    return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape)))
 
 
 def _demo_samples(

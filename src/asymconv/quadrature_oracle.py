@@ -19,14 +19,13 @@ shifts.  Outside the collar (the annulus 1/2 <= |v| <= 3/2 less the disk
 Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
 Pochhammer recurrence (_mode_coefficients).  Each power of it integrates
 exactly in the radius (_power_log_antiderivative) over the two disks
-|v| <= 1/2 and |v - 1| <= 1/2, over the far annulus 3|s|/2 <= |u| <= 1,
-and beyond |t| = 3/2 in finite_part_direct.  The collar, which touches
-|v| = 1 where no such series converges geometrically, is the only
-quadrature, at two refinement levels; kernel samples, finite parts and
-the fiber demo's cutoff remainders all pass one two-level test
-(_refined) or raise ToleranceNotMet.  Every series of a kernel, with the
-far field's smooth weights and end polynomial, is computed once in its
-_inner_moments cache entry, and a kernel sample only evaluates them.
+|v| <= 1/2 and |v - 1| <= 1/2 and over the far annulus 3|s|/2 <= |u| <= 1.
+The collar, which touches |v| = 1 where no such series converges
+geometrically, is the only quadrature, at two refinement levels; kernel
+samples, finite parts and the fiber demo's cutoff remainders all pass
+one two-level test (_refined) or raise ToleranceNotMet.  Every series of
+a kernel is computed once in its _inner_moments cache entry, which
+kernel samples and finite parts only read.
 """
 
 from __future__ import annotations
@@ -162,23 +161,16 @@ _LEVELS = (
 
 
 def _floats(spec: KernelSpec) -> Tuple[float, float, int, int, int, int, bool]:
-    return (
-        float(spec.a),
-        float(spec.b),
-        spec.p,
-        spec.q,
-        spec.j,
-        spec.k,
-        spec.chirality is Chirality.ANTI,
-    )
+    """The spec's _inner_moments key (a, b, p, q, j, k, anti), a and b as floats."""
+    a, b, anti = float(spec.a), float(spec.b), spec.chirality is Chirality.ANTI
+    return a, b, spec.p, spec.q, spec.j, spec.k, anti
 
 
 #: Terms of every angular series.  Each power is integrated exactly in the
 #: radius, so outside the collar the truncation is the only error.  The
-#: variable is at most 2/3 (far field, outer part of the finite part) or
-#: 1/2 (inner disks), and the coefficients grow at most polynomially, so
-#: the dropped tail is of order (4/9)^80 < 1e-28 of the leading term; 40
-#: terms already reach roundoff.
+#: variable is at most 2/3 (far field) or 1/2 (inner disks), and the
+#: coefficients grow at most polynomially, so the dropped tail is of order
+#: (4/9)^80 < 1e-28 of the leading term; 40 terms already reach roundoff.
 _SERIES_TERMS = 80
 
 
@@ -261,11 +253,11 @@ def _disk_moments(
 def _inner_tables(
     af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """Moments of |v| <= 3/2 and the far series: (disks, tables, series).
+    """Moments of |v| <= 3/2 and the far series: (disks, collars, series).
 
     The disks |v| <= 1/2 and, through v = 1 - z, |v - 1| <= 1/2 are series
     in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).  Each
-    level's table adds the collar between them by quadrature, with
+    level integrates the collar between them by quadrature, with
     rho = end +/- xi^2 removing the sqrt corners where the excluded disk
     meets the annulus and an angular rule that grows with the top mode
     p + q.  b + q/2 may be <= -1 as long as b + q > -1, which keeps the
@@ -275,8 +267,7 @@ def _inner_tables(
     jets = _mode_jets(af, p, j, (far_mode, near_mode))
     patch0 = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
     patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
-    disks = patch0 + patch1
-    tables = []
+    collars = []
     for cfg in _LEVELS:
         nodes, wts = _gl(2 * cfg["g"])
         anodes, awts = _gl(max(cfg["ma"], cfg["ma"] * (p + q) // 16))
@@ -303,50 +294,55 @@ def _inner_tables(
                     vals[jp, kp] = base * l1**jp * l2**kp
             acc = np.einsum("...nm,nm->...", vals, wang * wrad[:, None])
             collar = acc if collar is None else collar + acc
-        tables.append(disks + collar)
-    return disks, np.array(tables), _mode_coefficients(af, p, far_mode, j, jets)
+        collars.append(collar)
+    far_series = _mode_coefficients(af, p, far_mode, j, jets)
+    return patch0 + patch1, np.array(collars), far_series
 
 
 class _SpecSeries(NamedTuple):
     """One entry of _inner_moments: every s-independent piece of a kernel."""
 
     powers: np.ndarray  # r, the far series' powers of sigma / R
-    coeffs: np.ndarray  # [r, i]: its Taylor columns in the a-derivative
     tables: np.ndarray  # [level, jp, kp]: the inner moments
     weights: np.ndarray  # [r, m]: (-1)^p perm(j, i) coeffs[r, i], m = j - i + k
     smooth: np.ndarray  # [r]: the far field's upper end R = 1
     ends: np.ndarray  # [r, n]: its lower end R = 3 sigma/2
     ends_total: Tuple[float, ...]  # [n]: ends summed over r
     inner: Tuple[Tuple[complex, ...], ...]  # [level][o]: of (Log|s|^2)^o
-    gross: Tuple[Tuple[float, ...], ...]  # [level][o]: inner, unsigned
+    gross: Tuple[Tuple[float, ...], ...]  # [level][o]: disks + collar, unsigned
     window: Tuple[int, ...]  # the powers that can be near: |E| <= 1.1
     c: float  # 2(a+b+1) + p + q
     mode: int  # n = p + q (holo) or p - q (anti)
 
 
 @functools.lru_cache(maxsize=64)
-def _inner_moments(spec: KernelSpec) -> _SpecSeries:
-    """The one per-spec cache of the oracle: each series of a kernel once,
-    and every piece of a kernel sample that does not depend on s.
+def _inner_moments(
+    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
+) -> _SpecSeries:
+    """The one per-spec cache of the oracle, keyed by _floats(spec) (the
+    finite part's kernel too, also at b + q/2 <= -1): each series of a
+    kernel once, and every piece of a kernel sample that does not depend on s.
 
     ``tables[level, jp, kp]`` integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp
     * |v|^{2b} v^q (Log|v|^2)^kp (v^q conjugated for anti chirality) over
     |v| <= 3/2 against (1/2pi) dx dy; ``inner`` is their binomial
-    combination, a polynomial in Log|s|^2.  The far field's power r meets
-    int R^(E-1) (Log R^2)^m dR, E = c - r, whose antiderivative is X^E
-    times a polynomial in Log X^2 with coefficients perm(m, m-n) (-2)^(m-n)
-    / E^(m-n+1): the smooth weights at X = 1, the end polynomial at
-    X = 3 sigma/2.  |E| <= 1/745 is always near (|log(3 sigma/2)| <= 745
-    for every double sigma > 0): its rows are zero, so 0 never divides.
+    combination, a polynomial in Log|s|^2, and ``gross`` adds its disks and
+    collar unsigned (they cancel at natural a).  The far field's power r
+    meets int R^(E-1) (Log R^2)^m dR, E = c - r, whose antiderivative is
+    X^E times a polynomial in Log X^2 with coefficients perm(m, m-n)
+    (-2)^(m-n) / E^(m-n+1): the smooth weights at X = 1, the end polynomial
+    at X = 3 sigma/2.  Rows with E == 0 are zero, so 0 never divides; the
+    finite part needs every other row, and a sample never reads one with
+    |E| <= 1/745 (always near: |log(3 sigma/2)| <= 745 for double sigma).
     """
-    af, bf, p, q, j, k, anti = params = _floats(spec)
-    _, tables, (powers, coeffs) = _inner_tables(*params)
+    disks, collars, (powers, coeffs) = _inner_tables(af, bf, p, q, j, k, anti)
+    tables = disks + collars
     c = 2.0 * (af + bf + 1.0) + p + q
     E = c - powers
     perms = [(-1) ** p * math.perm(j, i) for i in range(j + 1)]
     weights = np.zeros((len(powers), j + k + 1))
     weights[:, k:] = (coeffs * perms)[:, ::-1]
-    divisor = np.where(np.abs(E) <= 1.0 / 745.0, np.inf, E)  # 1/inf = 0
+    divisor = np.where(E == 0.0, np.inf, E)  # 1/inf = 0
     poly = np.zeros_like(weights)  # [r, n]: coefficient of (Log X^2)^n
     for m in range(k, j + k + 1):
         for n in range(m + 1):
@@ -355,10 +351,11 @@ def _inner_moments(spec: KernelSpec) -> _SpecSeries:
     ends = poly * 1.5 ** E[:, None]
     shifted = np.zeros((2, 2, j + k + 1), dtype=complex)  # [inner|gross, level, o]
     for jp, kp in itertools.product(range(j + 1), range(k + 1)):
-        term = math.comb(j, jp) * math.comb(k, kp) * tables[:, jp, kp]
-        shifted[:, :, j - jp + k - kp] += term, abs(term)
+        comb = math.comb(j, jp) * math.comb(k, kp)
+        unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
+        shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
     return _SpecSeries(
-        *_frozen(powers, coeffs, tables, weights, poly[:, 0].copy(), ends),
+        *_frozen(powers, tables, weights, poly[:, 0].copy(), ends),
         ends_total=tuple(ends.sum(axis=0).tolist()),
         inner=tuple(map(tuple, shifted[0].tolist())),
         gross=tuple(map(tuple, shifted[1].real.tolist())),
@@ -417,32 +414,26 @@ def _refined(v0, v1, scale: float, tolerance: float, where: str):
     return v1
 
 
-def eval_kernel_integral(
-    spec: KernelSpec,
-    s: complex,
-    tolerance: float = _SAMPLE_TOLERANCE,
-) -> complex:
+def eval_kernel_integral(spec: KernelSpec, s: complex) -> complex:
     """Value of the kernel at the sample point s, 0 < |s| <= 1/4.
 
     The collar is evaluated at two resolutions, everything else exactly,
     and ToleranceNotMet is raised when the two values disagree by more
-    than ``tolerance`` (> 0) relative to the value, or to a thousandth of
+    than _SAMPLE_TOLERANCE relative to the value, or to a thousandth of
     the gross (unsigned) magnitude when cancellation dominates the value.
     """
     s = complex(s)
     sigma = abs(s)
     if not (0.0 < sigma <= 0.25):
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
-    if not (tolerance > 0.0):
-        raise ValueError("tolerance must be positive, got %r" % tolerance)
-    entry = _inner_moments(spec)
+    entry = _inner_moments(*_floats(spec))
     far = _far_integral(entry, s)
     ls = math.log(sigma**2)
     pref = sigma**entry.c * (s / sigma) ** entry.mode
     v0, v1 = (pref * _horner(poly, ls) + far for poly in entry.inner)
     gross = abs(pref) * max(_horner(poly, abs(ls)) for poly in entry.gross) + abs(far)
     scale = max(abs(v1), 1e-3 * gross)
-    return _refined(v0, v1, scale, tolerance, "the value at |s|=%.3e" % sigma)
+    return _refined(v0, v1, scale, _SAMPLE_TOLERANCE, "the value at |s|=%.3e" % sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +535,13 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
     """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b}
     against (1/2pi) dx dy, with no Gamma-ratio input.
 
-    The near part |t| <= 3/2 is entry [0, 0] of the inner tables of the
-    kernel (a, b, 0, q, 0, 0): two disk series and the collar.  Beyond
-    3/2 the angular mean is sum_beta C_beta rho^-r, r = 2 beta + q, the
-    mode q of |1 - 1/t|^{2a}; each power integrates against rho^{c-1},
-    c = 2(a+b+1) + q, to minus _power_log_antiderivative at X = 3/2.
-    Both collar levels must agree to eval_kernel_integral's default 1e-6
-    of the value, or of a thousandth of |disk| + |collar| + |outer| when
-    those cancel (integer a gives 0), else ToleranceNotMet.
+    It is the log-free slot of the _inner_moments entry of the kernel
+    (a, b, 0, q, 0, 0): the table [0, 0] of |t| <= 3/2 (two disk series and
+    the collar) minus ends_total[0], the far field's lower end at X = 3/2,
+    which is the finite part of each power rho^{c-1-r} of the angular mean
+    beyond 3/2.  Both collar levels must agree as a kernel sample's do
+    (to _SAMPLE_TOLERANCE of the value, or of a thousandth of the gross
+    when the parts cancel: integer a gives 0), else ToleranceNotMet.
     The resonant case a+b+1 in {0, 1, 2, ...} puts r = c on a pole and
     is a domain error: the finite part does not exist as a plain number
     on the resonance locus, where the kernel picks up a log term instead.
@@ -576,17 +566,12 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
         xr = af + bf + 1.0
         if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
             raise ValueError("a+b+1 is numerically resonant")
-    disks, tables, (r, coeffs) = _inner_tables(af, bf, 0, q, 0, 0, False)
-    disk, near0, near1 = (float(t[0, 0].real) for t in (disks, *tables))
-    E = 2.0 * (af + bf + 1.0) + q - r
-    radial = _power_log_antiderivative(E, 0, math.log(2.25), 1.5**E)
-    outer = -float(coeffs[:, 0] @ radial[0])
-    value = near1 + outer
-    gross = abs(disk) + abs(near1 - disk) + abs(outer)
-    return _refined(
-        near0 + outer, value, max(abs(value), 1e-3 * gross), 1e-6,
-        "the finite part at q=%d" % q,
-    )
+    entry = _inner_moments(af, bf, 0, q, 0, 0, False)
+    outer = entry.ends_total[0]
+    v0, v1 = (inner[0].real - outer for inner in entry.inner)
+    gross = max(g[0] for g in entry.gross) + abs(outer)
+    scale = max(abs(v1), 1e-3 * gross)
+    return _refined(v0, v1, scale, _SAMPLE_TOLERANCE, "the finite part at q=%d" % q)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ HOLO = Chirality.HOLO
 ANTI = Chirality.ANTI
 
 
+def entry_of(spec):
+    """The spec's _inner_moments entry, keyed as eval_kernel_integral keys it."""
+    return _inner_moments(*_floats(spec))
+
+
 class TestKernelSpec:
     def test_coercion(self):
         spec = KernelSpec(a="-1/2", b="-1/3", p=0, q=1, j=0, k=0, chirality="anti")
@@ -129,19 +134,13 @@ class TestEvalKernelIntegral:
         with pytest.raises(ValueError):
             eval_kernel_integral(spec, 0.3)
 
-    def test_tolerance_not_met(self):
+    def test_tolerance_not_met(self, monkeypatch):
+        # the tolerance is read at call time
+        monkeypatch.setattr(oracle, "_SAMPLE_TOLERANCE", 1e-16)
         spec = KernelSpec(a=F(-7, 10), b=F(-3, 5), p=1, q=1, j=2, k=1, chirality="anti")
         with pytest.raises(ToleranceNotMet) as exc:
-            eval_kernel_integral(spec, 0.21, tolerance=1e-16)
+            eval_kernel_integral(spec, 0.21)
         assert exc.value.achieved > 0.0
-
-    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0])
-    def test_rejects_tolerance_not_positive(self, tolerance):
-        # nan used to pass the unchecked finer level through, and a negative
-        # tolerance raised a ToleranceNotMet that blamed the quadrature
-        spec = KernelSpec(a=F(-7, 10), b=F(-3, 5), p=1, q=1, j=2, k=1, chirality="anti")
-        with pytest.raises(ValueError):
-            eval_kernel_integral(spec, 0.21, tolerance=tolerance)
 
     def test_rotation_covariance_holo(self):
         spec = KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=0, k=0)
@@ -266,8 +265,7 @@ class TestFarIntegral:
         # series in log R where |E T| <= 1
         af, bf, p, q, j, k, anti = _floats(spec)
         sigma = abs(s)
-        entry = _inner_moments(spec)
-        powers, coeffs = entry.powers, entry.coeffs
+        powers, coeffs = _inner_tables(af, bf, p, q, j, k, anti)[2]
         c = 2.0 * (af + bf + 1.0) + p + q
         E = c - powers
         T = math.log(1.5 * sigma)
@@ -302,9 +300,9 @@ class TestFarIntegral:
         e1 = np.array(edges[1:])[:, None]
         R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
         W = (0.5 * (e1 - e0) * wts).ravel()
-        entry = _inner_moments(spec)
+        powers, coeffs = _inner_tables(af, bf, p, q, j, k, anti)[2]
         with np.errstate(under="ignore"):
-            modes = (sigma / R)[:, None] ** entry.powers @ entry.coeffs
+            modes = (sigma / R)[:, None] ** powers @ coeffs
         L = np.log(R * R)
         radial = sum(math.perm(j, i) * L ** (j - i) * modes[:, i] for i in range(j + 1))
         radial *= W * R ** (p + q + 2.0 * (af + bf) + 1.0) * L**k
@@ -315,7 +313,7 @@ class TestFarIntegral:
         s = sigma * complex(math.cos(0.4), math.sin(0.4))
         for spec in self.SPECS:
             reference = self.brute_force(spec, s)
-            value = _far_integral(_inner_moments(spec), s)
+            value = _far_integral(entry_of(spec), s)
             assert abs(value - reference) <= 1e-11 * abs(reference), spec
 
     @pytest.mark.parametrize("sigma", [6.1e-6, 1e-30])
@@ -323,14 +321,14 @@ class TestFarIntegral:
         s = sigma * complex(math.cos(0.4), math.sin(0.4))
         for spec in self.SPECS:
             reference = self.series_quadrature(spec, s)
-            value = _far_integral(_inner_moments(spec), s)
+            value = _far_integral(entry_of(spec), s)
             assert abs(value - reference) <= 1e-13 * abs(reference), spec
 
     def test_matches_per_sample_reference(self):
         # the grid radii, two deep ones, and sigma on both sides of each
         # switch |E T| = 1 between the near series and the two ends
         for spec in self.SPECS:
-            entry = _inner_moments(spec)
+            entry = entry_of(spec)
             sigmas = [0.2 * 2.0**-i for i in range(16)] + [6.1e-6, 1e-30]
             E = entry.c - entry.powers
             for absE in np.abs(E[E != 0.0]):
@@ -347,7 +345,7 @@ class TestFarIntegral:
     def test_exact_resonance_leaves_the_ends_finite(self):
         # E = c - r = 0 at r = 2: the cache never divides by it
         spec = KernelSpec(a=F(-1, 2), b=F(-1, 2), p=1, q=1, j=2, k=1)
-        entry = _inner_moments(spec)
+        entry = entry_of(spec)
         resonant = entry.c - entry.powers == 0.0
         assert np.count_nonzero(resonant) == 1
         assert np.isfinite(entry.smooth).all() and np.isfinite(entry.ends).all()
@@ -445,6 +443,14 @@ class TestFinitePartDirect:
     def test_integer_a_vanishes(self):
         assert abs(finite_part_direct(1, F(-13, 5), 2)) < 1e-10
 
+    @pytest.mark.parametrize("a, b, q", [(-0.4999, -0.5, 0), (-0.5 + 1 / 5000, -0.5, 1)])
+    def test_near_resonance_keeps_every_row(self, a, b, q):
+        # the leading far-field power sits at E = 2e-4 and 4e-4: below 1/745,
+        # where a kernel sample never reads its ends, but the finite part
+        # does; 2.5e-15 and 1.6e-15 relative measured
+        direct = finite_part_direct(a, b, q)
+        assert direct == pytest.approx(G_q(a, b, q).value, rel=1e-12)
+
     def test_resonant_is_domain_error(self):
         with pytest.raises(ValueError):
             finite_part_direct(F(-1, 2), F(-1, 2), 0)
@@ -531,21 +537,39 @@ class TestSpecCache:
         ],
     )
     def test_cached_tables_are_the_inner_table(self, spec):
-        # the kernel and finite_part_direct share one body, bit for bit
+        # each level's table is the disks plus that level's collar, bit for bit
         _inner_moments.cache_clear()
-        tables = _inner_moments(spec).tables
-        _, direct, _ = _inner_tables(*_floats(spec))
-        assert len(tables) == len(direct) == 2
-        for cached, built in zip(tables, direct):
-            assert np.array_equal(cached, built)
+        tables = entry_of(spec).tables
+        disks, collars, _ = _inner_tables(*_floats(spec))
+        assert len(tables) == len(collars) == 2
+        for cached, collar in zip(tables, collars):
+            assert np.array_equal(cached, disks + collar)
+
+    def test_finite_part_reads_its_kernel_entry(self, monkeypatch):
+        # one build of the tables serves the finite part and the kernel
+        # (a, b, 0, q, 0, 0) it is the log-free slot of
+        calls = []
+        original = oracle._inner_tables
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_inner_tables", counted)
+        _inner_moments.cache_clear()
+        value = finite_part_direct(F(-1, 3), F(-1, 5), 2)
+        eval_kernel_integral(KernelSpec(a=F(-1, 3), b=F(-1, 5), p=0, q=2, j=0, k=0), 0.1)
+        _inner_moments.cache_clear()
+        assert type(value) is float
+        assert len(calls) == 1
 
     def test_shared_arrays_are_read_only(self):
         with pytest.raises(ValueError):
             _gl(12)[0][0] = 0.0
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
-        entry = _inner_moments(spec)
+        entry = entry_of(spec)
         arrays = [v for v in entry if isinstance(v, np.ndarray)]
-        assert len(arrays) == 6
+        assert len(arrays) == 5
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -645,6 +669,21 @@ class TestVerifyConstant:
         assert report.normalization_used is None
         # no singular content above the advertised floor
         assert report.relative_error < 1e-6
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(a=F(0), b=F(-2, 3), p=0, q=1, j=0, k=0),
+            KernelSpec(a=F(1), b=F(-1, 2), p=1, q=2, j=0, k=1),
+        ],
+    )
+    def test_natural_a_smooth_agrees(self, spec):
+        # at natural a the disks and the collar cancel to roundoff, so the
+        # refinement is judged against their unsigned sum, not the table;
+        # 3.7e-15 and 8.0e-16 measured
+        report = verify_constant(spec)
+        assert report.case is CaseTag.SMOOTH
+        assert report.relative_error < 1e-12
 
     def test_reports_are_deterministic(self):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
