@@ -2,9 +2,9 @@
 
 The package splits into five layers.  ``gamma_kernel`` evaluates the
 special functions behind the leading constants.  ``expansion_algebra``
-holds the term and type data model plus the degree bookkeeping.
-``convolution_engine`` classifies a pair of singular terms into its
-constant case and produces the convolved expansion.
+holds the term and type data model, the case classification of a term
+pair and the degree rule that follows from it.  ``convolution_engine``
+maps each case to its constant and accumulates the convolved expansion.
 ``quadrature_oracle`` verifies every closed-form constant against
 direct singular quadrature, and ``fiber_demo`` runs the whole pipeline
 on honest fiber integrals of monomial germs.
@@ -14,21 +14,21 @@ from .convolution_engine import (
     INTEGER_CASE_SCALE,
     RHO_NORM,
     BernsteinCombination,
-    CaseTag,
     ConvolutionResult,
     bernstein_combine,
-    classify_case,
     convolve_expansions,
     convolve_terms,
     kernel_leading_constant,
 )
 from .expansion_algebra import (
+    CaseTag,
     Chirality,
     Expansion,
     ExponentSetType,
     LogPolynomial,
     SingularTerm,
     canonical_json,
+    classify_case,
     combine_types,
     degree_rule,
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,12 +24,12 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .convolution_engine import (
-    CaseTag,
     bernstein_combine,
     convolve_expansions,
     convolve_terms,
 )
 from .expansion_algebra import (
+    CaseTag,
     Chirality,
     Expansion,
     ExponentSetType,
@@ -185,14 +184,7 @@ def _verify_one(spec: KernelSpec):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Only verify has a tolerance: --tolerance, else ASYMCONV_TOL, else 1e-2.
     tolerance = args.tolerance
-    if tolerance is None:
-        raw = os.environ.get("ASYMCONV_TOL", "1e-2")
-        try:
-            tolerance = float(raw)
-        except ValueError:
-            raise ValueError("ASYMCONV_TOL must parse as a float, got %r" % raw)
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be > 0")
     if args.jobs < 1:
@@ -333,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASE",
         help="write BASE.json and BASE.csv report files",
     )
-    verify_p.add_argument("--tolerance", type=float, default=None)
+    verify_p.add_argument("--tolerance", type=float, default=1e-2)
     verify_p.add_argument("--jobs", type=int, default=1)
     verify_p.set_defaults(run=cmd_verify)
 

@@ -1,11 +1,12 @@
-"""Case classification and leading-constant assembly for term convolution.
+"""Leading-constant assembly for term convolution.
 
 Combining two singular terms produces a new singular term whose exponent,
 monomial powers, and leading log degree follow exact arithmetic rules, and
 whose leading coefficient is a Gamma-factor constant picked by the
-arithmetic case of the pair.  This module owns that decision tree, the
-whole-expansion convolution built on top of it, and the root-sum
-combination rule for Bernstein root sets.
+arithmetic case of the pair.  The case and the degree come from
+:mod:`asymconv.expansion_algebra`; this module maps each case to its
+constant, accumulates the terms of a whole-expansion convolution, and
+holds the root-sum combination rule for Bernstein root sets.
 
 Case constants come from :mod:`asymconv.gamma_kernel`; the two global
 normalization constants below relate those constants to the measure
@@ -14,19 +15,20 @@ normalization constants below relate those constants to the measure
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .expansion_algebra import (
+    CaseTag,
     Expansion,
     LogPolynomial,
     RationalInput,
     SingularTerm,
     as_fraction,
-    degree_rule,
+    case_degree,
+    classify_case,
     is_natural,
     normalize_term,
 )
@@ -51,44 +53,6 @@ RHO_NORM: float = 0.5
 #: arguments, x1/2 from the output log basis: (-1) * 4 * 1/2 = -2 exactly.
 #: Confirmed numerically by the oracle calibration test.
 INTEGER_CASE_SCALE: float = -2.0
-
-
-class CaseTag(str, enum.Enum):
-    """Arithmetic case of a term pair with kernel exponents a, b."""
-
-    GENERIC = "Generic"
-    RESONANT = "Resonant"
-    ONE_INTEGER_FACTOR = "OneIntegerFactor"
-    BOTH_INTEGER = "BothInteger"
-    SMOOTH = "Smooth"
-
-
-def classify_case(a: RationalInput, b: RationalInput, j: int, k: int) -> CaseTag:
-    """Classify the pair (|s|^{2a} Log^j) * (|s|^{2b} Log^k).
-
-    Precedence: Smooth beats BothInteger and OneIntegerFactor, since a
-    natural exponent with no log factor contributes nothing singular no
-    matter what it is paired with.
-
-    Preconditions: ``a, b > -1``; ``j, k >= 0``.
-    """
-    af = as_fraction(a)
-    bf = as_fraction(b)
-    if af <= -1 or bf <= -1:
-        raise ValueError("exponents must lie in (-1, oo), got a=%s b=%s" % (af, bf))
-    if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
-        raise ValueError("log degrees must be integers >= 0, got j=%r k=%r" % (j, k))
-    a_nat = is_natural(af)
-    b_nat = is_natural(bf)
-    if (a_nat and j == 0) or (b_nat and k == 0):
-        return CaseTag.SMOOTH
-    if a_nat and b_nat:
-        return CaseTag.BOTH_INTEGER
-    if a_nat or b_nat:
-        return CaseTag.ONE_INTEGER_FACTOR
-    if is_natural(af + bf + 1):
-        return CaseTag.RESONANT
-    return CaseTag.GENERIC
 
 
 @dataclass(frozen=True)
@@ -206,7 +170,7 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
     chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
 
     case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
-    degree = degree_rule(a, b, j, k)
+    degree = case_degree(case, j, k)
     if case is CaseTag.SMOOTH:
         return ConvolutionResult(
             term=None, case=case, leading_coeff=0j, degree=degree, normalization=0.0
@@ -225,52 +189,32 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     """Convolve two expansions term by term and merge colliding outputs.
 
     Every pairwise result lands in the bucket of its (r, m, n) key;
-    coefficients accumulate in a fixed order (sorted by key, then input
-    order) so the floating-point sum is deterministic.  A merged term
-    whose accumulated coefficient in some log slot has magnitude below
-    1e-9 times the largest contribution to that slot is flagged as
-    compensated, never silently dropped; a term cancelling to exactly
-    zero is dropped and flagged.
+    coefficients accumulate from zero in pair order, so the floating-point
+    sum is deterministic.  A merged term whose accumulated coefficient in
+    some log slot has magnitude below 1e-9 times the largest contribution
+    to that slot is flagged as compensated, never silently dropped; a
+    term cancelling to exactly zero is flagged, and Expansion drops it.
     """
-    contributions: List[Tuple[Tuple[Fraction, int, int], int, LogPolynomial]] = []
-    order = 0
+    buckets: Dict[Tuple[Fraction, int, int], List[LogPolynomial]] = {}
     for t1 in e1.terms:
         for t2 in e2.terms:
-            res = convolve_terms(t1, t2)
-            if res.term is None:
-                continue
-            contributions.append((res.term.key, order, res.term.poly))
-            order += 1
-
-    contributions.sort(key=lambda item: (item[0], item[1]))
-    buckets: Dict[Tuple[Fraction, int, int], List[LogPolynomial]] = {}
-    for key, _, poly in contributions:
-        buckets.setdefault(key, []).append(poly)
+            term = convolve_terms(t1, t2).term
+            if term is not None:
+                buckets.setdefault(term.key, []).append(term.poly)
 
     terms: List[SingularTerm] = []
     flagged: List[Tuple[Fraction, int, int]] = []
     for key, polys in buckets.items():
-        total = LogPolynomial.zero()
-        for poly in polys:
-            total = total + poly
-        max_degree = max(poly.degree for poly in polys)
-        compensated = False
-        for l in range(max_degree + 1):
+        total = sum(polys, LogPolynomial.zero())
+        for l in range(max(poly.degree for poly in polys) + 1):
             peak = max(abs(poly.coefficient(l)) for poly in polys)
             if peak > 0 and abs(total.coefficient(l)) < 1e-9 * peak:
-                compensated = True
-        if compensated:
-            flagged.append(key)
-        if total.is_zero:
-            continue
+                flagged.append(key)
+                break
         terms.append(SingularTerm(r=key[0], m=key[1], n=key[2], poly=total))
 
     smooth_order = min(e1.smooth_order, e2.smooth_order)
-    return Expansion(
-        terms=tuple(terms),
-        smooth_order=smooth_order,
-        compensated=frozenset(flagged),
-    )
+    return Expansion(terms, smooth_order, compensated=frozenset(flagged))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ An expansion near s = 0 is a finite sum of singular terms
 
 plus a smooth remainder known modulo O(|s|^(2N)).  This module holds the
 exact (rational-arithmetic) bookkeeping: exponent-set types, the degree
-rules for convolving two terms, and the canonical kernel form used by the
+rules for convolving two terms (one case classification, from which the
+log degree follows), and the canonical kernel form used by the
 numeric modules.  No floating-point decisions are made here; integrality
 tests are exact by construction.
 """
@@ -85,10 +86,6 @@ class LogPolynomial:
     @staticmethod
     def zero() -> "LogPolynomial":
         return LogPolynomial(())
-
-    @staticmethod
-    def constant(c: complex) -> "LogPolynomial":
-        return LogPolynomial.of_coeffs([c])
 
     @staticmethod
     def monomial(degree: int, c: complex = 1.0) -> "LogPolynomial":
@@ -255,21 +252,15 @@ class Expansion:
     def __post_init__(self) -> None:
         if self.smooth_order < 0:
             raise ValueError("smooth_order must be >= 0")
-        merged: Dict[Tuple[Fraction, int, int], LogPolynomial] = {}
-        order: List[Tuple[Fraction, int, int]] = []
+        merged: Dict[Tuple[Fraction, int, int], SingularTerm] = {}
         for term in self.terms:
-            if term.key in merged:
-                merged[term.key] = merged[term.key] + term.poly
-            else:
-                merged[term.key] = term.poly
-                order.append(term.key)
-        out = []
-        for key in sorted(order):
-            poly = merged[key]
-            if poly.is_zero:
-                continue
-            out.append(SingularTerm(r=key[0], m=key[1], n=key[2], poly=poly))
-        self.terms = out
+            first = merged.get(term.key)
+            if first is not None:
+                term = SingularTerm(first.r, first.m, first.n, first.poly + term.poly)
+            merged[term.key] = term
+        self.terms = [
+            merged[key] for key in sorted(merged) if not merged[key].poly.is_zero
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,6 +313,75 @@ class ExponentSetType:
         )
 
 
+class CaseTag(str, Enum):
+    """Arithmetic case of a term pair with kernel exponents a, b."""
+
+    GENERIC = "Generic"
+    RESONANT = "Resonant"
+    ONE_INTEGER_FACTOR = "OneIntegerFactor"
+    BOTH_INTEGER = "BothInteger"
+    SMOOTH = "Smooth"
+
+
+def classify_case(a: RationalInput, b: RationalInput, j: int, k: int) -> CaseTag:
+    """Classify the pair (|s|^{2a} Log^j) * (|s|^{2b} Log^k).
+
+    Precedence: Smooth beats BothInteger and OneIntegerFactor, since a
+    natural exponent with no log factor contributes nothing singular no
+    matter what it is paired with.
+
+    Preconditions: ``a, b > -1``; ``j, k >= 0``.
+    """
+    af = as_fraction(a)
+    bf = as_fraction(b)
+    if af <= -1 or bf <= -1:
+        raise ValueError("exponents must lie in (-1, oo), got a=%s b=%s" % (af, bf))
+    if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
+        raise ValueError("log degrees must be integers >= 0, got j=%r k=%r" % (j, k))
+    return _case(is_natural(af), is_natural(bf), is_natural(af + bf + 1), j, k)
+
+
+def _case(
+    a_natural: bool, b_natural: bool, sum_natural: bool, j: int, k: int
+) -> CaseTag:
+    """classify_case on validated input, given which of a, b and a + b + 1
+    are natural; combine_types calls it with those flags precomputed."""
+    if (a_natural and j == 0) or (b_natural and k == 0):
+        return CaseTag.SMOOTH
+    if a_natural and b_natural:
+        return CaseTag.BOTH_INTEGER
+    if a_natural or b_natural:
+        return CaseTag.ONE_INTEGER_FACTOR
+    if sum_natural:
+        return CaseTag.RESONANT
+    return CaseTag.GENERIC
+
+
+def case_degree(case: CaseTag, j: int, k: int) -> int:
+    """Log degree of the convolution of a pair of the given case with log
+    powers j, k: a resonance adds a log, a natural exponent drops one, and
+    -1 marks the Smooth case, which contributes no singular term."""
+    if case is CaseTag.GENERIC:
+        return j + k
+    if case is CaseTag.RESONANT:
+        return j + k + 1
+    if case is CaseTag.SMOOTH:
+        return -1
+    return j + k - 1
+
+
+def degree_rule(
+    a: RationalInput, b: RationalInput, j: int, k: int
+) -> int:
+    """Exact log-degree of the convolution of single terms with log powers j, k.
+
+    Returns -1 when the convolution contributes no singular term at all,
+    which happens exactly when one factor is a plain natural power (natural
+    exponent with no log).  Input is checked as classify_case checks it.
+    """
+    return case_degree(classify_case(a, b, j, k), j, k)
+
+
 def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetType:
     """Combine two expansion types: exponents add as alpha + beta + 1.
 
@@ -335,46 +395,14 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
     right_entries = [(beta, nu, is_natural(beta)) for beta, nu in right.entries.items()]
     for alpha, mu in left.entries.items():
         alpha_natural = is_natural(alpha)
+        alpha_shifted = alpha + 1
         for beta, nu, beta_natural in right_entries:
-            gamma = alpha + beta + 1
-            degree = _log_degree(alpha_natural, beta_natural, is_natural(gamma), mu, nu)
-            if degree < 0:
-                continue
-            if gamma not in combined or combined[gamma] < degree:
+            gamma = alpha_shifted + beta
+            case = _case(alpha_natural, beta_natural, is_natural(gamma), mu, nu)
+            degree = case_degree(case, mu, nu)
+            if degree >= 0 and combined.get(gamma, -1) < degree:
                 combined[gamma] = degree
     return ExponentSetType(entries=combined)
-
-
-def degree_rule(
-    a: RationalInput, b: RationalInput, j: int, k: int
-) -> int:
-    """Exact log-degree of the convolution of single terms with log powers j, k.
-
-    Returns -1 when the convolution contributes no singular term at all,
-    which happens exactly when one factor is a plain natural power (natural
-    exponent with no log).
-    """
-    a = as_fraction(a)
-    b = as_fraction(b)
-    if a <= -1 or b <= -1:
-        raise ValueError("exponents must be > -1")
-    if j < 0 or k < 0:
-        raise ValueError("log powers must be >= 0")
-    return _log_degree(is_natural(a), is_natural(b), is_natural(a + b + 1), j, k)
-
-
-def _log_degree(
-    a_natural: bool, b_natural: bool, sum_natural: bool, j: int, k: int
-) -> int:
-    """degree_rule on validated input, given which of a, b and a + b + 1
-    are natural; combine_types calls it with those flags precomputed."""
-    if (a_natural and j == 0) or (b_natural and k == 0):
-        return -1
-    if a_natural or b_natural:
-        return j + k - 1
-    if sum_natural:
-        return j + k + 1
-    return j + k
 
 
 def _format_float(x: float) -> str:

@@ -39,8 +39,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .convolution_engine import CaseTag, kernel_leading_constant
-from .expansion_algebra import LogPolynomial, as_fraction, degree_rule, is_natural
+from .convolution_engine import kernel_leading_constant
+from .expansion_algebra import (
+    CaseTag,
+    LogPolynomial,
+    as_fraction,
+    degree_rule,
+    is_natural,
+)
 from .gamma_kernel import Chirality, RealInput, _split
 
 
@@ -303,7 +309,6 @@ class _SpecSeries(NamedTuple):
     """One entry of _inner_moments: every s-independent piece of a kernel."""
 
     powers: np.ndarray  # r, the far series' powers of sigma / R
-    tables: np.ndarray  # [level, jp, kp]: the inner moments
     weights: np.ndarray  # [r, m]: (-1)^p perm(j, i) coeffs[r, i], m = j - i + k
     smooth: np.ndarray  # [r]: the far field's upper end R = 1
     ends: np.ndarray  # [r, n]: its lower end R = 3 sigma/2
@@ -355,7 +360,7 @@ def _inner_moments(
         unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
         shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
     return _SpecSeries(
-        *_frozen(powers, tables, weights, poly[:, 0].copy(), ends),
+        *_frozen(powers, weights, poly[:, 0].copy(), ends),
         ends_total=tuple(ends.sum(axis=0).tolist()),
         inner=tuple(map(tuple, shifted[0].tolist())),
         gross=tuple(map(tuple, shifted[1].real.tolist())),

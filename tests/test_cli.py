@@ -59,16 +59,6 @@ class TestTypes:
         code, _, err = run(capsys, ["types", str(tmp_path / "no.json"), str(tmp_path / "no.json")])
         assert code == 2
 
-    def test_ignores_env_tolerance(self, tmp_path, capsys, monkeypatch):
-        # only verify has a tolerance, so only verify reads ASYMCONV_TOL
-        monkeypatch.setenv("ASYMCONV_TOL", "abc")
-        doc = tmp_path / "t.json"
-        doc.write_text('{"entries": {"-1/2": 1}}')
-        code, out, err = run(capsys, ["types", str(doc), str(doc)])
-        assert code == 0
-        assert json.loads(out) == {"entries": {"0": 3}}
-        assert err == ""
-
     @pytest.mark.parametrize("degree", ["1.8", "true", '"1"'])
     def test_non_integer_degree_is_domain_error(self, tmp_path, capsys, degree):
         # a degree is refused, never truncated to an integer
@@ -358,22 +348,6 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", str(specs)])
         assert code == 3
         assert "p must be an integer" in err
-
-    def test_env_tolerance_must_be_numeric(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ASYMCONV_TOL", "abc")
-        specs = tmp_path / "specs.json"
-        specs.write_text("[]")
-        code, _, err = run(capsys, ["verify", str(specs)])
-        assert code == 3
-        assert "ASYMCONV_TOL" in err
-
-    def test_env_tolerance_is_used(self, tmp_path, capsys, monkeypatch):
-        # Tight enough that the anti spec fails through the env default.
-        monkeypatch.setenv("ASYMCONV_TOL", "1e-6")
-        specs = tmp_path / "specs.json"
-        specs.write_text(json.dumps([SPEC_ANTI]))
-        code, _, _ = run(capsys, ["verify", str(specs)])
-        assert code == 1
 
     def test_zero_tolerance_rejected(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"

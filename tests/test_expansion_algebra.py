@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from asymconv.expansion_algebra import (
+    CaseTag,
     Chirality,
     Expansion,
     ExponentSetType,
@@ -12,6 +13,7 @@ from asymconv.expansion_algebra import (
     SingularTerm,
     as_fraction,
     canonical_json,
+    case_degree,
     combine_types,
     degree_rule,
     is_natural,
@@ -120,7 +122,7 @@ class TestCombineTypes:
 
 
 def _unit_term(r, m, n):
-    return SingularTerm(r, m, n, LogPolynomial.constant(1.0))
+    return SingularTerm(r, m, n, LogPolynomial.monomial(0))
 
 
 class TestNormalizeTerm:
@@ -198,6 +200,16 @@ class TestDegreeRule:
     def test_both_natural(self):
         assert degree_rule(F(0), F(1), 1, 1) == 1
 
+    def test_rejects_non_integer_log_degree(self):
+        # the rule checks its input as classify_case does
+        with pytest.raises(ValueError, match="log degrees must be integers"):
+            degree_rule(F(-1, 2), F(-1, 4), 1.5, 0)
+
+    def test_case_degree(self):
+        # a resonance adds a log, a natural exponent drops one
+        degrees = [case_degree(case, 2, 1) for case in CaseTag]
+        assert degrees == [3, 4, 2, 2, -1]
+
     @given(
         st.fractions(min_value=F(-7, 8), max_value=F(3), max_denominator=8),
         st.fractions(min_value=F(-7, 8), max_value=F(3), max_denominator=8),
@@ -211,6 +223,12 @@ class TestDegreeRule:
 
 
 class TestExpansion:
+    def test_keeps_a_lone_term(self):
+        # a key seen once is kept as it is; the same term twice still merges
+        term = _unit_term(F(-1, 2), 1, 0)
+        assert Expansion([term], 0).terms[0] is term
+        assert Expansion([term, term], 0).terms[0].poly.coefficients == (2 + 0j,)
+
     def test_merges_duplicate_keys(self):
         term = lambda c: SingularTerm(F(-1, 2), 1, 0, LogPolynomial.of_coeffs([c]))
         exp = Expansion(terms=[term(1.0), term(2.5)], smooth_order=3)

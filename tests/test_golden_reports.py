@@ -8,13 +8,24 @@ The expected documents in ``tests/data`` are the output of
 with one spec per constant case in the spec file.  Strings, ints, bools
 and nulls compare exactly and floats to 1e-12 relative, so a refactor
 that moves any reported value beyond roundoff fails here.
+
+The exact layer is compared byte for byte instead:
+
+    asymconv convolve golden_convolve_left.json golden_convolve_right.json
+    asymconv types golden_types_left.json golden_types_right.json
+
+print ``golden_convolve.json`` and ``golden_types.json``.
 """
 
 import json
 import math
 from pathlib import Path
 
+import pytest
+
 from asymconv.cli import main
+from asymconv.convolution_engine import convolve_expansions, convolve_terms
+from asymconv.expansion_algebra import CaseTag, Expansion
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,3 +76,37 @@ def test_square_cube_demo_matches_golden(capsys):
     assert code == 0
     expected = json.loads((DATA / "golden_demo_2_3.json").read_text())
     assert_matches(json.loads(out), expected)
+
+
+@pytest.mark.parametrize("command", ["convolve", "types"])
+def test_exact_layer_matches_golden_bytes(capsys, command):
+    inputs = [str(DATA / ("golden_%s_%s.json" % (command, side))) for side in ("left", "right")]
+    code = main([command] + inputs)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / ("golden_%s.json" % command)).read_text()
+
+
+def test_exact_layer_golden_covers_its_cases():
+    left, right = (
+        Expansion.from_json_dict(json.loads(path.read_text()))
+        for path in (DATA / "golden_convolve_left.json", DATA / "golden_convolve_right.json")
+    )
+    products = {}
+    cases = set()
+    for t1 in left.terms:
+        for t2 in right.terms:
+            result = convolve_terms(t1, t2)
+            cases.add(result.case)
+            if result.term is not None:
+                products.setdefault(result.term.key, []).append(result.term.poly)
+    assert cases == set(CaseTag)
+    # a key whose two contributions cancel exactly is flagged and dropped
+    merged = convolve_expansions(left, right)
+    assert merged.compensated - {term.key for term in merged.terms}
+    # a lone product with a -0.0 placeholder slot, printed as 0 only
+    # because each key's sum starts from zero
+    assert any(
+        len(polys) == 1 and str(polys[0].coefficients[0].real) == "-0.0"
+        for polys in products.values()
+    )

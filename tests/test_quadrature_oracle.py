@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import random
@@ -537,13 +538,20 @@ class TestSpecCache:
         ],
     )
     def test_cached_tables_are_the_inner_table(self, spec):
-        # each level's table is the disks plus that level's collar, bit for bit
+        # each level's inner polynomial is the binomial shift of the disks
+        # plus that level's collar, bit for bit
         _inner_moments.cache_clear()
-        tables = entry_of(spec).tables
+        inner = entry_of(spec).inner
         disks, collars, _ = _inner_tables(*_floats(spec))
-        assert len(tables) == len(collars) == 2
-        for cached, collar in zip(tables, collars):
-            assert np.array_equal(cached, disks + collar)
+        j, k = spec.j, spec.k
+        assert len(inner) == len(collars) == 2
+        for cached, collar in zip(inner, collars):
+            table = disks + collar
+            expected = [0j] * (j + k + 1)
+            for jp, kp in itertools.product(range(j + 1), range(k + 1)):
+                comb = math.comb(j, jp) * math.comb(k, kp)
+                expected[j - jp + k - kp] += comb * table[jp, kp]
+            assert list(cached) == expected
 
     def test_finite_part_reads_its_kernel_entry(self, monkeypatch):
         # one build of the tables serves the finite part and the kernel
@@ -569,7 +577,7 @@ class TestSpecCache:
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
         entry = entry_of(spec)
         arrays = [v for v in entry if isinstance(v, np.ndarray)]
-        assert len(arrays) == 5
+        assert len(arrays) == 4
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
