@@ -41,7 +41,6 @@ from .fiber_demo import (
 from .gamma_kernel import (
     F_const,
     G_q,
-    SpecialValue,
     beta_tail_integral,
     binomial_gamma_sum,
     degenerate_case1_coeff,
@@ -79,7 +78,6 @@ __all__ = [
     "MonomialGerm",
     "RHO_NORM",
     "SingularTerm",
-    "SpecialValue",
     "ToleranceNotMet",
     "VerificationReport",
     "beta_tail_integral",

@@ -119,7 +119,7 @@ def kernel_leading_constant(
     if case is CaseTag.SMOOTH:
         return case, 0.0, 0.0
     if case is CaseTag.GENERIC:
-        return case, F_const(p, q, af, bf, chirality).value, RHO_NORM
+        return case, F_const(p, q, af, bf, chirality), RHO_NORM
     if case is CaseTag.RESONANT:
         base = tilde_F_const(p, q, af, bf, chirality) / (j + k + 1)
         return case, base, RHO_NORM

@@ -3,9 +3,12 @@
 Every function here evaluates a ratio of Gamma values (or a limit of one)
 in log-space with explicit sign tracking, so large parameters cannot
 overflow and zeros produced by reciprocal Gamma factors at the poles are
-exact.  Branch decisions that hinge on integrality (is an exponent a
-natural number, is a sum resonant) are made on exact rationals only;
-plain floats are accepted where no branch depends on them.
+exact.  Every function that decides a branch on integrality (is an
+exponent a natural number, is a sum resonant) takes its exponents as
+exact rationals and refuses a float with TypeError; only the three
+identity evaluators beta_tail_integral, binomial_gamma_sum and gauss_sum
+take floats, since they classify nothing.  A constant is a plain float,
+or GammaPoleError (a ValueError) where the continuation has a pole.
 
 Natural numbers include 0 throughout.
 """
@@ -13,61 +16,14 @@ Natural numbers include 0 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 
-from .expansion_algebra import Chirality, as_fraction, is_natural
-
-RealInput = Union[Fraction, int, str, float]
+from .expansion_algebra import Chirality, RationalInput, as_fraction, is_natural
 
 
 class GammaPoleError(ValueError):
     """A Gamma factor in a numerator sits at a pole that nothing cancels."""
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A continued value that may be a pole instead of a number.
-
-    When is_pole is set the numeric value is deliberately stored as NaN so
-    accidental arithmetic on a pole is loud.  Every pole met here is simple.
-    """
-
-    value: float
-    is_pole: bool = False
-
-    def __post_init__(self) -> None:
-        if self.is_pole and not math.isnan(self.value):
-            raise ValueError("pole values carry NaN (use SpecialValue.pole)")
-
-    @staticmethod
-    def finite(value: float) -> "SpecialValue":
-        return SpecialValue(value=float(value), is_pole=False)
-
-    @staticmethod
-    def pole() -> "SpecialValue":
-        return SpecialValue(value=math.nan, is_pole=True)
-
-
-def _split(x: RealInput) -> Tuple[Optional[Fraction], float]:
-    """Dual view of a parameter: (exact rational or None, float value)."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a real parameter")
-    if isinstance(x, float):
-        return None, x
-    frac = as_fraction(x)
-    return frac, float(frac)
-
-
-def _require_exact(x: RealInput, name: str) -> Fraction:
-    exact, _ = _split(x)
-    if exact is None:
-        raise TypeError(
-            "%s must be an exact rational (Fraction, int, or 'p/q' string); "
-            "this branch depends on an exact integrality test" % name
-        )
-    return exact
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -82,15 +38,6 @@ def _signed_log_gamma(x: float) -> Tuple[float, int]:
         return math.lgamma(x), 1
     sign = 1 if math.floor(x) % 2 == 0 else -1
     return math.lgamma(x), sign
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), entire in x, exactly 0 at non-positive integers."""
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        return 0.0
-    log_mag, sign = _signed_log_gamma(x)
-    return sign * math.exp(-log_mag)
 
 
 def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
@@ -139,7 +86,7 @@ def beta_tail_integral(u: float, v: float) -> float:
     return 0.5 * _gamma_ratio([(v + 1) / 2, u - (v + 1) / 2], [u])
 
 
-def fourier_coefficient(a: RealInput, q: int, r: int) -> float:
+def fourier_coefficient(a: RationalInput, q: int, r: int) -> float:
     """Coefficient of x^r in the angular average of |1 - x e^(-i theta)|^(2a)
     against the mode e^(i q theta), for 0 <= x < 1.
 
@@ -149,8 +96,8 @@ def fourier_coefficient(a: RealInput, q: int, r: int) -> float:
     """
     if q < 0 or r < 0:
         raise ValueError("q and r must be >= 0")
-    exact, a_f = _split(a)
-    if a_f <= -1:
+    a = as_fraction(a)
+    if a <= -1:
         raise ValueError("need a > -1")
     if (r - q) % 2 != 0:
         return 0.0
@@ -158,13 +105,13 @@ def fourier_coefficient(a: RealInput, q: int, r: int) -> float:
     half_plus = (r + q) // 2
     if half_minus < 0:
         return 0.0
-    if exact is not None and is_natural(exact):
-        n = int(exact)
+    sign = -1 if r % 2 else 1
+    if is_natural(a):
+        n = int(a)
         if half_plus > n:
             return 0.0
-        sign = -1 if r % 2 else 1
         return float(sign * math.comb(n, half_plus) * math.comb(n, half_minus))
-    sign = -1 if r % 2 else 1
+    a_f = float(a)
     value = _gamma_ratio(
         [a_f + 1, a_f + 1],
         [
@@ -177,39 +124,28 @@ def fourier_coefficient(a: RealInput, q: int, r: int) -> float:
     return sign * value
 
 
-def G_q(a: RealInput, b: RealInput, q: int) -> SpecialValue:
+def G_q(a: RationalInput, b: RationalInput, q: int) -> float:
     """Leading constant of the basic singular convolution kernel with one
     monomial factor of degree q, meromorphically continued in (a, b).
 
-    Returns a pole marker when a+b+1 is a natural number and the residue
-    coefficient is nonzero (detected on exact rationals only).
+    Raises GammaPoleError when a+b+1 is a natural number and the residue
+    coefficient is nonzero, and ValueError when that residue vanishes.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    a_ex, a_f = _split(a)
-    b_ex, b_f = _split(b)
-    if a_f <= -1:
+    a = as_fraction(a)
+    b = as_fraction(b)
+    if a <= -1:
         raise ValueError("need a > -1")
-    if a_ex is not None and b_ex is not None:
-        total = a_ex + b_ex + 1
-        if is_natural(total):
-            r0 = 2 * int(total) + q
-            if fourier_coefficient(a_ex, q, r0) != 0.0:
-                return SpecialValue.pole()
-            raise ValueError(
-                "indeterminate point: resonant sum with vanishing residue"
-            )
-    if b_ex is not None and (b_ex + q + 1) <= 0 and (b_ex + q + 1).denominator == 1:
+    total = a + b + 1
+    if is_natural(total):
+        if fourier_coefficient(a, q, 2 * int(total) + q) != 0.0:
+            raise GammaPoleError("a+b+1 = %s is natural: a pole of G_q" % total)
+        raise ValueError("indeterminate point: resonant sum with vanishing residue")
+    if b + q + 1 <= 0 and b.denominator == 1:
         raise ValueError("b + q + 1 at a non-positive integer: outside the continuation")
-    try:
-        value = 0.5 * _gamma_ratio(
-            [a_f + 1, b_f + q + 1, -a_f - b_f - 1],
-            [-a_f, -b_f, a_f + b_f + q + 2],
-        )
-    except GammaPoleError:
-        # Float inputs landing exactly on a pole of the continuation.
-        return SpecialValue.pole()
-    return SpecialValue.finite(value)
+    a_f, b_f = float(a), float(b)
+    return 0.5 * _generic_ratio(0, q, a_f, b_f, Chirality.HOLO, [-a_f, -b_f])
 
 
 def binomial_gamma_sum(p: int, x: float, y: float) -> float:
@@ -244,20 +180,32 @@ def gauss_sum(x: float, y: float, z: float) -> float:
     return _gamma_ratio([x, y, z - x - y], [z - x, z - y])
 
 
-def _check_slice(a_f: float, p: int, b_f: float, q: int) -> None:
-    if a_f + p / 2 <= -1 or b_f + q / 2 <= -1:
+def _check_slice(
+    p: int, q: int, a: RationalInput, b: RationalInput
+) -> Tuple[Fraction, Fraction]:
+    """(a, b) as exact rationals, once p, q >= 0 and the admissible slice
+    a+p/2 > -1, b+q/2 > -1 (KernelSpec's bounds) are checked."""
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be >= 0")
+    a = as_fraction(a)
+    b = as_fraction(b)
+    # a + p/2 <= -1 times 2*denominator, in integers: two Fraction sums
+    # here would add half again to F_const, which runs once per Generic pair
+    if (2 * a.numerator <= -(p + 2) * a.denominator
+            or 2 * b.numerator <= -(q + 2) * b.denominator):
         raise ValueError(
             "parameters outside the admissible slice: need a+p/2 > -1 and b+q/2 > -1"
         )
+    return a, b
 
 
 def _generic_ratio(
     p: int, q: int, a_f: float, b_f: float, chirality2: Chirality,
     reciprocals: List[float],
 ) -> float:
-    """The Gamma ratio shared by the generic constant and its one-natural
-    limit: Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-1) / Gamma(a+b+p+q+2) for
-    HOLO, (-1)^p Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-p-1) / Gamma(a+b+q+2)
+    """The Gamma ratio shared by G_q, the generic constant and its
+    one-natural limit: Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-1) /
+    Gamma(a+b+p+q+2) for HOLO, (-1)^p Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-p-1) / Gamma(a+b+q+2)
     for ANTI, each times 1/Gamma(x) for every x in ``reciprocals``."""
     if chirality2 is Chirality.HOLO:
         return _gamma_ratio(
@@ -272,54 +220,41 @@ def _generic_ratio(
 
 
 def F_const(
-    p: int, q: int, a: RealInput, b: RealInput, chirality2: Chirality
-) -> SpecialValue:
+    p: int, q: int, a: RationalInput, b: RationalInput, chirality2: Chirality
+) -> float:
     """Leading constant for the generic (non-resonant) convolution case.
 
     chirality2 = HOLO pairs two factors of the same monomial orientation,
     ANTI pairs opposite ones.  The value is symmetric under swapping
     (p, a) with (q, b), so no argument ordering is assumed.  Returns an
-    exact zero when a or b is natural, and a pole marker when a+b+1 is
-    natural (the resonant constant applies there instead).
+    exact zero when a or b is natural, and raises GammaPoleError when
+    a+b+1 is natural (the resonant constant applies there instead).
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be >= 0")
-    a_ex, a_f = _split(a)
-    b_ex, b_f = _split(b)
-    _check_slice(a_f, p, b_f, q)
-    if a_ex is not None and b_ex is not None and is_natural(a_ex + b_ex + 1):
-        return SpecialValue.pole()
-    if (a_ex is not None and is_natural(a_ex)) or (
-        b_ex is not None and is_natural(b_ex)
-    ):
-        return SpecialValue.finite(0.0)
-    try:
-        value = _generic_ratio(p, q, a_f, b_f, chirality2, [-a_f, -b_f])
-    except GammaPoleError:
-        return SpecialValue.pole()
-    return SpecialValue.finite(value)
+    a, b = _check_slice(p, q, a, b)
+    if is_natural(a + b + 1):
+        raise GammaPoleError("a+b+1 = %s is natural: a pole of F_const" % (a + b + 1))
+    if is_natural(a) or is_natural(b):
+        return 0.0
+    a_f, b_f = float(a), float(b)
+    return _generic_ratio(p, q, a_f, b_f, chirality2, [-a_f, -b_f])
 
 
 def tilde_F_const(
-    p: int, q: int, a: RealInput, b: RealInput, chirality2: Chirality
+    p: int, q: int, a: RationalInput, b: RationalInput, chirality2: Chirality
 ) -> float:
     """Log-term leading constant for the resonant case a+b+1 natural.
 
-    Requires exact rational a and b with a+b+1 natural and neither integer;
-    never zero under those conditions.
+    Requires a and b with a+b+1 natural and neither integer; never zero
+    under those conditions.
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be >= 0")
-    a_ex = _require_exact(a, "a")
-    b_ex = _require_exact(b, "b")
-    a_f, b_f = float(a_ex), float(b_ex)
-    _check_slice(a_f, p, b_f, q)
-    if not is_natural(a_ex + b_ex + 1):
+    a, b = _check_slice(p, q, a, b)
+    if not is_natural(a + b + 1):
         raise ValueError("resonant constant needs a+b+1 natural")
-    if a_ex.denominator == 1 or b_ex.denominator == 1:
+    if a.denominator == 1 or b.denominator == 1:
         raise ValueError("resonant constant needs a and b non-integer")
-    total = int(a_ex + b_ex)  # an integer >= -1
+    total = int(a + b)  # an integer >= -1
     sign = -1.0 if total % 2 else 1.0
+    a_f, b_f = float(a), float(b)
     if chirality2 is Chirality.HOLO:
         denominators = [a_f + b_f + 2, a_f + b_f + p + q + 2]
     else:
@@ -354,7 +289,7 @@ def integer_case_log_coeff(
 
 
 def degenerate_case1_coeff(
-    p: int, q: int, a: RealInput, b: RealInput, chirality2: Chirality
+    p: int, q: int, a: RationalInput, b: RationalInput, chirality2: Chirality
 ) -> float:
     """Leading log coefficient when exactly one exponent is natural.
 
@@ -363,19 +298,13 @@ def degenerate_case1_coeff(
     (-1)^(n+1) n! at the natural exponent n.  Nonzero under the
     preconditions.
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be >= 0")
-    a_ex = _require_exact(a, "a")
-    b_ex = _require_exact(b, "b")
-    a_f, b_f = float(a_ex), float(b_ex)
-    _check_slice(a_f, p, b_f, q)
-    if is_natural(a_ex + b_ex + 1):
+    a, b = _check_slice(p, q, a, b)
+    if is_natural(a + b + 1):
         raise ValueError("resonant parameters: the resonant constants apply")
-    a_nat = is_natural(a_ex)
-    b_nat = is_natural(b_ex)
-    if a_nat == b_nat:
+    a_nat = is_natural(a)
+    if a_nat == is_natural(b):
         raise ValueError("exactly one of a, b must be natural")
-    n, other = (int(a_ex), b_f) if a_nat else (int(b_ex), a_f)
+    a_f, b_f = float(a), float(b)
+    n, other = (int(a), b_f) if a_nat else (int(b), a_f)
     replacement = float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
     return replacement * _generic_ratio(p, q, a_f, b_f, chirality2, [-other])
-

@@ -9,8 +9,7 @@ by singular-aware quadrature, fits its small-|s| expansion on one fixed
 geometric radius grid (_radii), and compares the fitted leading singular
 coefficient against the closed-form Gamma-factor constants.  Everything
 here is independent of those closed forms: nothing is taken from
-gamma_kernel but the chirality type and the exact-or-float split of a
-parameter.
+gamma_kernel.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
@@ -42,12 +41,13 @@ import numpy as np
 from .convolution_engine import kernel_leading_constant
 from .expansion_algebra import (
     CaseTag,
+    Chirality,
     LogPolynomial,
+    RationalInput,
     as_fraction,
     degree_rule,
     is_natural,
 )
-from .gamma_kernel import Chirality, RealInput, _split
 
 
 class ToleranceNotMet(RuntimeError):
@@ -536,7 +536,7 @@ def _kernel_samples(spec: KernelSpec) -> List[float]:
 # direct finite-part construction (independent route to G_q)
 
 
-def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
+def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b}
     against (1/2pi) dx dy, with no Gamma-ratio input.
 
@@ -553,25 +553,20 @@ def finite_part_direct(a: RealInput, b: RealInput, q: int) -> float:
     Resonant constants are checked through the log-column fit of
     verify_constant, not through this route.
     """
-    a_ex, af = _split(a)
-    b_ex, bf = _split(b)
+    a = as_fraction(a)
+    b = as_fraction(b)
     if not isinstance(q, int) or isinstance(q, bool) or q < 0:
         raise ValueError("q must be an integer >= 0")
-    if af <= -1.0:
+    if a <= -1:
         raise ValueError("need a > -1")
-    if bf + q <= -1.0:
+    if b + q <= -1:
         raise ValueError("need b + q > -1")
-    if a_ex is not None and b_ex is not None:
-        if is_natural(a_ex + b_ex + 1):
-            raise ValueError(
-                "a+b+1 is a natural number: resonant exponent, no plain "
-                "finite part on this route; fit the log column instead"
-            )
-    else:
-        xr = af + bf + 1.0
-        if abs(xr - round(xr)) < 1e-9 and round(xr) >= 0:
-            raise ValueError("a+b+1 is numerically resonant")
-    entry = _inner_moments(af, bf, 0, q, 0, 0, False)
+    if is_natural(a + b + 1):
+        raise ValueError(
+            "a+b+1 is a natural number: resonant exponent, no plain "
+            "finite part on this route; fit the log column instead"
+        )
+    entry = _inner_moments(float(a), float(b), 0, q, 0, 0, False)
     outer = entry.ends_total[0]
     v0, v1 = (inner[0].real - outer for inner in entry.inner)
     gross = max(g[0] for g in entry.gross) + abs(outer)

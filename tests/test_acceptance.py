@@ -35,7 +35,7 @@ from asymconv import (
     verify_constant,
 )
 from asymconv.cli import main as cli_main
-from asymconv.gamma_kernel import _gamma_ratio, reciprocal_gamma
+from asymconv.gamma_kernel import _gamma_ratio
 
 F = Fraction
 
@@ -57,7 +57,7 @@ def test_criterion_01_gamma_identity_suite():
     tol = 1e-8
 
     for x in (0.3, 0.5, 1.25, 2.6, -0.7, -1.3, -2.25, 0.513):
-        lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
+        lhs = _gamma_ratio([], [x, 1.0 - x])
         rhs = math.sin(math.pi * x) / math.pi
         if abs(lhs - rhs) > tol * abs(rhs):
             failures.append("reflection fails at x=%g" % x)
@@ -102,7 +102,7 @@ def test_criterion_01_gamma_identity_suite():
 def test_criterion_02_fourier_coefficient_consistency():
     started = time.monotonic()
     failures = []
-    eps = 1e-4
+    eps = F(1, 10**4)
 
     # The Gamma-ratio branch must reach the binomial branch in the limit;
     # averaging the two one-sided values cancels the linear term.
@@ -121,7 +121,7 @@ def test_criterion_02_fourier_coefficient_consistency():
                 if bad:
                     failures.append("limit fails at a=%d q=%d r=%d" % (n, q, r))
 
-    for a in (F(-1, 2), F(2), -0.37):
+    for a in (F(-1, 2), F(2), F(-37, 100)):
         for q, r in ((0, 1), (0, 3), (1, 2), (2, 1), (1, 4)):
             if fourier_coefficient(a, q, r) != 0.0:
                 failures.append("parity zero fails at a=%s q=%d r=%d" % (a, q, r))
@@ -149,7 +149,7 @@ def test_criterion_03_continuation_oracle():
         total = float(a + b + 1)
         assert abs(total - round(total)) >= 0.05
         direct = finite_part_direct(a, b, q)
-        closed = G_q(a, b, q).value
+        closed = G_q(a, b, q)
         if abs(direct - closed) > 1e-5 * abs(closed):
             failures.append(
                 "mismatch at (%s, %s, %d): %.3e vs %.3e" % (a, b, q, direct, closed)

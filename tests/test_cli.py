@@ -117,6 +117,16 @@ class TestConstant:
         assert code == 3
         assert "a > -1" in err
 
+    def test_float_collapse_onto_a_gamma_pole(self, capsys):
+        # Generic by the exact rules, but the float -a-b-1 is 0.0
+        code, out, err = run(
+            capsys,
+            ["constant", "-a", "-50000000000000000001/100000000000000000000", "-b", "-1/2"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "Gamma pole" in err
+
     def test_unpinned_both_integer_degrees(self, capsys):
         code, _, err = run(
             capsys, ["constant", "-a", "0", "-b", "0", "-j", "2", "-k", "1"]

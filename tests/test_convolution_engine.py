@@ -23,7 +23,7 @@ from asymconv.expansion_algebra import (
     SingularTerm,
     degree_rule,
 )
-from asymconv.gamma_kernel import Chirality, F_const, tilde_F_const
+from asymconv.gamma_kernel import Chirality, F_const, GammaPoleError, tilde_F_const
 
 
 def term(r, m=0, n=0, coeffs=(1.0,)):
@@ -68,7 +68,7 @@ class TestKernelLeadingConstant:
         )
         assert case is CaseTag.GENERIC
         assert norm == RHO_NORM
-        expected = F_const(0, 0, F(-1, 3), F(-1, 4), Chirality.HOLO).value
+        expected = F_const(0, 0, F(-1, 3), F(-1, 4), Chirality.HOLO)
         assert base == pytest.approx(expected, rel=1e-15)
 
     def test_resonant_divides_by_log_count(self):
@@ -121,7 +121,7 @@ class TestConvolveTerms:
         res = convolve_terms(term(F(-1, 3)), term(F(-1, 4)))
         assert res.case is CaseTag.GENERIC
         assert res.degree == 0
-        expected = F_const(0, 0, F(-1, 3), F(-1, 4), Chirality.HOLO).value * RHO_NORM
+        expected = F_const(0, 0, F(-1, 3), F(-1, 4), Chirality.HOLO) * RHO_NORM
         assert res.leading_coeff == pytest.approx(expected, rel=1e-13)
         assert res.leading_coeff != 0
         # r1+r2+1 = 5/12 > 0 folds back into (-1, 0] via a monomial shift.
@@ -143,7 +143,7 @@ class TestConvolveTerms:
     def test_anti_pair_uses_conjugate_family(self):
         # excesses +1 and -1: the second factor enters conjugated.
         res = convolve_terms(term(F(-1, 3), m=1, n=0), term(F(-1, 4), m=0, n=1))
-        expected = F_const(1, 1, F(-1, 3), F(-1, 4), Chirality.ANTI).value * RHO_NORM
+        expected = F_const(1, 1, F(-1, 3), F(-1, 4), Chirality.ANTI) * RHO_NORM
         assert res.leading_coeff == pytest.approx(expected, rel=1e-13)
         assert res.term.key == (F(-7, 12), 2, 2)
 
@@ -151,6 +151,14 @@ class TestConvolveTerms:
         bad = SingularTerm(r=F(-1, 2), m=0, n=0, poly=LogPolynomial.zero())
         with pytest.raises(ValueError):
             convolve_terms(bad, term(F(-1, 3)))
+
+    def test_float_collapse_onto_a_pole_raises_never_nan(self):
+        # a+b+1 = 1e-20 is Generic by the exact rules, but its float is 0.0,
+        # a pole of Gamma(-a-b-1): a typed error, not a NaN leading coefficient
+        near = term(F(-1, 2) + F(1, 10**20))
+        assert classify_case(near.r, F(-1, 2), 0, 0) is CaseTag.GENERIC
+        with pytest.raises(GammaPoleError):
+            convolve_terms(near, term(F(-1, 2)))
 
     @given(
         r1=st.fractions(min_value=F(-15, 16), max_value=0, max_denominator=16),

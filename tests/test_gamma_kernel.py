@@ -8,14 +8,14 @@ from asymconv.expansion_algebra import Chirality
 from asymconv.gamma_kernel import (
     F_const,
     G_q,
-    SpecialValue,
+    GammaPoleError,
+    _gamma_ratio,
     beta_tail_integral,
     binomial_gamma_sum,
     degenerate_case1_coeff,
     fourier_coefficient,
     gauss_sum,
     integer_case_log_coeff,
-    reciprocal_gamma,
     tilde_F_const,
 )
 
@@ -29,13 +29,14 @@ def gamma(x):
 
 
 class TestReciprocalGamma:
+    # 1/Gamma through _gamma_ratio, the one function every constant uses
     def test_exact_zeros_at_poles(self):
-        assert reciprocal_gamma(0.0) == 0.0
-        assert reciprocal_gamma(-3.0) == 0.0
-        assert reciprocal_gamma(-17.0) == 0.0
+        assert _gamma_ratio([1.0], [0.0]) == 0.0
+        assert _gamma_ratio([1.0], [-3.0]) == 0.0
+        assert _gamma_ratio([1.0], [-17.0]) == 0.0
 
     def test_unit_value(self):
-        assert reciprocal_gamma(1.0) == 1.0
+        assert _gamma_ratio([], [1.0]) == 1.0
 
     def test_reflection_identity(self):
         # 1/Gamma(x) * 1/Gamma(1-x) = sin(pi x)/pi away from the integers
@@ -44,9 +45,36 @@ class TestReciprocalGamma:
             x = rng.uniform(-20, 20)
             if abs(x - round(x)) < 1e-3:
                 continue
-            lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
+            lhs = _gamma_ratio([], [x, 1.0 - x])
             rhs = math.sin(math.pi * x) / math.pi
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+class TestExactInputs:
+    def test_classifiers_refuse_floats(self):
+        with pytest.raises(TypeError):
+            G_q(-0.6, F(-7, 10), 0)
+        with pytest.raises(TypeError):
+            F_const(0, 0, F(-3, 5), -0.7, HOLO)
+        with pytest.raises(TypeError):
+            fourier_coefficient(0.3, 0, 0)
+        with pytest.raises(TypeError):
+            degenerate_case1_coeff(0, 0, 0.0, F(-3, 10), HOLO)
+
+    def test_float_collapse_onto_a_pole_raises(self):
+        # a+b+1 = 1e-20 is not natural, but in floats -a-b-1 lands on 0
+        near = F(-1, 2) + F(1, 10**20)
+        with pytest.raises(GammaPoleError):
+            F_const(0, 0, near, F(-1, 2), HOLO)
+        with pytest.raises(GammaPoleError):
+            G_q(near, F(-1, 2), 0)
+
+    def test_slice_bound_is_exact(self):
+        # a + p/2 = -1 + 1e-20 is admissible, although in floats it is -1
+        near = F(-3, 2) + F(1, 10**20)
+        assert math.isfinite(F_const(1, 0, near, F(-1, 4), HOLO))
+        with pytest.raises(ValueError):
+            F_const(1, 0, F(-3, 2), F(-1, 4), HOLO)
 
 
 class TestBetaTailIntegral:
@@ -68,12 +96,10 @@ class TestBetaTailIntegral:
 
 class TestGq:
     def test_natural_a_kills_the_value(self):
-        out = G_q(1, -2.6, 2)
-        assert not out.is_pole
-        assert out.value == 0.0
+        assert G_q(1, F(-13, 5), 2) == 0.0
 
     def test_generic_value(self):
-        out = G_q(-0.6, -0.7, 0)
+        out = G_q(F(-3, 5), F(-7, 10), 0)
         expected = (
             0.5
             * gamma(0.4)
@@ -81,35 +107,35 @@ class TestGq:
             * gamma(0.3)
             / (gamma(0.6) * gamma(0.7) * gamma(0.7))
         )
-        assert out.value == pytest.approx(expected, rel=1e-12)
+        assert out == pytest.approx(expected, rel=1e-12)
 
     def test_resonant_pole_flag(self):
-        out = G_q(F(-1, 2), F(-1, 2), 0)
-        assert out.is_pole and math.isnan(out.value)
+        with pytest.raises(GammaPoleError):
+            G_q(F(-1, 2), F(-1, 2), 0)
 
     def test_involution(self):
         # G is stable under b -> -(a+b+q+2) on the negative-sum slice
         samples = [
-            (-0.6, -0.7, 0),
-            (-0.3, -0.9, 0),
-            (-0.7, -0.9, 1),
-            (-0.8, -0.75, 1),
-            (-0.7, -1.4, 2),
+            (F(-3, 5), F(-7, 10), 0),
+            (F(-3, 10), F(-9, 10), 0),
+            (F(-7, 10), F(-9, 10), 1),
+            (F(-4, 5), F(-3, 4), 1),
+            (F(-7, 10), F(-7, 5), 2),
         ]
         for a, b, q in samples:
-            assert a + b + 1 + q / 2 < 0
-            direct = G_q(a, b, q).value
-            reflected = G_q(a, -(a + b + q + 2), q).value
+            assert a + b + 1 + F(q, 2) < 0
+            direct = G_q(a, b, q)
+            reflected = G_q(a, -(a + b + q + 2), q)
             assert direct == pytest.approx(reflected, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            G_q(-1.2, 0.3, 0)
+            G_q(F(-6, 5), F(3, 10), 0)
 
 
 class TestFourierCoefficient:
     def test_parity_zero(self):
-        for a in (0.37, -0.5, 2, F(7, 3)):
+        for a in (F(37, 100), F(-1, 2), 2, F(7, 3)):
             assert fourier_coefficient(a, 0, 1) == 0.0
             assert fourier_coefficient(a, 1, 2) == 0.0
             assert fourier_coefficient(a, 2, 5) == 0.0
@@ -121,15 +147,15 @@ class TestFourierCoefficient:
         assert fourier_coefficient(1, 0, 4) == 0.0
 
     def test_constant_term_is_one(self):
-        for a in (0.8, -0.5, F(3, 4), 2):
+        for a in (F(4, 5), F(-1, 2), F(3, 4), 2):
             assert fourier_coefficient(a, 0, 0) == pytest.approx(1.0, rel=1e-13)
 
     def test_support_window_below_q(self):
-        assert fourier_coefficient(0.3, 3, 1) == 0.0
+        assert fourier_coefficient(F(3, 10), 3, 1) == 0.0
 
     def test_gamma_formula_matches_binomial_at_integers(self):
         # approach a = n from below and Richardson-extrapolate in epsilon
-        eps = 1e-7
+        eps = F(1, 10**7)
         for n in range(4):
             for q, r in [(0, 0), (0, 2), (1, 1), (1, 3), (2, 2), (0, 4)]:
                 if (r + q) // 2 > n:
@@ -224,37 +250,37 @@ class TestGaussSum:
 
 class TestFConst:
     def test_zero_at_natural_exponent(self):
-        assert F_const(0, 0, 2, -0.3, HOLO).value == 0.0
-        assert F_const(1, 2, F(-1, 2), 3, ANTI).value == 0.0
+        assert F_const(0, 0, 2, F(-3, 10), HOLO) == 0.0
+        assert F_const(1, 2, F(-1, 2), 3, ANTI) == 0.0
 
     def test_pole_on_resonance(self):
-        out = F_const(0, 0, F(-1, 2), F(-1, 2), HOLO)
-        assert out.is_pole and math.isnan(out.value)
+        with pytest.raises(GammaPoleError):
+            F_const(0, 0, F(-1, 2), F(-1, 2), HOLO)
 
     def test_generic_positive_value(self):
-        out = F_const(0, 0, -0.6, -0.7, HOLO)
+        out = F_const(0, 0, F(-3, 5), F(-7, 10), HOLO)
         expected = (
             gamma(0.4) * gamma(0.3) * gamma(0.3) / (gamma(0.7) * gamma(0.6) * gamma(0.7))
         )
-        assert out.value == pytest.approx(expected, rel=1e-12)
-        assert out.value > 0
+        assert out == pytest.approx(expected, rel=1e-12)
+        assert out > 0
 
     def test_chirality_agrees_when_one_power_vanishes(self):
-        points = [(-0.6, -0.7), (-0.3, -0.55), (-0.35, -0.8)]
+        points = [(F(-3, 5), F(-7, 10)), (F(-3, 10), F(-11, 20)), (F(-7, 20), F(-4, 5))]
         for a, b in points:
             for p in range(3):
-                holo = F_const(p, 0, a, b, HOLO).value
-                anti = F_const(p, 0, a, b, ANTI).value
+                holo = F_const(p, 0, a, b, HOLO)
+                anti = F_const(p, 0, a, b, ANTI)
                 assert holo == pytest.approx(anti, rel=1e-12)
             for q in range(3):
-                holo = F_const(0, q, a, b, HOLO).value
-                anti = F_const(0, q, a, b, ANTI).value
+                holo = F_const(0, q, a, b, HOLO)
+                anti = F_const(0, q, a, b, ANTI)
                 assert holo == pytest.approx(anti, rel=1e-12)
 
     def test_joint_swap_symmetry(self):
         for chirality in (HOLO, ANTI):
-            left = F_const(1, 2, -0.6, -0.7, chirality).value
-            right = F_const(2, 1, -0.7, -0.6, chirality).value
+            left = F_const(1, 2, F(-3, 5), F(-7, 10), chirality)
+            right = F_const(2, 1, F(-7, 10), F(-3, 5), chirality)
             assert left == pytest.approx(right, rel=1e-12)
 
 

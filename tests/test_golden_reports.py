@@ -13,8 +13,11 @@ The exact layer is compared byte for byte instead:
 
     asymconv convolve golden_convolve_left.json golden_convolve_right.json
     asymconv types golden_types_left.json golden_types_right.json
+    asymconv bernstein golden_bernstein_left.json golden_bernstein_right.json
+    asymconv bernstein ... --kappa 1
 
-print ``golden_convolve.json`` and ``golden_types.json``.
+print ``golden_convolve.json``, ``golden_types.json``, ``golden_bernstein.json``
+and ``golden_bernstein_kappa1.json``.
 """
 
 import json
@@ -78,13 +81,22 @@ def test_square_cube_demo_matches_golden(capsys):
     assert_matches(json.loads(out), expected)
 
 
-@pytest.mark.parametrize("command", ["convolve", "types"])
+@pytest.mark.parametrize("command", ["convolve", "types", "bernstein"])
 def test_exact_layer_matches_golden_bytes(capsys, command):
     inputs = [str(DATA / ("golden_%s_%s.json" % (command, side))) for side in ("left", "right")]
     code = main([command] + inputs)
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / ("golden_%s.json" % command)).read_text()
+
+
+def test_bernstein_kappa_matches_golden_bytes(capsys):
+    # the cusp sets [-1/2] and [-1/3, -2/3], widened by one integer shift
+    inputs = [str(DATA / ("golden_bernstein_%s.json" % side)) for side in ("left", "right")]
+    code = main(["bernstein"] + inputs + ["--kappa", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / "golden_bernstein_kappa1.json").read_text()
 
 
 def test_exact_layer_golden_covers_its_cases():
