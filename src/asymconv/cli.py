@@ -29,7 +29,6 @@ from .convolution_engine import (
     convolve_terms,
 )
 from .expansion_algebra import (
-    CaseTag,
     Chirality,
     Expansion,
     ExponentSetType,
@@ -209,13 +208,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
 
     # The consistency summary concerns the one global measure
-    # normalization; both-integer kernels carry their own scale constant
-    # and would poison the pool.
-    norms = [
-        r.normalization_used
-        for r in done
-        if r.normalization_used is not None and r.case is not CaseTag.BOTH_INTEGER
-    ]
+    # normalization, which every singular case shares.
+    norms = [r.normalization_used for r in done if r.normalization_used is not None]
     rho_block = None
     if norms:
         mean = sum(norms) / len(norms)

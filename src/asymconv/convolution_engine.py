@@ -8,8 +8,9 @@ arithmetic case of the pair.  The case and the degree come from
 constant, accumulates the terms of a whole-expansion convolution, and
 holds the root-sum combination rule for Bernstein root sets.
 
-Case constants come from :mod:`asymconv.gamma_kernel`; the two global
-normalization constants below relate those constants to the measure
+Every case constant is the leading Laurent coefficient of one Gamma
+ratio from :mod:`asymconv.gamma_kernel` times its log-degree factors;
+one normalization, RHO_NORM, relates all of them to the measure
 ``(1/2pi) dx dy`` used by the quadrature oracle.
 """
 
@@ -40,19 +41,17 @@ from .gamma_kernel import (
     tilde_F_const,
 )
 
-#: Measure normalization applied to every Generic / Resonant /
-#: OneIntegerFactor leading constant.  The closed-form constants are stated
-#: for the measure (i/pi) du ^ dubar while the convolution itself is taken
-#: against (i/4pi) du ^ dubar = (1/2pi) dx dy; the ratio is exactly 1/2.
-#: Confirmed numerically by the oracle calibration test to ~1e-3.
+#: Measure normalization applied to every singular case constant.  The
+#: closed-form constants are stated for the measure (i/pi) du ^ dubar
+#: while the convolution itself is taken against (i/4pi) du ^ dubar =
+#: (1/2pi) dx dy; the ratio is exactly 1/2.  Confirmed numerically by the
+#: oracle calibration test to ~1e-3.
 RHO_NORM: float = 0.5
 
-#: Extra scale applied to the BothInteger constant, which is stated in the
-#: (1/4 i pi) du ^ dubar measure and in the Log|s| (not Log|s|^2) basis.
-#: Sign flip from the measure orientation, x4 from the two squared-log
-#: arguments, x1/2 from the output log basis: (-1) * 4 * 1/2 = -2 exactly.
-#: Confirmed numerically by the oracle calibration test.
-INTEGER_CASE_SCALE: float = -2.0
+#: The convention factor of integer_case_log_coeff: its rational times
+#: -4 is the Laurent coefficient C, so the BothInteger leading coefficient
+#: at j = k = 1 is integer_case_log_coeff * (-4 * RHO_NORM) = -2 times it.
+INTEGER_CASE_SCALE: float = -4 * RHO_NORM
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class ConvolutionResult:
     as a pure monomial of the declared degree, with lower slots zero as
     placeholders (sub-leading coefficients are not part of the contract).
     ``normalization`` records the measure factor already multiplied into
-    ``leading_coeff``.
+    ``leading_coeff``: RHO_NORM in every singular case, 0.0 for Smooth.
     """
 
     term: Optional[SingularTerm]
@@ -102,16 +101,11 @@ def kernel_leading_constant(
 ) -> Tuple[CaseTag, float, float]:
     """Case constant for monic inputs: (case, base constant, normalization).
 
-    The base constant is the closed-form Gamma-factor value for the case,
-    including the log-degree multiplier (1/(j+k+1) in the Resonant case,
-    j or k in the OneIntegerFactor case); the normalization is the measure
-    factor that multiplies it.  The full monic leading coefficient is
-    base * normalization.  Smooth returns (Smooth, 0.0, 0.0).
-
-    BothInteger pairs are only supported at j = k = 1, where the constant
-    is pinned by an exact rational; other (j, k) raise ValueError (their
-    constant is measurable through the oracle but has no asserted closed
-    form here).
+    base = C * j^alpha * k^beta / L^gamma: C is the case's Laurent
+    coefficient (-4*integer_case_log_coeff for BothInteger), alpha, beta
+    and gamma are 1 when a, b and a+b+1 are natural (else 0), and L is
+    the output log degree.  The normalization is RHO_NORM in every
+    singular case; Smooth returns (Smooth, 0.0, 0.0).
     """
     af = as_fraction(a)
     bf = as_fraction(b)
@@ -121,20 +115,18 @@ def kernel_leading_constant(
     if case is CaseTag.GENERIC:
         return case, F_const(p, q, af, bf, chirality), RHO_NORM
     if case is CaseTag.RESONANT:
-        base = tilde_F_const(p, q, af, bf, chirality) / (j + k + 1)
-        return case, base, RHO_NORM
-    if case is CaseTag.ONE_INTEGER_FACTOR:
-        mult = j if is_natural(af) else k
-        base = mult * degenerate_case1_coeff(p, q, af, bf, chirality)
-        return case, base, RHO_NORM
-    # BothInteger
-    if (j, k) != (1, 1):
-        raise ValueError(
-            "BothInteger pairs are pinned only at log degrees j = k = 1; "
-            "got (j, k) = (%d, %d)" % (j, k)
-        )
-    base = float(integer_case_log_coeff(p, q, int(af), int(bf), chirality))
-    return case, base, INTEGER_CASE_SCALE
+        base = tilde_F_const(p, q, af, bf, chirality)
+    elif case is CaseTag.ONE_INTEGER_FACTOR:
+        base = degenerate_case1_coeff(p, q, af, bf, chirality)
+    else:
+        base = -4.0 * float(integer_case_log_coeff(p, q, int(af), int(bf), chirality))
+    if is_natural(af):
+        base *= j
+    if is_natural(bf):
+        base *= k
+    if case is CaseTag.RESONANT or case is CaseTag.BOTH_INTEGER:
+        base /= case_degree(case, j, k)
+    return case, base, RHO_NORM
 
 
 def _output_key(

@@ -47,7 +47,9 @@ def as_fraction(value: RationalInput) -> Fraction:
 
 def is_natural(x: Fraction) -> bool:
     """True when x is an integer >= 0.  Zero counts as natural throughout."""
-    return x.denominator == 1 and x >= 0
+    # a Fraction's denominator is positive, so its numerator carries the
+    # sign; an int comparison is several times cheaper than a Fraction one
+    return x.denominator == 1 and x.numerator >= 0
 
 
 class Chirality(str, Enum):

@@ -1,5 +1,11 @@
 """Closed-form Gamma-factor constants for singular-kernel convolutions.
 
+Each case constant is C, the leading Laurent coefficient of one Gamma
+ratio in (a, b): its value off the loci, its residue where a+b+1 is
+natural, its derivative across a natural a or b.  F_const, G_q,
+tilde_F_const and degenerate_case1_coeff read C from one rule;
+integer_case_log_coeff is the exact -C/4 where a and b are both natural.
+
 Every function here evaluates a ratio of Gamma values (or a limit of one)
 in log-space with explicit sign tracking, so large parameters cannot
 overflow and zeros produced by reciprocal Gamma factors at the poles are
@@ -8,7 +14,8 @@ exponent a natural number, is a sum resonant) takes its exponents as
 exact rationals and refuses a float with TypeError; only the three
 identity evaluators beta_tail_integral, binomial_gamma_sum and gauss_sum
 take floats, since they classify nothing.  A constant is a plain float,
-or GammaPoleError (a ValueError) where the continuation has a pole.
+GammaPoleError (a ValueError) where the continuation has a pole, or a
+ValueError where its magnitude is beyond float range.
 
 Natural numbers include 0 throughout.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .expansion_algebra import Chirality, RationalInput, as_fraction, is_natural
 
@@ -68,7 +75,11 @@ def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
         sign *= s
     # summing in sorted order makes the value independent of argument
     # order, so symmetric ratios are exactly symmetric in floating point
-    return sign * math.exp(math.fsum(sorted(logs)))
+    log_value = math.fsum(sorted(logs))
+    try:
+        return sign * math.exp(log_value)
+    except OverflowError:
+        raise ValueError("Gamma ratio beyond float range: log = %r" % log_value) from None
 
 
 def beta_tail_integral(u: float, v: float) -> float:
@@ -144,8 +155,9 @@ def G_q(a: RationalInput, b: RationalInput, q: int) -> float:
         raise ValueError("indeterminate point: resonant sum with vanishing residue")
     if b + q + 1 <= 0 and b.denominator == 1:
         raise ValueError("b + q + 1 at a non-positive integer: outside the continuation")
-    a_f, b_f = float(a), float(b)
-    return 0.5 * _generic_ratio(0, q, a_f, b_f, Chirality.HOLO, [-a_f, -b_f])
+    if is_natural(a) or is_natural(b):
+        return 0.0
+    return 0.5 * _leading_coefficient(0, q, a, b, Chirality.HOLO)
 
 
 def binomial_gamma_sum(p: int, x: float, y: float) -> float:
@@ -199,24 +211,36 @@ def _check_slice(
     return a, b
 
 
-def _generic_ratio(
-    p: int, q: int, a_f: float, b_f: float, chirality2: Chirality,
-    reciprocals: List[float],
+def _leading_coefficient(
+    p: int, q: int, a: Fraction, b: Fraction, chirality2: Chirality,
+    resonance: Optional[int] = None,
 ) -> float:
-    """The Gamma ratio shared by G_q, the generic constant and its
-    one-natural limit: Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-1) /
-    Gamma(a+b+p+q+2) for HOLO, (-1)^p Gamma(a+p+1) Gamma(b+q+1) Gamma(-a-b-p-1) / Gamma(a+b+q+2)
-    for ANTI, each times 1/Gamma(x) for every x in ``reciprocals``."""
-    if chirality2 is Chirality.HOLO:
-        return _gamma_ratio(
-            [a_f + p + 1, b_f + q + 1, -a_f - b_f - 1],
-            [a_f + b_f + p + q + 2] + reciprocals,
-        )
-    sign = -1.0 if p % 2 else 1.0
-    return sign * _gamma_ratio(
-        [a_f + p + 1, b_f + q + 1, -a_f - b_f - p - 1],
-        [a_f + b_f + q + 2] + reciprocals,
-    )
+    """C, the leading Laurent coefficient in (e_a, e_b) of the Gamma ratio
+    (-1)^s Gamma(a+p+1) Gamma(b+q+1) Gamma(-m) / (Gamma(a+b+p+q+2-s) Gamma(-a) Gamma(-b))
+    at (a+e_a, b+e_b), where s = 0 for HOLO and p for ANTI and m = a+b+s+1.
+
+    A natural a or b = n turns 1/Gamma(-n-e) into its derivative
+    (-1)^(n+1) n!; a natural m (``resonance`` is the caller's natural
+    a+b+1) turns Gamma(-m-u) into its residue (-1)^(m+1)/m! in u = e_a+e_b.
+    With a and b both natural, C = -4*integer_case_log_coeff up to rounding.
+    """
+    a_f, b_f = float(a), float(b)
+    shift = 0 if chirality2 is Chirality.HOLO else p
+    sign = -1 if shift % 2 else 1
+    numerators = [a_f + p + 1, b_f + q + 1]
+    denominators = [a_f + b_f + (p - shift) + q + 2]
+    if resonance is None:
+        numerators.append(-a_f - b_f - shift - 1)
+    else:
+        denominators.append(a_f + b_f + shift + 2)  # 1/m! = 1/Gamma(m+1)
+        sign *= (-1) ** (resonance + shift + 1)
+    factor = 1.0
+    for x, x_f in ((a, a_f), (b, b_f)):
+        if is_natural(x):  # (-1)^(n+1) n! at n = x
+            factor *= float(math.factorial(int(x))) * (1.0 if x.numerator % 2 else -1.0)
+        else:
+            denominators.append(-x_f)
+    return sign * factor * _gamma_ratio(numerators, denominators)
 
 
 def F_const(
@@ -235,8 +259,7 @@ def F_const(
         raise GammaPoleError("a+b+1 = %s is natural: a pole of F_const" % (a + b + 1))
     if is_natural(a) or is_natural(b):
         return 0.0
-    a_f, b_f = float(a), float(b)
-    return _generic_ratio(p, q, a_f, b_f, chirality2, [-a_f, -b_f])
+    return _leading_coefficient(p, q, a, b, chirality2)
 
 
 def tilde_F_const(
@@ -248,21 +271,12 @@ def tilde_F_const(
     under those conditions.
     """
     a, b = _check_slice(p, q, a, b)
-    if not is_natural(a + b + 1):
+    total = a + b + 1
+    if not is_natural(total):
         raise ValueError("resonant constant needs a+b+1 natural")
     if a.denominator == 1 or b.denominator == 1:
         raise ValueError("resonant constant needs a and b non-integer")
-    total = int(a + b)  # an integer >= -1
-    sign = -1.0 if total % 2 else 1.0
-    a_f, b_f = float(a), float(b)
-    if chirality2 is Chirality.HOLO:
-        denominators = [a_f + b_f + 2, a_f + b_f + p + q + 2]
-    else:
-        denominators = [a_f + b_f + q + 2, a_f + b_f + p + 2]
-    return sign * _gamma_ratio(
-        [a_f + p + 1, b_f + q + 1],
-        denominators + [-a_f, -b_f],
-    )
+    return _leading_coefficient(p, q, a, b, chirality2, int(total))
 
 
 def integer_case_log_coeff(
@@ -301,10 +315,6 @@ def degenerate_case1_coeff(
     a, b = _check_slice(p, q, a, b)
     if is_natural(a + b + 1):
         raise ValueError("resonant parameters: the resonant constants apply")
-    a_nat = is_natural(a)
-    if a_nat == is_natural(b):
+    if is_natural(a) == is_natural(b):
         raise ValueError("exactly one of a, b must be natural")
-    a_f, b_f = float(a), float(b)
-    n, other = (int(a), b_f) if a_nat else (int(b), a_f)
-    replacement = float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
-    return replacement * _generic_ratio(p, q, a_f, b_f, chirality2, [-other])
+    return _leading_coefficient(p, q, a, b, chirality2)

@@ -682,9 +682,8 @@ def verify_constant(spec: KernelSpec) -> VerificationReport:
     """Fit the kernel at its sample radii and compare with the closed-form
     constant.
 
-    Routes through the same case classification as the convolution
-    engine; BothInteger kernels outside j = k = 1 have no asserted
-    closed form and raise ValueError.
+    Routes through the same case classification and the same constant
+    as the convolution engine, for every case and log degree.
     """
     case, base, norm = kernel_leading_constant(
         spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality

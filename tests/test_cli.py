@@ -128,10 +128,18 @@ class TestConstant:
         assert "Gamma pole" in err
 
     def test_unpinned_both_integer_degrees(self, capsys):
-        code, _, err = run(
-            capsys, ["constant", "-a", "0", "-b", "0", "-j", "2", "-k", "1"]
-        )
-        assert code == 3
+        # away from j = k = 1 the constant is C * j * k / (j + k - 1)
+        # with C = 1, under the same normalization as every other case
+        for k, lead in ((1, 0.5), (2, 0.6666666666666666)):
+            code, out, _ = run(
+                capsys, ["constant", "-a", "0", "-b", "0", "-j", "2", "-k", str(k)]
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["case"] == "BothInteger"
+            assert doc["degree"] == 1 + k
+            assert doc["leading_coeff"] == [lead, 0]
+            assert doc["normalization"] == 0.5
 
     def test_garbage_rational_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -267,10 +275,10 @@ class TestVerify:
             blobs.append(base.with_suffix(".json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_mixed_cases_keep_normalization_pool_clean(self, tmp_path, capsys):
-        # The both-integer scale constant is not the measure
-        # normalization; a mixed suite must still report a consistent
-        # pool drawn from the other cases.
+    def test_mixed_cases_share_one_normalization_pool(self, tmp_path, capsys):
+        # Every singular case, BothInteger included, is stated under the
+        # one measure normalization, so a mixed suite pools all of them
+        # and must still report a consistent pool.
         both_integer = {
             "a": "0", "b": "0", "p": 0, "q": 0, "j": 1, "k": 1,
             "chirality": "holo",

@@ -91,12 +91,19 @@ class TestKernelLeadingConstant:
         assert base2 == pytest.approx(2.0 * base1, rel=1e-13)
 
     def test_both_integer_pinned_only_at_one_one(self):
+        # the exact rational pins j = k = 1: C = -4 * (-1/4) = 1, and
+        # INTEGER_CASE_SCALE = -4 * RHO_NORM carries it to the same
+        # leading coefficient; other degrees scale C by jk/(j+k-1)
         case, base, norm = kernel_leading_constant(0, 0, 0, 0, 1, 1, Chirality.HOLO)
         assert case is CaseTag.BOTH_INTEGER
-        assert base == pytest.approx(-0.25, abs=1e-15)
-        assert norm == INTEGER_CASE_SCALE
-        with pytest.raises(ValueError):
-            kernel_leading_constant(0, 0, 0, 0, 2, 1, Chirality.HOLO)
+        assert base == 1.0
+        assert norm == RHO_NORM
+        assert base * norm == -0.25 * INTEGER_CASE_SCALE
+        for j, k in ((2, 1), (1, 2), (2, 2), (3, 1)):
+            case, base_jk, norm = kernel_leading_constant(0, 0, 0, 0, j, k, Chirality.HOLO)
+            assert case is CaseTag.BOTH_INTEGER
+            assert base_jk == j * k / (j + k - 1)
+            assert norm == RHO_NORM
 
     def test_smooth_is_zero(self):
         case, base, norm = kernel_leading_constant(
@@ -176,8 +183,6 @@ class TestConvolveTerms:
         t2 = SingularTerm(r=r2, m=m2, n=n2, poly=LogPolynomial.monomial(k))
         a_eff = r1 + min(m1, n1)
         b_eff = r2 + min(m2, n2)
-        if classify_case(a_eff, b_eff, j, k) is CaseTag.BOTH_INTEGER and (j, k) != (1, 1):
-            return
         try:
             left = convolve_terms(t1, t2)
         except ValueError:

@@ -166,6 +166,12 @@ class TestFourierCoefficient:
                 extrapolated = 2 * nearer - near
                 assert extrapolated == pytest.approx(exact, rel=1e-6, abs=1e-6)
 
+    def test_beyond_float_range_is_a_value_error(self):
+        # log|coefficient| = 711.76 > log(DBL_MAX) = 709.78
+        with pytest.raises(ValueError, match="beyond float range") as info:
+            fourier_coefficient(F(1958, 3), 280, 832)
+        assert type(info.value) is ValueError
+
 
 class TestBinomialGammaSum:
     def test_single_term(self):
@@ -387,3 +393,43 @@ class TestDegenerateCase1Coeff:
         with pytest.raises(ValueError):
             degenerate_case1_coeff(0, 0, F(0), F(1), HOLO)
 
+
+class TestLeadingCoefficientLimits:
+    """Each case constant is the limit of F_const across its own locus:
+    the residue u*F at a resonance, the derivative F/e across a natural
+    exponent, and F*u/(e_a*e_b) at two natural exponents."""
+
+    DELTA = F(1, 10**7)
+    PQ = [(p, q) for p in range(3) for q in range(3)]
+
+    @pytest.mark.parametrize("chirality", [HOLO, ANTI])
+    @pytest.mark.parametrize("p,q", PQ)
+    @pytest.mark.parametrize("a,b", [(F(-1, 2), F(-1, 2)), (F(1, 3), F(2, 3))])
+    def test_resonant_is_the_residue(self, p, q, a, b, chirality):
+        near = float(self.DELTA) * F_const(p, q, a + self.DELTA, b, chirality)
+        exact = tilde_F_const(p, q, a, b, chirality)
+        assert near == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("chirality", [HOLO, ANTI])
+    @pytest.mark.parametrize("p,q", PQ)
+    @pytest.mark.parametrize("a,b", [(F(0), F(-3, 10)), (F(1), F(2, 5)), (F(-1, 3), F(2))])
+    def test_one_natural_is_the_derivative(self, p, q, a, b, chirality):
+        if a.denominator == 1:
+            near = F_const(p, q, a + self.DELTA, b, chirality)
+        else:
+            near = F_const(p, q, a, b + self.DELTA, chirality)
+        exact = degenerate_case1_coeff(p, q, a, b, chirality)
+        assert near / float(self.DELTA) == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("chirality", [HOLO, ANTI])
+    @pytest.mark.parametrize("p,q", PQ)
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (2, 1)])
+    def test_both_natural_is_minus_four_times_the_exact_rational(
+        self, p, q, a, b, chirality
+    ):
+        e_a, e_b = self.DELTA, 2 * self.DELTA
+        near = F_const(p, q, a + e_a, b + e_b, chirality) * float(
+            (e_a + e_b) / (e_a * e_b)
+        )
+        exact = -4 * integer_case_log_coeff(p, q, a, b, chirality)
+        assert near == pytest.approx(float(exact), rel=1e-5)

@@ -17,7 +17,8 @@ The exact layer is compared byte for byte instead:
     asymconv bernstein ... --kappa 1
 
 print ``golden_convolve.json``, ``golden_types.json``, ``golden_bernstein.json``
-and ``golden_bernstein_kappa1.json``.
+and ``golden_bernstein_kappa1.json``, and ``asymconv constant`` on one
+kernel per case (``GOLDEN_CONSTANTS``) prints ``golden_constant_<name>.json``.
 """
 
 import json
@@ -31,6 +32,21 @@ from asymconv.convolution_engine import convolve_expansions, convolve_terms
 from asymconv.expansion_algebra import CaseTag, Expansion
 
 DATA = Path(__file__).parent / "data"
+
+#: name -> (case, ``asymconv constant`` options) of each golden constant
+GOLDEN_CONSTANTS = {
+    "generic": ("Generic", ["-a", "-1/3", "-b", "-1/4", "-p", "1", "-q", "2"]),
+    "resonant_anti": (
+        "Resonant",
+        ["-a", "-1/3", "-b", "1/3", "-p", "1", "-q", "2", "-k", "1",
+         "--chirality", "anti"],
+    ),
+    "one_integer_factor": (
+        "OneIntegerFactor", ["-a", "1", "-b", "-1/3", "-q", "1", "-j", "2"],
+    ),
+    "both_integer_2_1": ("BothInteger", ["-a", "0", "-b", "0", "-j", "2", "-k", "1"]),
+    "smooth": ("Smooth", ["-a", "0", "-b", "-1/2", "-j", "0"]),
+}
 
 
 def assert_matches(actual, expected, where="$"):
@@ -97,6 +113,20 @@ def test_bernstein_kappa_matches_golden_bytes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / "golden_bernstein_kappa1.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONSTANTS))
+def test_constant_matches_golden_bytes(capsys, name):
+    case, options = GOLDEN_CONSTANTS[name]
+    code = main(["constant"] + options)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["case"] == case
+    assert out == (DATA / ("golden_constant_%s.json" % name)).read_text()
+
+
+def test_constant_golden_covers_every_case():
+    assert {case for case, _ in GOLDEN_CONSTANTS.values()} == {tag.value for tag in CaseTag}
 
 
 def test_exact_layer_golden_covers_its_cases():
