@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .expansion_algebra import (
     CaseTag,
@@ -27,6 +27,7 @@ from .expansion_algebra import (
     LogPolynomial,
     RationalInput,
     SingularTerm,
+    _case,
     as_fraction,
     case_degree,
     classify_case,
@@ -53,6 +54,8 @@ RHO_NORM: float = 0.5
 #: at j = k = 1 is integer_case_log_coeff * (-4 * RHO_NORM) = -2 times it.
 INTEGER_CASE_SCALE: float = -4 * RHO_NORM
 
+_VANISHING = "leading coefficient of a singular case cannot vanish"
+
 
 @dataclass(frozen=True)
 class ConvolutionResult:
@@ -78,7 +81,7 @@ class ConvolutionResult:
         if self.degree < -1:
             raise ValueError("degree must be >= -1")
         if self.case is not CaseTag.SMOOTH and self.leading_coeff == 0:
-            raise ValueError("leading coefficient of a singular case cannot vanish")
+            raise ValueError(_VANISHING)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,105 +108,175 @@ def kernel_leading_constant(
     coefficient (-4*integer_case_log_coeff for BothInteger), alpha, beta
     and gamma are 1 when a, b and a+b+1 are natural (else 0), and L is
     the output log degree.  The normalization is RHO_NORM in every
-    singular case; Smooth returns (Smooth, 0.0, 0.0).
+    singular case; Smooth returns (Smooth, 0.0, 0.0).  This is
+    classify_case followed by the case-constant step that every term
+    pair of the engine goes through too.
     """
     af = as_fraction(a)
     bf = as_fraction(b)
     case = classify_case(af, bf, j, k)
     if case is CaseTag.SMOOTH:
         return case, 0.0, 0.0
+    return case, _case_constant(case, p, q, af, bf, j, k, chirality), RHO_NORM
+
+
+def _case_constant(
+    case: CaseTag,
+    p: int,
+    q: int,
+    a: Fraction,
+    b: Fraction,
+    j: int,
+    k: int,
+    chirality: Chirality,
+) -> float:
+    """The base constant of kernel_leading_constant for a singular case
+    already decided on validated input.
+
+    The case says which exponents are natural: both for BothInteger, one
+    for OneIntegerFactor (is_natural(a) says which), none otherwise.
+    """
     if case is CaseTag.GENERIC:
-        return case, F_const(p, q, af, bf, chirality), RHO_NORM
+        return F_const(p, q, a, b, chirality)
     if case is CaseTag.RESONANT:
-        base = tilde_F_const(p, q, af, bf, chirality)
-    elif case is CaseTag.ONE_INTEGER_FACTOR:
-        base = degenerate_case1_coeff(p, q, af, bf, chirality)
-    else:
-        base = -4.0 * float(integer_case_log_coeff(p, q, int(af), int(bf), chirality))
-    if is_natural(af):
-        base *= j
-    if is_natural(bf):
-        base *= k
-    if case is CaseTag.RESONANT or case is CaseTag.BOTH_INTEGER:
-        base /= case_degree(case, j, k)
-    return case, base, RHO_NORM
+        return tilde_F_const(p, q, a, b, chirality) / case_degree(case, j, k)
+    if case is CaseTag.ONE_INTEGER_FACTOR:
+        base = degenerate_case1_coeff(p, q, a, b, chirality)
+        return base * (j if is_natural(a) else k)
+    exact = integer_case_log_coeff(p, q, int(a), int(b), chirality)
+    base = -4.0 * float(exact)
+    if base == 0:  # the exact rational is never zero
+        raise ValueError(
+            "BothInteger constant at a=%s, b=%s is below float range: "
+            "-4*integer_case_log_coeff is about 2^%.0f"
+            % (a, b, 2 + math.log2(abs(exact.numerator)) - math.log2(exact.denominator))
+        )
+    base *= j
+    base *= k
+    return base / case_degree(case, j, k)
 
 
-def _output_key(
-    r1: Fraction, m1: int, n1: int, r2: Fraction, m2: int, n2: int
-) -> Tuple[Fraction, int, int]:
-    """Exponent arithmetic: r1+r2+1 in (-1, 1], folded back into (-1, 0]."""
-    r_raw = r1 + r2 + 1
-    m_out = m1 + m2
-    n_out = n1 + n2
-    if r_raw > 0:
-        return r_raw - 1, m_out + 1, n_out + 1
-    return r_raw, m_out, n_out
+class _TermFacts(NamedTuple):
+    """What a term brings to every pair it enters, decided once.
+
+    ``a_num`` and ``r_num`` are a and r times the common denominator D
+    of the pair's documents, so that the sum rules of a pair are integer
+    sums and "a+b+1 is natural" is a divisibility test by D.
+    """
+
+    degree: int
+    leading: complex
+    a: Fraction
+    p: int
+    chirality: Chirality
+    a_natural: bool
+    a_num: int
+    r_num: int
+    m: int
+    n: int
+
+
+def _term_facts(term: SingularTerm, denominator: int) -> _TermFacts:
+    """The facts of one term over the common denominator (a multiple of
+    the denominator of its r)."""
+    if term.poly.is_zero:
+        raise ValueError("cannot convolve a term with zero log polynomial")
+    a, p, chirality = normalize_term(term)
+    r_num = term.r.numerator * (denominator // term.r.denominator)
+    return _TermFacts(
+        term.poly.degree, term.poly.leading, a, p, chirality, is_natural(a),
+        r_num + min(term.m, term.n) * denominator, r_num, term.m, term.n,
+    )
+
+
+def _pair_rule(
+    t1: _TermFacts, t2: _TermFacts, denominator: int
+) -> Tuple[CaseTag, int, complex, Optional[Tuple[int, int, int]]]:
+    """(case, degree, leading coefficient, output key) of one term pair.
+
+    The key is (R, m, n) with the output exponent R/D in (-1, 0]: the
+    sum r1+r2+1 folded back into that window by shifting one unit of
+    |s|^2 into the monomial powers when needed.  Smooth has no key.  The
+    kernel is ANTI when both terms carry a monomial and the two point
+    opposite ways.
+    """
+    j, c1, a, p, chir1, a_natural, a_num, r1, m1, n1 = t1
+    k, c2, b, q, chir2, b_natural, b_num, r2, m2, n2 = t2
+    total = a_num + b_num + denominator
+    resonant = total >= 0 and total % denominator == 0
+    case = _case(a_natural, b_natural, resonant, j, k)
+    degree = case_degree(case, j, k)
+    if case is CaseTag.SMOOTH:
+        return case, degree, 0j, None
+    chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
+    leading = c1 * c2 * _case_constant(case, p, q, a, b, j, k, chir) * RHO_NORM
+    if leading == 0:
+        raise ValueError(_VANISHING)
+    r_out = r1 + r2 + denominator
+    if r_out > 0:
+        return case, degree, leading, (r_out - denominator, m1 + m2 + 1, n1 + n2 + 1)
+    return case, degree, leading, (r_out, m1 + m2, n1 + n2)
 
 
 def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
     """Convolve two singular terms, producing the leading output term.
 
-    Inputs are rescaled to monic leading log coefficient; the two scalar
-    factors multiply the case constant back at the end.  The kernel is
-    ANTI when both terms carry a monomial and the two point opposite ways.
-    The output exponent is r1+r2+1 brought back into (-1, 0] by shifting
-    one unit of |s|^2 into the monomial powers when needed.
+    The leading coefficient is c1 * c2 * base * RHO_NORM, with c1 and c2
+    the terms' leading log coefficients and base the case constant of
+    the monic pair.  This is the pair rule of convolve_expansions, taken
+    over the common denominator of the two exponents.
     """
-    if t1.poly.is_zero or t2.poly.is_zero:
-        raise ValueError("cannot convolve a term with zero log polynomial")
-    j = t1.poly.degree
-    k = t2.poly.degree
-    c1 = t1.poly.leading
-    c2 = t2.poly.leading
-
-    a, p, chir1 = normalize_term(t1)
-    b, q, chir2 = normalize_term(t2)
-    chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
-
-    case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
-    degree = case_degree(case, j, k)
-    if case is CaseTag.SMOOTH:
+    denominator = math.lcm(t1.r.denominator, t2.r.denominator)
+    case, degree, leading, key = _pair_rule(
+        _term_facts(t1, denominator), _term_facts(t2, denominator), denominator
+    )
+    if key is None:
         return ConvolutionResult(
             term=None, case=case, leading_coeff=0j, degree=degree, normalization=0.0
         )
-
-    leading = c1 * c2 * base * norm
-    r_out, m_out, n_out = _output_key(t1.r, t1.m, t1.n, t2.r, t2.m, t2.n)
+    r_num, m_out, n_out = key
     poly = LogPolynomial.monomial(degree).scale(leading)
-    term = SingularTerm(r=r_out, m=m_out, n=n_out, poly=poly)
+    term = SingularTerm(r=Fraction(r_num, denominator), m=m_out, n=n_out, poly=poly)
     return ConvolutionResult(
-        term=term, case=case, leading_coeff=leading, degree=degree, normalization=norm
+        term=term, case=case, leading_coeff=leading, degree=degree, normalization=RHO_NORM
     )
 
 
 def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     """Convolve two expansions term by term and merge colliding outputs.
 
-    Every pairwise result lands in the bucket of its (r, m, n) key;
-    coefficients accumulate from zero in pair order, so the floating-point
-    sum is deterministic.  A merged term whose accumulated coefficient in
-    some log slot has magnitude below 1e-9 times the largest contribution
-    to that slot is flagged as compensated, never silently dropped; a
-    term cancelling to exactly zero is flagged, and Expansion drops it.
+    Each term's facts are decided once, over D, the lcm of the r
+    denominators of both expansions; every pair then goes through
+    convolve_terms's pair rule with integer exponent numerators and lands
+    in the bucket of its (r, m, n) key.  Coefficients accumulate from
+    zero in pair order, so the floating-point sum is deterministic.  A
+    merged term whose accumulated coefficient in some log slot has
+    magnitude below 1e-9 times the largest contribution to that slot is
+    flagged as compensated, never silently dropped; a term cancelling to
+    exactly zero is flagged, and Expansion drops it.
     """
-    buckets: Dict[Tuple[Fraction, int, int], List[LogPolynomial]] = {}
-    for t1 in e1.terms:
-        for t2 in e2.terms:
-            term = convolve_terms(t1, t2).term
-            if term is not None:
-                buckets.setdefault(term.key, []).append(term.poly)
+    denominator = math.lcm(*(t.r.denominator for t in e1.terms + e2.terms))
+    left = [_term_facts(t, denominator) for t in e1.terms]
+    right = [_term_facts(t, denominator) for t in e2.terms]
+    buckets: Dict[Tuple[int, int, int], List[LogPolynomial]] = {}
+    for t1 in left:
+        for t2 in right:
+            _, degree, leading, key = _pair_rule(t1, t2, denominator)
+            if key is not None:
+                poly = LogPolynomial.monomial(degree).scale(leading)
+                buckets.setdefault(key, []).append(poly)
 
     terms: List[SingularTerm] = []
     flagged: List[Tuple[Fraction, int, int]] = []
-    for key, polys in buckets.items():
+    for (r_num, m, n), polys in buckets.items():
+        r = Fraction(r_num, denominator)
         total = sum(polys, LogPolynomial.zero())
         for l in range(max(poly.degree for poly in polys) + 1):
             peak = max(abs(poly.coefficient(l)) for poly in polys)
             if peak > 0 and abs(total.coefficient(l)) < 1e-9 * peak:
-                flagged.append(key)
+                flagged.append((r, m, n))
                 break
-        terms.append(SingularTerm(r=key[0], m=key[1], n=key[2], poly=total))
+        terms.append(SingularTerm(r=r, m=m, n=n, poly=total))
 
     smooth_order = min(e1.smooth_order, e2.smooth_order)
     return Expansion(terms, smooth_order, compensated=frozenset(flagged))

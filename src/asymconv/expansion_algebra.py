@@ -347,7 +347,9 @@ def _case(
     a_natural: bool, b_natural: bool, sum_natural: bool, j: int, k: int
 ) -> CaseTag:
     """classify_case on validated input, given which of a, b and a + b + 1
-    are natural; combine_types calls it with those flags precomputed."""
+    are natural.  combine_types and the convolution engine's pair rule
+    call it with those flags precomputed: each exponent's own flag once
+    per document, the sum's flag by an integer divisibility test."""
     if (a_natural and j == 0) or (b_natural and k == 0):
         return CaseTag.SMOOTH
     if a_natural and b_natural:
@@ -391,20 +393,29 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
     is the maximum over contributing pairs; the type is an upper bound, not
     an exact census.  Each pair's degree is degree_rule's, so a pair with
     a smooth factor (a natural exponent carrying no log) produces no term;
-    an exponent reached only by such pairs is omitted.
+    an exponent reached only by such pairs is omitted.  The exponents of
+    both types are taken over one common denominator D, so each sum is an
+    integer numerator over D and "the sum is natural" is a divisibility
+    test by D.
     """
-    combined: Dict[Fraction, int] = {}
-    right_entries = [(beta, nu, is_natural(beta)) for beta, nu in right.entries.items()]
+    denominator = math.lcm(*(x.denominator for x in (*left.entries, *right.entries)))
+    combined: Dict[int, int] = {}
+    right_entries = [
+        (beta.numerator * (denominator // beta.denominator), nu, is_natural(beta))
+        for beta, nu in right.entries.items()
+    ]
     for alpha, mu in left.entries.items():
         alpha_natural = is_natural(alpha)
-        alpha_shifted = alpha + 1
-        for beta, nu, beta_natural in right_entries:
-            gamma = alpha_shifted + beta
-            case = _case(alpha_natural, beta_natural, is_natural(gamma), mu, nu)
-            degree = case_degree(case, mu, nu)
+        alpha_shifted = alpha.numerator * (denominator // alpha.denominator) + denominator
+        for beta_num, nu, beta_natural in right_entries:
+            gamma = alpha_shifted + beta_num
+            sum_natural = gamma >= 0 and gamma % denominator == 0
+            degree = case_degree(_case(alpha_natural, beta_natural, sum_natural, mu, nu), mu, nu)
             if degree >= 0 and combined.get(gamma, -1) < degree:
                 combined[gamma] = degree
-    return ExponentSetType(entries=combined)
+    return ExponentSetType(
+        entries={Fraction(gamma, denominator): degree for gamma, degree in combined.items()}
+    )
 
 
 def _format_float(x: float) -> str:

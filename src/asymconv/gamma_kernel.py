@@ -148,9 +148,9 @@ def G_q(a: RationalInput, b: RationalInput, q: int) -> float:
     b = as_fraction(b)
     if a <= -1:
         raise ValueError("need a > -1")
-    total = a + b + 1
-    if is_natural(total):
-        if fourier_coefficient(a, q, 2 * int(total) + q) != 0.0:
+    total = _natural_sum(a, b)
+    if total is not None:
+        if fourier_coefficient(a, q, 2 * total + q) != 0.0:
             raise GammaPoleError("a+b+1 = %s is natural: a pole of G_q" % total)
         raise ValueError("indeterminate point: resonant sum with vanishing residue")
     if b + q + 1 <= 0 and b.denominator == 1:
@@ -211,6 +211,20 @@ def _check_slice(
     return a, b
 
 
+def _natural_sum(a: Fraction, b: Fraction) -> Optional[int]:
+    """a+b+1 when it is natural, else None.
+
+    Decided on integer numerators over the product of the denominators,
+    several times cheaper than two Fraction sums; every singular pair of
+    a convolution asks.
+    """
+    denominator = a.denominator * b.denominator
+    total = a.numerator * b.denominator + b.numerator * a.denominator + denominator
+    if total < 0 or total % denominator:
+        return None
+    return total // denominator
+
+
 def _leading_coefficient(
     p: int, q: int, a: Fraction, b: Fraction, chirality2: Chirality,
     resonance: Optional[int] = None,
@@ -237,7 +251,14 @@ def _leading_coefficient(
     factor = 1.0
     for x, x_f in ((a, a_f), (b, b_f)):
         if is_natural(x):  # (-1)^(n+1) n! at n = x
-            factor *= float(math.factorial(int(x))) * (1.0 if x.numerator % 2 else -1.0)
+            n = x.numerator
+            try:
+                n_factorial = float(math.factorial(n))
+            except OverflowError:
+                raise ValueError(
+                    "%d! at the natural exponent %d is beyond float range" % (n, n)
+                ) from None
+            factor *= n_factorial * (1.0 if n % 2 else -1.0)
         else:
             denominators.append(-x_f)
     return sign * factor * _gamma_ratio(numerators, denominators)
@@ -255,8 +276,9 @@ def F_const(
     a+b+1 is natural (the resonant constant applies there instead).
     """
     a, b = _check_slice(p, q, a, b)
-    if is_natural(a + b + 1):
-        raise GammaPoleError("a+b+1 = %s is natural: a pole of F_const" % (a + b + 1))
+    total = _natural_sum(a, b)
+    if total is not None:
+        raise GammaPoleError("a+b+1 = %s is natural: a pole of F_const" % total)
     if is_natural(a) or is_natural(b):
         return 0.0
     return _leading_coefficient(p, q, a, b, chirality2)
@@ -271,12 +293,12 @@ def tilde_F_const(
     under those conditions.
     """
     a, b = _check_slice(p, q, a, b)
-    total = a + b + 1
-    if not is_natural(total):
+    total = _natural_sum(a, b)
+    if total is None:
         raise ValueError("resonant constant needs a+b+1 natural")
     if a.denominator == 1 or b.denominator == 1:
         raise ValueError("resonant constant needs a and b non-integer")
-    return _leading_coefficient(p, q, a, b, chirality2, int(total))
+    return _leading_coefficient(p, q, a, b, chirality2, total)
 
 
 def integer_case_log_coeff(
@@ -313,7 +335,7 @@ def degenerate_case1_coeff(
     preconditions.
     """
     a, b = _check_slice(p, q, a, b)
-    if is_natural(a + b + 1):
+    if _natural_sum(a, b) is not None:
         raise ValueError("resonant parameters: the resonant constants apply")
     if is_natural(a) == is_natural(b):
         raise ValueError("exactly one of a, b must be natural")

@@ -141,6 +141,26 @@ class TestConstant:
             assert doc["leading_coeff"] == [lead, 0]
             assert doc["normalization"] == 0.5
 
+    def test_natural_exponent_beyond_float_factorial_is_domain_error(self, capsys):
+        # 171! is beyond float range; 170! still gives its old value
+        code, out, err = run(capsys, ["constant", "-a", "171", "-b", "-1/3", "-j", "1"])
+        assert code == 3
+        assert out == ""
+        assert "171! at the natural exponent 171 is beyond float range" in err
+        code, out, _ = run(capsys, ["constant", "-a", "170", "-b", "-1/3", "-j", "1"])
+        assert code == 0
+        assert json.loads(out)["leading_coeff"] == [0.00096720613307340535, 0]
+
+    def test_both_integer_underflow_names_float_range(self, capsys):
+        # -4*integer_case_log_coeff at a = b = 400 is about 2^-1609
+        code, out, err = run(
+            capsys, ["constant", "-a", "400", "-b", "400", "-j", "1", "-k", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "BothInteger constant at a=400, b=400 is below float range" in err
+        assert "cannot vanish" not in err
+
     def test_garbage_rational_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["constant", "-a", "abc", "-b", "0"])
@@ -194,6 +214,36 @@ class TestConvolve:
         assert code == 2
         assert out == ""
         assert "[re, im] pair" in err
+
+    def test_natural_exponent_beyond_float_factorial_is_domain_error(
+        self, tmp_path, capsys
+    ):
+        # r = 0 with m = n = 171 is the kernel exponent a = 171
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(
+            '{"terms": [{"r": "0", "m": 171, "n": 171, "log_coeffs": [[0, 0], [1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        right.write_text(
+            '{"terms": [{"r": "-1/3", "m": 0, "n": 0, "log_coeffs": [[1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        code, out, err = run(capsys, ["convolve", str(left), str(right)])
+        assert code == 3
+        assert out == ""
+        assert "171! at the natural exponent 171 is beyond float range" in err
+
+    def test_both_integer_underflow_names_float_range(self, tmp_path, capsys):
+        doc = tmp_path / "e.json"
+        doc.write_text(
+            '{"terms": [{"r": "0", "m": 400, "n": 400, "log_coeffs": [[0, 0], [1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert code == 3
+        assert out == ""
+        assert "BothInteger constant at a=400, b=400 is below float range" in err
+        assert "cannot vanish" not in err
 
     @pytest.mark.parametrize(
         "number", ["1" + "0" * 400, "1e400"], ids=["int401", "float1e400"]

@@ -21,7 +21,9 @@ from asymconv.expansion_algebra import (
     Expansion,
     LogPolynomial,
     SingularTerm,
+    canonical_json,
     degree_rule,
+    normalize_term,
 )
 from asymconv.gamma_kernel import Chirality, F_const, GammaPoleError, tilde_F_const
 
@@ -252,6 +254,96 @@ class TestConvolveExpansions:
         )
         out = convolve_expansions(e1, e2)
         assert len(out.terms) <= len(e1.terms) * len(e2.terms)
+
+
+#: r = -n/d in (-1, 0] with d drawn from 1..12: the primes 5, 7 and 11
+#: appear, and the common denominator of two documents exceeds either
+#: one's own
+window_exponents = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda n: F(-n, d))
+)
+dyadic = st.integers(-8, 8).map(lambda x: x / 4.0)
+leading_coeffs = st.tuples(dyadic, dyadic).filter(any).map(lambda c: complex(*c))
+
+
+@st.composite
+def singular_terms(draw):
+    degree = draw(st.integers(0, 2))
+    coeffs = [complex(draw(dyadic), 0.0) for _ in range(degree)]
+    return SingularTerm(
+        r=draw(window_exponents),
+        m=draw(st.integers(0, 2)),
+        n=draw(st.integers(0, 2)),
+        poly=LogPolynomial.of_coeffs(coeffs + [draw(leading_coeffs)]),
+    )
+
+
+def fraction_key(t1, t2):
+    """r1+r2+1 folded into (-1, 0], in Fractions."""
+    r = t1.r + t2.r + 1
+    if r > 0:
+        return r - 1, t1.m + t2.m + 1, t1.n + t2.n + 1
+    return r, t1.m + t2.m, t1.n + t2.n
+
+
+def reference_convolution(e1, e2):
+    """convolve_terms over all pairs in order, each pair checked against
+    Fraction arithmetic and kernel_leading_constant, then bucketed on the
+    Fraction key, summed from zero and flagged at 1e-9 of the peak."""
+    buckets = {}
+    for t1 in e1.terms:
+        for t2 in e2.terms:
+            result = convolve_terms(t1, t2)
+            a, p, chir1 = normalize_term(t1)
+            b, q, chir2 = normalize_term(t2)
+            chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
+            j, k = t1.poly.degree, t2.poly.degree
+            case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
+            assert result.case is case is classify_case(a, b, j, k)
+            if result.term is None:
+                continue
+            assert result.term.key == fraction_key(t1, t2)
+            assert result.leading_coeff == t1.poly.leading * t2.poly.leading * base * norm
+            buckets.setdefault(result.term.key, []).append(result.term.poly)
+    terms, flagged = [], []
+    for key, polys in buckets.items():
+        total = sum(polys, LogPolynomial.zero())
+        for l in range(max(poly.degree for poly in polys) + 1):
+            peak = max(abs(poly.coefficient(l)) for poly in polys)
+            if peak > 0 and abs(total.coefficient(l)) < 1e-9 * peak:
+                flagged.append(key)
+                break
+        terms.append(SingularTerm(r=key[0], m=key[1], n=key[2], poly=total))
+    smooth_order = min(e1.smooth_order, e2.smooth_order)
+    return Expansion(terms, smooth_order, compensated=frozenset(flagged))
+
+
+class TestPairRuleReference:
+    @given(
+        left=st.lists(singular_terms(), max_size=5),
+        right=st.lists(singular_terms(), max_size=5),
+        planted=st.tuples(window_exponents, window_exponents).filter(
+            lambda xy: xy[0] != xy[1] and 0 not in xy
+        ),
+        c=leading_coeffs,
+        d=leading_coeffs,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_expansions_match_a_fold_of_convolve_terms(self, left, right, planted, c, d):
+        # r = 0 at log degree 1 on both sides (BothInteger and
+        # OneIntegerFactor pairs), and a planted cancelling pair: the
+        # products x*y and y*x land on one key with opposite signs, so
+        # the key is compensated unless a drawn term lands there too
+        x, y = planted
+        left = left + [term(0, coeffs=(0.0, 1.0)), term(x, coeffs=(c,)), term(y, coeffs=(c,))]
+        right = right + [term(0, n=1, coeffs=(0.5, 1.0)), term(y, coeffs=(d,)),
+                         term(x, coeffs=(-d,))]
+        e1 = Expansion(terms=left, smooth_order=3)
+        e2 = Expansion(terms=right, smooth_order=2)
+        out = convolve_expansions(e1, e2)
+        expected = reference_convolution(e1, e2)
+        assert canonical_json(out.to_json_dict()) == canonical_json(expected.to_json_dict())
+        assert out.compensated == expected.compensated
 
 
 class TestBernsteinCombine:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from asymconv.expansion_algebra import (
     CaseTag,
@@ -28,6 +28,11 @@ exponents = st.fractions(
 )
 log_degrees = st.integers(min_value=0, max_value=3)
 type_entries = st.dictionaries(exponents, log_degrees, min_size=1, max_size=4)
+#: n/d with d drawn from 1..12, so the primes 5, 7 and 11 appear and the
+#: common denominator of two documents exceeds either one's own
+exponents_over_one_to_twelve = st.integers(1, 12).flatmap(
+    lambda d: st.integers(-d + 1, 3 * d).map(lambda n: F(n, d))
+)
 
 
 def test_as_fraction_rejects_floats():
@@ -119,6 +124,28 @@ class TestCombineTypes:
         combined = combine_types(ExponentSetType(dict(left)), ExponentSetType(dict(right)))
         assert all(key > -1 for key in combined.entries)
         assert all(deg >= 0 for deg in combined.entries.values())
+
+    @given(
+        st.dictionaries(exponents_over_one_to_twelve, log_degrees, min_size=1, max_size=6),
+        st.dictionaries(exponents_over_one_to_twelve, log_degrees, min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_fraction_loop_over_degree_rule(self, left, right):
+        # the reference adds exponents as Fractions and asks degree_rule
+        # for each pair; combine_types works on integer numerators over
+        # the lcm of both documents' denominators
+        reference = {}
+        for alpha, mu in left.items():
+            for beta, nu in right.items():
+                degree = degree_rule(alpha, beta, mu, nu)
+                gamma = alpha + beta + 1
+                if degree >= 0 and reference.get(gamma, -1) < degree:
+                    reference[gamma] = degree
+        combined = combine_types(ExponentSetType(dict(left)), ExponentSetType(dict(right)))
+        assert combined.entries == reference
+        assert canonical_json(combined.to_json_dict()) == canonical_json(
+            ExponentSetType(reference).to_json_dict()
+        )
 
 
 def _unit_term(r, m, n):

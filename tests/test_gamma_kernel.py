@@ -10,6 +10,7 @@ from asymconv.gamma_kernel import (
     G_q,
     GammaPoleError,
     _gamma_ratio,
+    _natural_sum,
     beta_tail_integral,
     binomial_gamma_sum,
     degenerate_case1_coeff,
@@ -68,6 +69,15 @@ class TestExactInputs:
             F_const(0, 0, near, F(-1, 2), HOLO)
         with pytest.raises(GammaPoleError):
             G_q(near, F(-1, 2), 0)
+
+    def test_resonance_test_matches_fraction_arithmetic(self):
+        # every pair of exponents > -1 with denominators 1..12, up to 2
+        grid = [F(n, d) for d in range(1, 13) for n in range(-d + 1, 2 * d + 1)]
+        for a in grid:
+            for b in grid:
+                total = a + b + 1
+                natural = total.denominator == 1 and total >= 0
+                assert _natural_sum(a, b) == (int(total) if natural else None)
 
     def test_slice_bound_is_exact(self):
         # a + p/2 = -1 + 1e-20 is admissible, although in floats it is -1

@@ -19,10 +19,15 @@ The exact layer is compared byte for byte instead:
 print ``golden_convolve.json``, ``golden_types.json``, ``golden_bernstein.json``
 and ``golden_bernstein_kappa1.json``, and ``asymconv constant`` on one
 kernel per case (``GOLDEN_CONSTANTS``) prints ``golden_constant_<name>.json``.
+The ``golden_convolve_mixed_*`` and ``golden_types_mixed_*`` inputs pair
+documents of different denominators (fifths and sevenths against thirds
+and halves) and print ``golden_convolve_mixed.json`` and
+``golden_types_mixed.json``.
 """
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +109,35 @@ def test_exact_layer_matches_golden_bytes(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / ("golden_%s.json" % command)).read_text()
+
+
+@pytest.mark.parametrize("command", ["convolve", "types"])
+def test_mixed_denominator_exact_layer_matches_golden_bytes(capsys, command):
+    # fifths and sevenths against thirds and halves: the common
+    # denominator of the pair exceeds either document's own
+    inputs = [
+        str(DATA / ("golden_%s_mixed_%s.json" % (command, side))) for side in ("left", "right")
+    ]
+    denominators = []
+    for path in inputs:
+        doc = json.loads(Path(path).read_text())
+        exponents = [t["r"] for t in doc["terms"]] if command == "convolve" else doc["entries"]
+        denominators.append(math.lcm(*(Fraction(x).denominator for x in exponents)))
+    assert math.lcm(*denominators) > max(denominators)
+    code = main([command] + inputs)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / ("golden_%s_mixed.json" % command)).read_text()
+
+
+def test_mixed_denominator_golden_covers_every_case():
+    left, right = (
+        Expansion.from_json_dict(json.loads(path.read_text()))
+        for path in (DATA / "golden_convolve_mixed_left.json",
+                     DATA / "golden_convolve_mixed_right.json")
+    )
+    cases = {convolve_terms(t1, t2).case for t1 in left.terms for t2 in right.terms}
+    assert cases == set(CaseTag)
 
 
 def test_bernstein_kappa_matches_golden_bytes(capsys):
