@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import LogPolynomial, SingularTerm
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, classify_case
 from .quadrature_oracle import (
     _SAMPLE_TOLERANCE,
     _SMOOTH_CUTOFF,
@@ -155,6 +155,13 @@ def _cutoff_remainder(
     circles around the sample point; the angular integral is split at
     the angles where each radius ring crosses them, so every panel sees
     a smooth integrand and Gauss-Legendre converges spectrally.
+
+    The integrand is evaluated only on live (ring, panel) pairs: a panel
+    narrower than 1e-14 (an absent crossing) and a ring inside both
+    plateaus would add exactly +0.0, so they are skipped.  The live panel
+    sums are scattered back into the ring x panel array, and the ring and
+    radial sums run over the full arrays in a fixed order, so the value
+    is bit-identical to evaluating every node.
     """
     g_rad = (24, 32)[level]
     g_ang = (16, 24)[level]
@@ -199,17 +206,28 @@ def _cutoff_remainder(
     breaks = np.sort(np.column_stack(cols), axis=1)
     alo, ahi = breaks[:, :-1], breaks[:, 1:]
 
-    # every ring x angular panel x angular node in one array
-    ahalf = (0.5 * (ahi - alo))[:, :, None]
-    theta = ahalf * ang_nodes + (0.5 * (ahi + alo))[:, :, None]
+    # a ring whose every point lies strictly inside both plateaus reads
+    # beta1 = beta2 = 1.0 exactly and adds +0.0; the 1e-9 margin keeps the
+    # test clear of the roundoff in dist2 and in the fractional powers
+    inside = (rho + sigma <= t1 * (1.0 - 1e-9)) & (
+        rho <= g2.plateau ** n2 * (1.0 - 1e-9)
+    )
+    ring_of, panel_of = np.nonzero((ahi - alo >= 1e-14) & ~inside[:, None])
+
+    # one row per live (ring, panel) pair, one column per angular node
+    plo, phi, prho = alo[ring_of, panel_of], ahi[ring_of, panel_of], rho[ring_of]
+    ahalf = (0.5 * (phi - plo))[:, None]
+    theta = ahalf * ang_nodes + (0.5 * (phi + plo))[:, None]
     w = ahalf * ang_wts
-    dist2 = (sigma * sigma + rho * rho)[:, None, None] - (
-        2.0 * sigma * rho
-    )[:, None, None] * np.cos(theta)
+    dist2 = (sigma * sigma + prho * prho)[:, None] - (
+        2.0 * sigma * prho
+    )[:, None] * np.cos(theta)
     beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
-    beta2 = bump_profile(g2, rho ** (1.0 / n2))
-    panel = np.sum(w * (beta1 * beta2[:, None, None] - 1.0) * dist2 ** af, axis=-1)
-    panel = np.where(ahi - alo < 1e-14, 0.0, panel)
+    beta2 = bump_profile(g2, prho ** (1.0 / n2))
+    panel = np.zeros(alo.shape)
+    panel[ring_of, panel_of] = np.sum(
+        w * (beta1 * beta2[:, None] - 1.0) * dist2 ** af, axis=-1
+    )
     ring = np.sum(panel, axis=-1) / math.pi * rho ** (2.0 * bf)
     return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape)))
 
@@ -257,9 +275,17 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
 
     Only meaningful for pairs whose combined exponent 1/N + 1/M - 1 is
     neither a natural number (where the power degenerates into a log)
-    nor too close to a smooth power for the columns to separate.
+    nor too close to a smooth power for the columns to separate.  Raises
+    ``ValueError`` for a Smooth pair (N = 1 or M = 1), which has no
+    singular exponent, for a resonant one, and when the search ends on
+    an edge of its trial window instead of at an interior minimum.
     """
     spec = _demo_setup(g1, g2)
+    if classify_case(spec.a, spec.b, 0, 0) is CaseTag.SMOOTH:
+        raise ValueError(
+            "a germ of exponent 1 makes the pair Smooth; "
+            "there is no singular exponent to measure"
+        )
     x_model = float(spec.a + spec.b + 1)
     if abs(x_model - round(x_model)) < 0.02:
         raise ValueError(
@@ -276,11 +302,12 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
         cols = np.column_stack([sig ** (2.0 * x)] + smooth_cols)
         return scaled_lstsq(cols, y)[1]
 
+    # the trial window stays 0.02 clear of the integers on both sides of
+    # the model exponent, where the probe column meets a smooth power
     window = 0.12
-    lo = x_model - window
-    hi = min(x_model + window, round(x_model) - 0.02)
-    if hi <= lo:
-        hi = x_model + window
+    lo_edge = max(x_model - window, math.floor(x_model) + 0.02)
+    hi_edge = min(x_model + window, math.ceil(x_model) - 0.02)
+    lo, hi = lo_edge, hi_edge
     # golden-section search; the residual is smooth and unimodal here
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
@@ -295,4 +322,10 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
             fd = residual(d)
-    return 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
+    if min(x - lo_edge, hi_edge - x) < 1e-6:
+        raise ValueError(
+            "the fit residual has no interior minimum in the trial window "
+            "[%.4f, %.4f]; the search ended at %.6f" % (lo_edge, hi_edge, x)
+        )
+    return x

@@ -152,29 +152,101 @@ def _reference_cutoff_remainder(g1, g2, af, bf, sigma, level):
     return total
 
 
+def _dense_cutoff_remainder(g1, g2, af, bf, sigma, level):
+    """Dense form of the cutoff remainder: every ring x 3 angular panels x
+    angular nodes in one array, empty panels masked to 0 afterwards.
+
+    Returns the value and the number of rings whose density product is
+    exactly 1.0 at every node, the rings inside both plateaus."""
+    g_rad = (24, 32)[level]
+    g_ang = (16, 24)[level]
+    n1, n2 = g1.exponent, g2.exponent
+    t1 = g1.plateau ** n1
+    t2 = g1.support ** n1
+    joints = {
+        _SAFE_RADIUS,
+        0.5,
+        g2.plateau ** n2,
+        0.5 * (g2.plateau ** n2 + g2.support ** n2),
+        g2.support ** n2,
+        1.0,
+    }
+    for thresh in (t1, t2):
+        joints.add(thresh - sigma)
+        joints.add(thresh + sigma)
+    edges = np.array(sorted(x for x in joints if _SAFE_RADIUS <= x <= 1.0))
+    lo, hi = edges[:-1], edges[1:]
+    keep = hi - lo >= 1e-14
+    lo, hi = lo[keep], hi[keep]
+    rad_nodes, rad_wts = np.polynomial.legendre.leggauss(g_rad)
+    ang_nodes, ang_wts = np.polynomial.legendre.leggauss(g_ang)
+
+    half = (0.5 * (hi - lo))[:, None]
+    rho_grid = half * rad_nodes + (0.5 * (hi + lo))[:, None]
+    rad_w = half * rad_wts
+    rho = rho_grid.ravel()
+
+    cols = [np.zeros_like(rho), np.full_like(rho, math.pi)]
+    for thresh in (t1, t2):
+        arg = (sigma * sigma + rho * rho - thresh * thresh) / (2.0 * sigma * rho)
+        crossing = np.arccos(np.clip(arg, -1.0, 1.0))
+        cols.append(np.where(np.abs(arg) < 1.0, crossing, math.pi))
+    breaks = np.sort(np.column_stack(cols), axis=1)
+    alo, ahi = breaks[:, :-1], breaks[:, 1:]
+
+    ahalf = (0.5 * (ahi - alo))[:, :, None]
+    theta = ahalf * ang_nodes + (0.5 * (ahi + alo))[:, :, None]
+    w = ahalf * ang_wts
+    dist2 = (sigma * sigma + rho * rho)[:, None, None] - (
+        2.0 * sigma * rho
+    )[:, None, None] * np.cos(theta)
+    beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
+    beta2 = bump_profile(g2, rho ** (1.0 / n2))
+    zero_rings = int(np.sum(np.all(beta1 * beta2[:, None, None] == 1.0, axis=(1, 2))))
+    panel = np.sum(w * (beta1 * beta2[:, None, None] - 1.0) * dist2 ** af, axis=-1)
+    panel = np.where(ahi - alo < 1e-14, 0.0, panel)
+    ring = np.sum(panel, axis=-1) / math.pi * rho ** (2.0 * bf)
+    return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape))), zero_rings
+
+
+_REMAINDER_PAIRS = [
+    (MonomialGerm(1), MonomialGerm(3)),
+    (MonomialGerm(2), MonomialGerm(3)),
+    (MonomialGerm(5), MonomialGerm(9)),
+    # narrow transition: both joint circles of the first cutoff
+    # cross the rings, and their tangency radii split the panels
+    (
+        MonomialGerm(1, plateau=0.95, support=0.96),
+        MonomialGerm(2, plateau=0.95, support=0.96),
+    ),
+]
+
+
 class TestCutoffRemainder:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("sigma", [0.2, 0.1, 0.2 * 2.0 ** -15])
-    @pytest.mark.parametrize(
-        "g1, g2",
-        [
-            (MonomialGerm(1), MonomialGerm(3)),
-            (MonomialGerm(2), MonomialGerm(3)),
-            (MonomialGerm(5), MonomialGerm(9)),
-            # narrow transition: both joint circles of the first cutoff
-            # cross the rings, and their tangency radii split the panels
-            (
-                MonomialGerm(1, plateau=0.95, support=0.96),
-                MonomialGerm(2, plateau=0.95, support=0.96),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("g1, g2", _REMAINDER_PAIRS)
     def test_matches_scalar_reference(self, g1, g2, sigma, level):
         af = 1.0 / g1.exponent - 1.0
         bf = 1.0 / g2.exponent - 1.0
         expected = _reference_cutoff_remainder(g1, g2, af, bf, sigma, level)
         got = _cutoff_remainder(g1, g2, af, bf, sigma, level)
         assert math.isclose(got, expected, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("g1, g2", _REMAINDER_PAIRS)
+    def test_bit_identical_to_dense_form(self, g1, g2, level):
+        # skipping empty panels and rings inside both plateaus drops only
+        # exact +0.0 terms and keeps every summation order
+        spec = fiber_demo._demo_setup(g1, g2)
+        af, bf = float(spec.a), float(spec.b)
+        for sigma in fiber_demo._radii(spec):
+            expected, zero_rings = _dense_cutoff_remainder(g1, g2, af, bf, sigma, level)
+            got = _cutoff_remainder(g1, g2, af, bf, sigma, level)
+            assert got == expected, sigma
+            # every pair has whole rings inside both plateaus (one or two
+            # radial panels of them), so the ring skip is exercised
+            assert zero_rings >= (24, 32)[level], sigma
 
 
 class TestThomSebastianiDemo:
@@ -253,3 +325,29 @@ class TestMeasureSingularExponent:
     def test_resonant_pair_rejected(self):
         with pytest.raises(ValueError):
             measure_singular_exponent(MonomialGerm(2), MonomialGerm(2))
+
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [
+            (MonomialGerm(1), MonomialGerm(3)),
+            (MonomialGerm(4), MonomialGerm(1)),
+            (MonomialGerm(1), MonomialGerm(11, plateau=0.95)),
+        ],
+    )
+    def test_smooth_pair_rejected(self, g1, g2):
+        # an exponent-1 germ gives a = 0 or b = 0 with no log: no singular
+        # exponent exists, and the search used to return a window edge
+        with pytest.raises(ValueError, match="Smooth"):
+            measure_singular_exponent(g1, g2)
+
+    def test_window_edge_is_not_a_measurement(self, monkeypatch):
+        # samples of a pure power at exponent 0.3 put the residual's
+        # minimum above the (2, 3) trial window, so the search ends on
+        # its upper edge
+        monkeypatch.setattr(
+            fiber_demo,
+            "_demo_samples",
+            lambda g1, g2, spec: [s ** 0.6 for s in fiber_demo._radii(spec)],
+        )
+        with pytest.raises(ValueError, match="no interior minimum"):
+            measure_singular_exponent(MonomialGerm(2), MonomialGerm(3))
