@@ -22,9 +22,12 @@ exactly in the radius (_power_log_antiderivative) over the two disks
 The collar, which touches |v| = 1 where no such series converges
 geometrically, is the only quadrature, at two refinement levels; kernel
 samples, finite parts and the fiber demo's cutoff remainders all pass
-one two-level test (_refined) or raise ToleranceNotMet.  Every series of
-a kernel is computed once in its _inner_moments cache entry, which
-kernel samples and finite parts only read.
+one two-level test (_refined) or raise ToleranceNotMet.  Each level's
+rule and every spec-independent table on it (e^{i theta}, 1 - v and its
+Log|1 - v|^2) are built once and shared (_collar_geometry); a kernel
+adds only its a-power and its monomial phases.  Every series of a kernel
+is computed once in its _inner_moments cache entry, which kernel samples
+and finite parts only read.
 """
 
 from __future__ import annotations
@@ -183,16 +186,23 @@ _SERIES_TERMS = 80
 def _pochhammer_jets(c: float, count: int, order: int) -> np.ndarray:
     """Rows m < count: Taylor coefficients in e of (-c-e)_m / m!, to e^order.
 
-    Each row follows from the last through the factor (m - c - e)/(m + 1),
-    so a vanishing factor at natural c keeps its e-part exactly.
+    Each row follows from the last through the factor (m - c - e)/(m + 1):
+    the e^l entry is ((m - c) x - prev) / (m + 1), x its last value and prev
+    that of e^(l-1) (0 for e^0), so a vanishing factor at natural c keeps
+    its e-part exactly.  Column l needs only columns l and l - 1, so each
+    column is one scalar loop over m.
     """
-    jet = [1.0] + [0.0] * order
-    rows = [jet]
-    for m in range(count - 1):
-        shifted = [0.0] + jet[:-1]  # e times the jet
-        jet = [((m - c) * x - y) / (m + 1) for x, y in zip(jet, shifted)]
-        rows.append(jet)
-    return np.array(rows)
+    prev = [0.0] * count
+    columns = []
+    for l in range(order + 1):
+        x = 1.0 if l == 0 else 0.0
+        column = [x]
+        for m in range(count - 1):
+            x = ((m - c) * x - prev[m]) / (m + 1)
+            column.append(x)
+        columns.append(column)
+        prev = column
+    return np.array(columns).T
 
 
 def _mode_jets(c: float, extra: int, order: int, modes: Sequence[int]) -> tuple:
@@ -256,6 +266,81 @@ def _disk_moments(
     return (coeffs * factorials).T @ radial.T
 
 
+class _CollarGeometry(NamedTuple):
+    """One collar rule's spec-independent tables, rings of both halves stacked."""
+
+    rho: np.ndarray  # [ring]: |v|
+    wrad: np.ndarray  # [ring]: radial weight, the area jacobian rho included
+    l2: np.ndarray  # [ring]: Log rho^2
+    wang: np.ndarray  # [ring, node]: angular weight over 2pi
+    e: np.ndarray  # [ring, node]: e^{i theta}
+    z: np.ndarray  # [ring, node]: 1 - v
+    l1: np.ndarray  # [ring, node]: Log|z|^2
+
+
+@functools.lru_cache(maxsize=8)
+def _collar_geometry(radial: int, angular: int) -> _CollarGeometry:
+    """The collar 1/2 <= |v| <= 3/2 less the disk |v - 1| < 1/2, shared by
+    every spec whose rule has ``radial`` and ``angular`` nodes.
+
+    rho = end +/- xi^2 removes the sqrt corners where the excluded disk
+    meets the annulus; each ring's angles cover theta = pi -/+ half.
+    """
+    nodes, wts = _gl(radial)
+    anodes, awts = _gl(angular)
+    rho, wrad = [], []
+    for lo, hi, from_low in ((0.5, 1.0, True), (1.0, 1.5, False)):
+        span = math.sqrt(hi - lo)
+        xi = 0.5 * span * (nodes + 1.0)
+        ring = lo + xi**2 if from_low else hi - xi**2
+        rho.append(ring)
+        wrad.append(2.0 * xi * (0.5 * span * wts) * ring)
+    rho, wrad = np.concatenate(rho), np.concatenate(wrad)
+    cosphi = np.clip((rho**2 + 0.75) / (2.0 * rho), -1.0, 1.0)
+    half = math.pi - np.arccos(cosphi)
+    e = np.exp(1j * (math.pi + np.outer(half, anodes)))
+    z = 1.0 - rho[:, None] * e
+    return _CollarGeometry(*_frozen(
+        rho, wrad, np.log(rho**2), np.outer(half, awts) / (2.0 * math.pi),
+        e, z, np.log(np.abs(z) ** 2),
+    ))
+
+
+def _times_power(acc: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """acc * x^n for an integer n >= 0, by squaring: numpy's complex ``**``
+    takes its slow generic pow for every integer exponent but 2."""
+    while n:
+        if n & 1:
+            acc = acc * x
+        n >>= 1
+        if n:
+            x = x * x
+    return acc
+
+
+def _collar(
+    level: dict, af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
+) -> np.ndarray:
+    """[jp, kp]: the collar integral of |z|^{2a} z^p (Log|z|^2)^jp
+    * |v|^{2b} (v^q or vbar^q) (Log|v|^2)^kp against (1/2pi) dx dy, z = 1 - v,
+    on one of _LEVELS, whose angular rule grows with the top mode p + q.
+
+    Only the a-power and the monomial phases are per node; rho^(2b+q) and
+    Log rho^2 meet the angular sums ring by ring.
+    """
+    g = _collar_geometry(2 * level["g"], max(level["ma"], level["ma"] * (p + q) // 16))
+    node = _times_power(np.exp(af * g.l1) * g.wang, g.z, p)
+    node = _times_power(node, g.e.conj() if anti else g.e, q)
+    angular = [node.sum(axis=1)]
+    for _ in range(j):
+        node = node * g.l1
+        angular.append(node.sum(axis=1))
+    radial = [g.rho ** (2.0 * bf + q) * g.wrad]
+    for _ in range(k):
+        radial.append(radial[-1] * g.l2)
+    return np.array(angular) @ np.array(radial).T
+
+
 def _inner_tables(
     af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
@@ -263,44 +348,17 @@ def _inner_tables(
 
     The disks |v| <= 1/2 and, through v = 1 - z, |v - 1| <= 1/2 are series
     in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).  Each
-    level integrates the collar between them by quadrature, with
-    rho = end +/- xi^2 removing the sqrt corners where the excluded disk
-    meets the annulus and an angular rule that grows with the top mode
-    p + q.  b + q/2 may be <= -1 as long as b + q > -1, which keeps the
-    angular mean integrable at 0.  The far series shares jets with patch0.
+    level integrates the collar between them by quadrature on its shared
+    _collar_geometry, whose angular rule grows with the top mode p + q;
+    only the a-power and the monomial phases are computed per spec.
+    b + q/2 may be <= -1 as long as b + q > -1, which keeps the angular
+    mean integrable at 0.  The far series shares jets with patch0.
     """
     far_mode, near_mode = (p - q, q) if anti else (p + q, -q)
     jets = _mode_jets(af, p, j, (far_mode, near_mode))
     patch0 = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
     patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
-    collars = []
-    for cfg in _LEVELS:
-        nodes, wts = _gl(2 * cfg["g"])
-        anodes, awts = _gl(max(cfg["ma"], cfg["ma"] * (p + q) // 16))
-        collar: Optional[np.ndarray] = None
-        for lo, hi, from_low in ((0.5, 1.0, True), (1.0, 1.5, False)):
-            span = math.sqrt(hi - lo)
-            xi = 0.5 * span * (nodes + 1.0)
-            wxi = 0.5 * span * wts
-            rho = lo + xi**2 if from_low else hi - xi**2
-            wrad = 2.0 * xi * wxi * rho  # includes the area jacobian rho
-            cosphi = np.clip((rho**2 + 0.75) / (2.0 * rho), -1.0, 1.0)
-            half = math.pi - np.arccos(cosphi)  # theta over pi -/+ half
-            theta = math.pi + np.outer(half, anodes)
-            wang = np.outer(half, awts) / (2.0 * math.pi)
-            v = rho[:, None] * np.exp(1j * theta)
-            f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
-            l1 = np.log(np.abs(1.0 - v) ** 2)
-            vq = np.conj(v) ** q if anti else v**q
-            base = f1 * (np.abs(v) ** (2.0 * bf) * vq)
-            l2 = np.log(np.abs(v) ** 2)
-            vals = np.empty((j + 1, k + 1) + v.shape, dtype=complex)
-            for jp in range(j + 1):
-                for kp in range(k + 1):
-                    vals[jp, kp] = base * l1**jp * l2**kp
-            acc = np.einsum("...nm,nm->...", vals, wang * wrad[:, None])
-            collar = acc if collar is None else collar + acc
-        collars.append(collar)
+    collars = [_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS]
     far_series = _mode_coefficients(af, p, far_mode, j, jets)
     return patch0 + patch1, np.array(collars), far_series
 

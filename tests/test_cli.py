@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import asymconv.quadrature_oracle as oracle
 from asymconv.cli import main
 
 
@@ -312,10 +313,14 @@ class TestVerify:
         assert outputs[0] == outputs[1]
 
     def test_worker_count_does_not_change_report(self, tmp_path, capsys):
+        # each run starts cold, so the three workers race to build the
+        # spec entries and the collar geometry both specs share
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))
         blobs = []
         for jobs in ("1", "3"):
+            oracle._inner_moments.cache_clear()
+            oracle._collar_geometry.cache_clear()
             base = tmp_path / ("jobs" + jobs)
             code, _, _ = run(
                 capsys,

@@ -136,12 +136,18 @@ class TestEvalKernelIntegral:
             eval_kernel_integral(spec, 0.3)
 
     def test_tolerance_not_met(self, monkeypatch):
-        # the tolerance is read at call time
-        monkeypatch.setattr(oracle, "_SAMPLE_TOLERANCE", 1e-16)
+        # a collar rule of 4 x 4 nodes misses the finer level by 5.8e-3,
+        # far beyond the production tolerance; the levels are read when
+        # the spec's entry is built
+        monkeypatch.setattr(oracle, "_LEVELS", ({"g": 2, "ma": 4}, oracle._LEVELS[1]))
         spec = KernelSpec(a=F(-7, 10), b=F(-3, 5), p=1, q=1, j=2, k=1, chirality="anti")
-        with pytest.raises(ToleranceNotMet) as exc:
-            eval_kernel_integral(spec, 0.21)
-        assert exc.value.achieved > 0.0
+        _inner_moments.cache_clear()
+        try:
+            with pytest.raises(ToleranceNotMet) as exc:
+                eval_kernel_integral(spec, 0.21)
+        finally:
+            _inner_moments.cache_clear()
+        assert exc.value.achieved > 1e-3
 
     def test_rotation_covariance_holo(self):
         spec = KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=0, k=0)
@@ -406,6 +412,116 @@ class TestDiskMoments:
         value = _disk_moments(*case)
         assert value.shape == reference.shape
         assert np.abs(value - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+class TestCollar:
+    """Each level's collar against the dense complex quadrature it replaced.
+
+    The reference evaluates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp |v|^{2b}
+    (v^q or vbar^q) (Log|v|^2)^kp at every node of the same rule, with
+    complex powers and logs, and sums it against the node weights in one
+    contraction; the same contraction over the integrand's absolute value
+    is the unsigned integral.  A collar that cancels to roundoff (holo
+    kernels at natural a and b) has no signed scale, so the bound is
+    relative to the unsigned integral: at most 4.6e-16 measured over 225
+    specs of both chiralities with p+q <= 22, j, k <= 3 and natural or
+    fractional a and b; 1e-13 leaves a margin of two hundred.
+    """
+
+    @staticmethod
+    def dense_collar(af, bf, p, q, j, k, anti):
+        """[level, jp, kp] of the signed and of the unsigned collar integral."""
+        signed, unsigned = [], []
+        for cfg in oracle._LEVELS:
+            nodes, wts = np.polynomial.legendre.leggauss(2 * cfg["g"])
+            anodes, awts = np.polynomial.legendre.leggauss(
+                max(cfg["ma"], cfg["ma"] * (p + q) // 16)
+            )
+            level = np.zeros((2, j + 1, k + 1), dtype=complex)
+            for lo, hi, from_low in ((0.5, 1.0, True), (1.0, 1.5, False)):
+                span = math.sqrt(hi - lo)
+                xi = 0.5 * span * (nodes + 1.0)
+                rho = lo + xi**2 if from_low else hi - xi**2
+                wrad = 2.0 * xi * (0.5 * span * wts) * rho
+                cosphi = np.clip((rho**2 + 0.75) / (2.0 * rho), -1.0, 1.0)
+                half = math.pi - np.arccos(cosphi)
+                theta = math.pi + np.outer(half, anodes)
+                weight = np.outer(half, awts) / (2.0 * math.pi) * wrad[:, None]
+                v = rho[:, None] * np.exp(1j * theta)
+                f1 = np.abs(1.0 - v) ** (2.0 * af) * (1.0 - v) ** p
+                l1 = np.log(np.abs(1.0 - v) ** 2)
+                vq = np.conj(v) ** q if anti else v**q
+                base = f1 * (np.abs(v) ** (2.0 * bf) * vq)
+                l2 = np.log(np.abs(v) ** 2)
+                for jp, kp in itertools.product(range(j + 1), range(k + 1)):
+                    vals = base * l1**jp * l2**kp
+                    level[:, jp, kp] += np.sum(vals * weight), np.sum(np.abs(vals) * weight)
+            signed.append(level[0])
+            unsigned.append(level[1].real)
+        return np.array(signed), np.array(unsigned)
+
+    # (a, b, p, q, j, k, anti), as _inner_tables takes them
+    CASES = [
+        (-1 / 3, -1 / 4, 0, 0, 0, 0, False),
+        (-0.4, -0.35, 1, 1, 3, 3, False),
+        (-0.4, -0.35, 1, 1, 2, 1, True),
+        (1 / 3, -0.2, 3, 2, 1, 1, True),
+        # natural a and b: the holo collar is pure roundoff
+        (0.0, 0.0, 2, 2, 0, 0, False),
+        (1.0, 1.0, 2, 2, 1, 1, False),
+        (1.0, 2.0, 2, 1, 1, 2, True),
+        # past the angular growth at p + q >= 17
+        (-1 / 3, -0.2, 9, 8, 1, 1, False),
+        (-1 / 3, -0.2, 0, 20, 0, 0, False),
+        (-0.25, 0.5, 12, 10, 3, 3, True),
+        # finite-part kernels with b + q/2 <= -1
+        (-1 / 3, -3.5, 0, 4, 0, 0, False),
+        (1.0, -2.6, 0, 2, 0, 0, False),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_quadrature(self, case):
+        _, collars, _ = _inner_tables(*case)
+        signed, unsigned = self.dense_collar(*case)
+        assert collars.shape == signed.shape
+        assert np.all(np.abs(collars - signed) <= 1e-13 * unsigned)
+
+    def test_geometry_built_once_per_rule(self):
+        # every spec with p + q <= 16 shares the two levels' rules
+        oracle._collar_geometry.cache_clear()
+        for case in self.CASES[:7]:
+            _inner_tables(*case)
+            assert oracle._collar_geometry.cache_info().misses == len(oracle._LEVELS)
+        for level in oracle._LEVELS:
+            for arr in oracle._collar_geometry(2 * level["g"], level["ma"]):
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+        assert oracle._collar_geometry.cache_info().misses == len(oracle._LEVELS)
+
+
+def list_pochhammer_jets(c, count, order):
+    """The row-by-row list recurrence that _pochhammer_jets replaced."""
+    jet = [1.0] + [0.0] * order
+    rows = [jet]
+    for m in range(count - 1):
+        shifted = [0.0] + jet[:-1]  # e times the jet
+        jet = [((m - c) * x - y) / (m + 1) for x, y in zip(jet, shifted)]
+        rows.append(jet)
+    return np.array(rows)
+
+
+class TestPochhammerJets:
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.0, -1 / 3, -2 / 3, 1 / 4, 1.7])
+    def test_bit_identical_to_the_list_recurrence(self, c):
+        for order, count in itertools.product(range(4), range(80, 85)):
+            jets = oracle._pochhammer_jets(c, count, order)
+            reference = list_pochhammer_jets(c, count, order)
+            assert jets.shape == (count, order + 1)
+            assert np.array_equal(jets, reference)
+            assert np.array_equal(np.signbit(jets), np.signbit(reference))
+            if c == int(c):
+                # the factor (c - c - e) leaves no e^0 part from row c + 1 on
+                assert np.all(jets[int(c) + 1 :, 0] == 0.0)
 
 
 class TestFinitePartDirect:
