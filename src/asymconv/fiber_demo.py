@@ -159,9 +159,9 @@ def _cutoff_remainder(
     The integrand is evaluated only on live (ring, panel) pairs: a panel
     narrower than 1e-14 (an absent crossing) and a ring inside both
     plateaus would add exactly +0.0, so they are skipped.  The live panel
-    sums are scattered back into the ring x panel array, and the ring and
-    radial sums run over the full arrays in a fixed order, so the value
-    is bit-identical to evaluating every node.
+    sums are added into their rings in panel order (np.bincount), and the
+    radial sum runs over every ring in a fixed order, so the value is
+    bit-identical to evaluating every node.
     """
     g_rad = (24, 32)[level]
     g_ang = (16, 24)[level]
@@ -224,11 +224,8 @@ def _cutoff_remainder(
     )[:, None] * np.cos(theta)
     beta1 = bump_profile(g1, dist2 ** (0.5 / n1))
     beta2 = bump_profile(g2, prho ** (1.0 / n2))
-    panel = np.zeros(alo.shape)
-    panel[ring_of, panel_of] = np.sum(
-        w * (beta1 * beta2[:, None] - 1.0) * dist2 ** af, axis=-1
-    )
-    ring = np.sum(panel, axis=-1) / math.pi * rho ** (2.0 * bf)
+    live = np.sum(w * (beta1 * beta2[:, None] - 1.0) * dist2 ** af, axis=-1)
+    ring = np.bincount(ring_of, live, minlength=len(rho)) / math.pi * rho ** (2.0 * bf)
     return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape)))
 
 

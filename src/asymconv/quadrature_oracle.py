@@ -47,6 +47,7 @@ from .expansion_algebra import (
     Chirality,
     LogPolynomial,
     RationalInput,
+    _format_float,
     as_fraction,
     degree_rule,
     is_natural,
@@ -452,8 +453,10 @@ def _far_integral(entry: _SpecSeries, s: complex) -> complex:
     if not near:
         far = entry.smooth @ top - sigma**entry.c * _horner(entry.ends_total, 2.0 * T)
     else:
-        far = np.delete(entry.smooth, near) @ np.delete(top, near)
-        far -= sigma**entry.c * _horner(np.delete(entry.ends, near, 0).sum(0), 2.0 * T)
+        rest = np.ones(len(top), dtype=bool)
+        rest[near] = False
+        far = entry.smooth[rest] @ top[rest]
+        far -= sigma**entry.c * _horner(entry.ends[rest].sum(0), 2.0 * T)
         t = np.arange(25)  # |E T| <= 1: 25 terms reach roundoff
         E = entry.c - entry.powers[near, None]
         jets = E**t / np.cumprod(np.maximum(t, 1))  # E^t / t!
@@ -636,6 +639,13 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
 # verification reports
 
 
+#: The CSV columns of a report, read from its JSON record: the spec's
+#: fields, then the document's, with fitted_leading the real part of the
+#: top fitted log coefficient (0 when nothing was fitted).
+_CSV_COLUMNS = ("a", "b", "p", "q", "j", "k", "chirality", "case", "fitted_leading",
+                "closed_form", "relative_error", "condition_number", "normalization_used")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Side-by-side record of one oracle-vs-closed-form comparison.
@@ -645,6 +655,7 @@ class VerificationReport:
     ``relative_error`` compares the fitted leading coefficient against
     the library's own normalized prediction, except for Smooth kernels
     where it is the largest absolute fitted singular coefficient.
+    ``to_json_dict`` is the one record; the CSV row reads it.
     """
 
     spec: KernelSpec
@@ -659,11 +670,7 @@ class VerificationReport:
         return {
             "spec": self.spec.to_json_dict(),
             "case": self.case.value,
-            "fitted_log_coeffs": [
-                [self.fitted_coeffs.coefficient(l).real,
-                 self.fitted_coeffs.coefficient(l).imag]
-                for l in range(self.fitted_coeffs.degree + 1)
-            ],
+            "fitted_log_coeffs": [[c.real, c.imag] for c in self.fitted_coeffs.coefficients],
             "closed_form": self.closed_form,
             "relative_error": self.relative_error,
             "condition_number": self.condition_number,
@@ -672,34 +679,20 @@ class VerificationReport:
 
     @staticmethod
     def csv_header() -> str:
-        return (
-            "a,b,p,q,j,k,chirality,case,fitted_leading,closed_form,"
-            "relative_error,condition_number,normalization_used"
-        )
+        return ",".join(_CSV_COLUMNS)
 
     def to_csv_row(self) -> str:
-        lead = self.fitted_coeffs.leading if not self.fitted_coeffs.is_zero else 0.0
-        norm = (
-            "" if self.normalization_used is None
-            else "%.17g" % self.normalization_used
-        )
-        return ",".join(
-            [
-                str(self.spec.a),
-                str(self.spec.b),
-                str(self.spec.p),
-                str(self.spec.q),
-                str(self.spec.j),
-                str(self.spec.k),
-                self.spec.chirality.value,
-                self.case.value,
-                "%.17g" % complex(lead).real,
-                "%.17g" % self.closed_form,
-                "%.17g" % self.relative_error,
-                "%.17g" % self.condition_number,
-                norm,
-            ]
-        )
+        doc = self.to_json_dict()
+        pairs = doc["fitted_log_coeffs"]
+        record = {**doc["spec"], **doc, "fitted_leading": pairs[-1][0] if pairs else 0.0}
+        return ",".join(_csv_field(record[name]) for name in _CSV_COLUMNS)
+
+
+def _csv_field(value) -> str:
+    # floats as in canonical JSON, null as an empty field
+    if value is None:
+        return ""
+    return _format_float(value) if isinstance(value, float) else str(value)
 
 
 def fit_and_compare(

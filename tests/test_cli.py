@@ -13,6 +13,7 @@ import pytest
 
 import asymconv.quadrature_oracle as oracle
 from asymconv.cli import main
+from test_golden_reports import assert_csv_matches
 
 
 def run(capsys, argv):
@@ -532,8 +533,7 @@ class TestDemo:
         assert doc["spec"]["a"] == "-1/2"
         assert doc["spec"]["b"] == "-2/3"
         assert doc["relative_error"] < 1e-6
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 2
+        assert_csv_matches(csv_path.read_text(), [doc])
 
     def test_bad_plateau_is_domain_error(self, capsys):
         code, _, err = run(

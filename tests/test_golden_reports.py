@@ -7,7 +7,9 @@ The expected documents in ``tests/data`` are the output of
 
 with one spec per constant case in the spec file.  Strings, ints, bools
 and nulls compare exactly and floats to 1e-12 relative, so a refactor
-that moves any reported value beyond roundoff fails here.
+that moves any reported value beyond roundoff fails here.  The CSV
+written next to a report must read the same values as its JSON
+(``assert_csv_matches``).
 
 The exact layer is compared byte for byte instead:
 
@@ -35,6 +37,7 @@ import pytest
 from asymconv.cli import main
 from asymconv.convolution_engine import convolve_expansions, convolve_terms
 from asymconv.expansion_algebra import CaseTag, Expansion
+from asymconv.quadrature_oracle import _CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,6 +80,25 @@ def assert_matches(actual, expected, where="$"):
         )
 
 
+def assert_csv_matches(csv_text, reports):
+    """``csv_text`` holds one row per JSON report of ``reports``, in order:
+    each field is the report's field of that column name, the spec's
+    fields included, with fitted_leading the real part of the last
+    fitted_log_coeffs pair (0 when there is none).  Strings and ints
+    print as text, floats as "%.17g" and null as an empty field."""
+    header, *rows = csv_text.splitlines()
+    assert header.split(",") == list(_CSV_COLUMNS)
+    assert len(rows) == len(reports)
+    for index, (row, report) in enumerate(zip(rows, reports)):
+        pairs = report["fitted_log_coeffs"]
+        fields = dict(report["spec"], **report, fitted_leading=pairs[-1][0] if pairs else 0.0)
+        expected = [
+            "" if value is None else "%.17g" % value if isinstance(value, float) else str(value)
+            for value in (fields[name] for name in _CSV_COLUMNS)
+        ]
+        assert row.split(",") == expected, "row %d: %r != %r" % (index, row, expected)
+
+
 def test_verify_report_matches_golden(tmp_path, capsys):
     base = tmp_path / "report"
     code = main(
@@ -92,6 +114,7 @@ def test_verify_report_matches_golden(tmp_path, capsys):
         "Smooth",
     ]
     assert_matches(actual, expected)
+    assert_csv_matches(base.with_suffix(".csv").read_text(), actual["reports"])
 
 
 def test_square_cube_demo_matches_golden(capsys):

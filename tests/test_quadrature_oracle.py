@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -11,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asymconv.quadrature_oracle as oracle
+from asymconv.cli import _write_csv
 from asymconv.convolution_engine import CaseTag, classify_case
-from asymconv.expansion_algebra import Chirality
+from asymconv.expansion_algebra import Chirality, LogPolynomial
 from asymconv.gamma_kernel import F_const, G_q
 from asymconv.quadrature_oracle import (
     IllConditioned,
@@ -33,6 +35,7 @@ from asymconv.quadrature_oracle import (
     scaled_lstsq,
     verify_constant,
 )
+from test_golden_reports import assert_csv_matches
 
 F = Fraction
 HOLO = Chirality.HOLO
@@ -834,10 +837,23 @@ class TestVerifyConstant:
         dump2 = json.dumps(second.to_json_dict(), sort_keys=True)
         assert dump1 == dump2
 
-    def test_csv_row_shape(self):
+    def test_csv_row_shape(self, tmp_path):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
         report = verify_constant(spec)
         header_fields = VerificationReport.csv_header().split(",")
         row_fields = report.to_csv_row().split(",")
         assert len(header_fields) == len(row_fields) == 13
+        assert VerificationReport.csv_header() == (
+            "a,b,p,q,j,k,chirality,case,fitted_leading,closed_form,"
+            "relative_error,condition_number,normalization_used"
+        )
+        # nothing fitted reads fitted_leading 0; a null normalization, empty
+        empty = dataclasses.replace(
+            report, fitted_coeffs=LogPolynomial.zero(), normalization_used=None
+        )
+        path = tmp_path / "reports.csv"
+        _write_csv(str(path), [report, empty])
+        assert_csv_matches(path.read_text(), [report.to_json_dict(), empty.to_json_dict()])
+        fields = path.read_text().splitlines()[2].split(",")
+        assert (fields[8], fields[12]) == ("0", "")
 
