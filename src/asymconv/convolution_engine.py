@@ -247,36 +247,39 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
 
     Each term's facts are decided once, over D, the lcm of the r
     denominators of both expansions; every pair then goes through
-    convolve_terms's pair rule with integer exponent numerators and lands
-    in the bucket of its (r, m, n) key.  Coefficients accumulate from
-    zero in pair order, so the floating-point sum is deterministic.  A
-    merged term whose accumulated coefficient in some log slot has
-    magnitude below 1e-9 times the largest contribution to that slot is
+    convolve_terms's pair rule with integer exponent numerators.  Each
+    output key keeps a list of log-slot totals, each starting at +0, and
+    one of per-slot peaks: a pair adds its leading coefficient to the
+    slot of its degree, in pair order, and raises that slot's peak to its
+    magnitude.  A sum from +0 never becomes -0, so this is bit for bit
+    the sum of the pairs' monomials, whose lower slots are +-0.  A key
+    whose total in some slot is below 1e-9 times the slot's peak is
     flagged as compensated, never silently dropped; a term cancelling to
     exactly zero is flagged, and Expansion drops it.
     """
     denominator = math.lcm(*(t.r.denominator for t in e1.terms + e2.terms))
     left = [_term_facts(t, denominator) for t in e1.terms]
     right = [_term_facts(t, denominator) for t in e2.terms]
-    buckets: Dict[Tuple[int, int, int], List[LogPolynomial]] = {}
+    buckets: Dict[Tuple[int, int, int], Tuple[List[complex], List[float]]] = {}
     for t1 in left:
         for t2 in right:
             _, degree, leading, key = _pair_rule(t1, t2, denominator)
-            if key is not None:
-                poly = LogPolynomial.monomial(degree).scale(leading)
-                buckets.setdefault(key, []).append(poly)
+            if key is None:
+                continue
+            totals, peaks = buckets.setdefault(key, ([], []))
+            if len(totals) <= degree:
+                totals += [0j] * (degree + 1 - len(totals))
+                peaks += [0.0] * (degree + 1 - len(peaks))
+            totals[degree] += leading
+            peaks[degree] = max(peaks[degree], abs(leading))
 
     terms: List[SingularTerm] = []
     flagged: List[Tuple[Fraction, int, int]] = []
-    for (r_num, m, n), polys in buckets.items():
+    for (r_num, m, n), (totals, peaks) in buckets.items():
         r = Fraction(r_num, denominator)
-        total = sum(polys, LogPolynomial.zero())
-        for l in range(max(poly.degree for poly in polys) + 1):
-            peak = max(abs(poly.coefficient(l)) for poly in polys)
-            if peak > 0 and abs(total.coefficient(l)) < 1e-9 * peak:
-                flagged.append((r, m, n))
-                break
-        terms.append(SingularTerm(r=r, m=m, n=n, poly=total))
+        if any(peak > 0 and abs(total) < 1e-9 * peak for total, peak in zip(totals, peaks)):
+            flagged.append((r, m, n))
+        terms.append(SingularTerm(r=r, m=m, n=n, poly=LogPolynomial.of_coeffs(totals)))
 
     smooth_order = min(e1.smooth_order, e2.smooth_order)
     return Expansion(terms, smooth_order, compensated=frozenset(flagged))

@@ -153,7 +153,8 @@ class SingularTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.r, Fraction):
             object.__setattr__(self, "r", as_fraction(self.r))
-        if not (-1 < self.r <= 0):
+        # -1 < r <= 0 on the numerator over the (positive) denominator
+        if not (-self.r.denominator < self.r.numerator <= 0):
             raise ValueError("r must lie in (-1, 0], got %s" % self.r)
         if self.m < 0 or self.n < 0:
             raise ValueError("monomial powers must be >= 0")
@@ -239,7 +240,9 @@ class Expansion:
     """A finite list of singular terms plus a smooth remainder marker.
 
     Terms are merged by (r, m, n) on construction and zero polynomials are
-    dropped, so the term list is always canonical and duplicate free.  The
+    dropped, so the term list is always canonical and duplicate free.
+    Merging and order use the exact integer keys (r*L, m, n), L the lcm of
+    the r denominators, which order as the Fraction keys do.  The
     remainder is only known modulo O(|s|^(2*smooth_order)).
 
     compensated records (r, m, n) keys whose leading coefficients suffered
@@ -254,12 +257,14 @@ class Expansion:
     def __post_init__(self) -> None:
         if self.smooth_order < 0:
             raise ValueError("smooth_order must be >= 0")
-        merged: Dict[Tuple[Fraction, int, int], SingularTerm] = {}
+        scale = math.lcm(*(term.r.denominator for term in self.terms))
+        merged: Dict[Tuple[int, int, int], SingularTerm] = {}
         for term in self.terms:
-            first = merged.get(term.key)
+            key = (term.r.numerator * (scale // term.r.denominator), term.m, term.n)
+            first = merged.get(key)
             if first is not None:
                 term = SingularTerm(first.r, first.m, first.n, first.poly + term.poly)
-            merged[term.key] = term
+            merged[key] = term
         self.terms = [
             merged[key] for key in sorted(merged) if not merged[key].poly.is_zero
         ]
@@ -289,24 +294,26 @@ class ExponentSetType:
     entries: Dict[Fraction, int]
 
     def __post_init__(self) -> None:
+        # integer comparisons, and one Fraction hash per entry
         clean: Dict[Fraction, int] = {}
-        for key, degree in self.entries.items():
+        for index, (key, degree) in enumerate(self.entries.items()):
             frac = as_fraction(key)
-            if frac <= -1:
+            if frac.numerator <= -frac.denominator:
                 raise ValueError("exponent %s is not > -1" % frac)
             if _exact_int("log degree", degree) < 0:
                 raise ValueError("log degree must be >= 0, got %d" % degree)
-            if frac in clean:
-                raise ValueError("duplicate exponent %s" % frac)
             clean[frac] = degree
+            if len(clean) == index:
+                raise ValueError("duplicate exponent %s" % frac)
         self.entries = clean
 
     def to_json_dict(self) -> dict:
-        return {
-            "entries": {
-                str(key): self.entries[key] for key in sorted(self.entries)
-            }
-        }
+        # exponent order, on the integer numerators over the common denominator
+        scale = math.lcm(*(key.denominator for key in self.entries))
+        order = sorted(
+            self.entries.items(), key=lambda item: item[0].numerator * (scale // item[0].denominator)
+        )
+        return {"entries": {str(key): degree for key, degree in order}}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "ExponentSetType":
@@ -419,47 +426,62 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite float cannot enter a canonical document")
     return "%.17g" % x
 
 
+def _quote(text: str) -> str:
+    # json.dumps(text): it leaves printable ASCII but " and \ unescaped
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return json.dumps(text)
+
+
 def _canonical(value, indent: int, step: int) -> str:
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is not list and kind is not tuple and kind is not dict:
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return _format_float(value)
+        if isinstance(value, str):
+            return json.dumps(value)
+        if not isinstance(value, (list, tuple, dict)):
+            raise TypeError("cannot serialize %r" % type(value).__name__)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     pad = " " * indent
     inner = " " * (indent + step)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [inner + _canonical(v, indent + step, step) for v in value]
+    indent += step
+    if not isinstance(value, dict):
+        parts = [inner + _canonical(v, indent, step) for v in value]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError("canonical documents use string keys only")
-            parts.append(
-                inner + json.dumps(key) + ": " + _canonical(value[key], indent + step, step)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError("cannot serialize %r" % type(value).__name__)
+    parts = []
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise TypeError("canonical documents use string keys only")
+        parts.append(inner + _quote(key) + ": " + _canonical(value[key], indent, step))
+    return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
 
 
 def canonical_json(data) -> str:
     """Serialize to JSON with sorted keys and fixed 17-significant-digit floats.
 
     Identical inputs produce byte-identical output, which the report files
-    rely on.  Ends with a newline.
+    rely on.  Ends with a newline.  Plain floats, strings, ints, lists,
+    tuples and dicts are dispatched on their exact type; None, bool and
+    subclasses (the str-Enum values) take the isinstance chain.  A string
+    or key is quoted directly when json.dumps would leave it unescaped.
     """
     return _canonical(data, 0, 2) + "\n"

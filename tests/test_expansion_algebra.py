@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -331,6 +332,15 @@ class TestExponentSetType:
         with pytest.raises(ValueError):
             ExponentSetType({F(1, 2): -1})
 
+    def test_window_edge_and_duplicates(self):
+        assert ExponentSetType({F(-99, 100): 0}).entries == {F(-99, 100): 0}
+        for edge in (F(-1), "-2/2", -1):
+            with pytest.raises(ValueError, match="is not > -1"):
+                ExponentSetType({edge: 0})
+        # equal exponents written differently are one key twice
+        with pytest.raises(ValueError, match="duplicate exponent 1/2"):
+            ExponentSetType({F(-1, 3): 0, "1/2": 0, F(1, 2): 0})
+
     @pytest.mark.parametrize("degree", [1.0, 1.8, True, "1"])
     def test_rejects_non_integer_degree(self, degree):
         with pytest.raises(ValueError, match="log degree must be an integer"):
@@ -343,6 +353,118 @@ class TestExponentSetType:
         data = t.to_json_dict()
         assert data == {"entries": {"-1/2": 1, "5/12": 0}}
         assert ExponentSetType.from_json_dict(data) == t
+
+
+#: r in the window (-1, 0] over denominators 1..12, r = 0 included
+window_exponents = st.integers(1, 12).flatmap(
+    lambda d: st.integers(-d + 1, 0).map(lambda n: F(n, d))
+)
+term_keys = st.tuples(window_exponents, st.integers(0, 2), st.integers(0, 2))
+
+
+class TestExactKeyOrder:
+    """Terms and type entries are ordered on integer keys over a common
+    denominator; the order must be the one of the Fraction keys."""
+
+    @given(
+        keys=st.lists(term_keys, min_size=1, max_size=8, unique=True),
+        picks=st.lists(st.tuples(st.integers(0, 7), st.integers(-2, 2)), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_terms_follow_fraction_order(self, keys, picks):
+        # terms drawn from a few keys, so keys repeat and merge; a 0
+        # coefficient is a zero polynomial and opposite ones cancel
+        terms, totals = [], {}
+        for index, c in picks:
+            key = keys[index % len(keys)]
+            terms.append(SingularTerm(*key, LogPolynomial.of_coeffs([float(c)])))
+            totals[key] = totals.get(key, 0) + c
+        expansion = Expansion(terms, smooth_order=1)
+        expected = sorted(key for key, total in totals.items() if total != 0)
+        assert [term.key for term in expansion.terms] == expected
+
+    def test_expansion_order_on_a_mixed_example(self):
+        # -1/2 < -2/5 against the numerators, -1/3 < -1/4 where they
+        # tie, and r = 0 last
+        terms = [_unit_term(r, m, 0) for r, m in (
+            (F(-1, 4), 0), (F(0), 0), (F(-1, 3), 1), (F(-2, 5), 0), (F(-1, 2), 2), (F(-1, 3), 0)
+        )]
+        keys = [term.key for term in Expansion(terms, smooth_order=1).terms]
+        assert keys == sorted(term.key for term in terms)
+
+    @given(st.dictionaries(exponents_over_one_to_twelve, log_degrees, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_type_entries_follow_fraction_order(self, entries):
+        data = ExponentSetType(dict(entries)).to_json_dict()
+        assert list(data["entries"]) == [str(key) for key in sorted(entries)]
+
+
+def _reference_canonical(value, indent: int, step: int) -> str:
+    """The isinstance-chain serializer canonical_json replaced, kept as
+    the reference its bytes are checked against."""
+    pad = " " * indent
+    inner = " " * (indent + step)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError("non-finite float cannot enter a canonical document")
+        return "%.17g" % value
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [inner + _reference_canonical(v, indent + step, step) for v in value]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("canonical documents use string keys only")
+            parts.append(
+                inner + json.dumps(key) + ": "
+                + _reference_canonical(value[key], indent + step, step)
+            )
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError("cannot serialize %r" % type(value).__name__)
+
+
+#: strings json.dumps escapes, and some it leaves alone
+tricky_strings = st.sampled_from([
+    "", "plain", 'say "hi"', "back\\slash", "tab\there", "nul\x00", "line\nbreak",
+    "\x1f", "del\x7f", "caf\u00e9", "\u96ea", "\U0001f600", " ~", "-1/3",
+])
+json_strings = st.one_of(
+    tricky_strings, st.text(max_size=6), st.text(st.characters(max_codepoint=0x80), max_size=6)
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 53).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+    st.sampled_from(list(CaseTag) + list(Chirality)),
+    json_strings,
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(
+            st.one_of(json_strings, st.sampled_from(list(CaseTag))), children, max_size=4
+        ),
+    ),
+    max_leaves=24,
+)
 
 
 class TestCanonicalJson:
@@ -364,3 +486,34 @@ class TestCanonicalJson:
     def test_rejects_non_string_keys(self):
         with pytest.raises(TypeError):
             canonical_json({1: 2})
+
+    @given(json_documents)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_isinstance_reference(self, doc):
+        assert canonical_json(doc) == _reference_canonical(doc, 0, 2) + "\n"
+        assert json.loads(canonical_json(doc)) == json.loads(json.dumps(doc))
+
+    def test_covers_every_kind_of_value(self):
+        doc = {
+            "big": [2 ** 53 + 1, -(2 ** 64)], "bool": [True, False], "none": None,
+            "floats": (-0.0, 5e-324, 1e308), "enums": [CaseTag.RESONANT, Chirality.ANTI],
+            "strings": ['q"', "b\\", "c\x01", "d\x7f", "\u00e9", "\u96ea"],
+            "empty": [[], (), {}, ""], CaseTag.SMOOTH: {"x": 1},
+        }
+        text = canonical_json(doc)
+        assert text == _reference_canonical(doc, 0, 2) + "\n"
+        assert '"-0"' not in text and "-0," in text and "4.9406564584124654e-324" in text
+        # json.dumps escapes DEL too, so it is not quoted directly
+        assert '"d\\u007f"' in text and '"\\u00e9"' in text and '"Smooth": {' in text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_every_non_finite_float(self, bad):
+        for doc in (bad, [1.0, bad], {"x": {"y": (bad,)}}):
+            with pytest.raises(ValueError):
+                canonical_json(doc)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+    def test_rejects_every_non_string_key(self, key):
+        for doc in ({key: 1}, [{"a": {key: 1}}]):
+            with pytest.raises(TypeError):
+                canonical_json(doc)

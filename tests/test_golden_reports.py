@@ -24,7 +24,12 @@ kernel per case (``GOLDEN_CONSTANTS``) prints ``golden_constant_<name>.json``.
 The ``golden_convolve_mixed_*`` and ``golden_types_mixed_*`` inputs pair
 documents of different denominators (fifths and sevenths against thirds
 and halves) and print ``golden_convolve_mixed.json`` and
-``golden_types_mixed.json``.
+``golden_types_mixed.json``.  The ``golden_convolve_large_*`` inputs are
+24 terms each (quarters and fifths against thirds and sevenths, log
+degree up to 2, with two planted pairs of products in sixths and halves)
+and print ``golden_convolve_large.json``: one pair of products cancels
+exactly, so its key is dropped, and one cancels to about 1e-12, so its
+key is kept and compensated.
 """
 
 import json
@@ -151,6 +156,40 @@ def test_mixed_denominator_exact_layer_matches_golden_bytes(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / ("golden_%s_mixed.json" % command)).read_text()
+
+
+def test_large_convolve_matches_golden_bytes(capsys):
+    inputs = [str(DATA / ("golden_convolve_large_%s.json" % side)) for side in ("left", "right")]
+    code = main(["convolve"] + inputs)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "golden_convolve_large.json").read_bytes()
+
+
+def test_large_convolve_golden_covers_both_cancellations():
+    left, right = (
+        Expansion.from_json_dict(json.loads(path.read_text()))
+        for path in (DATA / "golden_convolve_large_left.json",
+                     DATA / "golden_convolve_large_right.json")
+    )
+    assert len(left.terms) == len(right.terms) == 24
+    assert max(t.poly.degree for t in left.terms + right.terms) == 2
+    assert {t.r.denominator for t in left.terms} == {1, 2, 4, 5, 6}
+    assert {t.r.denominator for t in right.terms} == {1, 2, 3, 6, 7}
+    products = {}
+    for t1 in left.terms:
+        for t2 in right.terms:
+            result = convolve_terms(t1, t2)
+            if result.term is not None:
+                products.setdefault(result.term.key, []).append(result.leading_coeff)
+    merged = convolve_expansions(left, right)
+    kept = {term.key: term for term in merged.terms}
+    exact, near = (Fraction(-2, 3), 1, 1), (Fraction(-1, 3), 2, 2)
+    assert merged.compensated == {exact, near}
+    assert exact not in kept and sum(products[exact]) == 0
+    peak = max(abs(c) for c in products[near])
+    assert len(products[near]) == 2
+    assert 1e-13 * peak < abs(kept[near].poly.leading) < 1e-11 * peak
 
 
 def test_mixed_denominator_golden_covers_every_case():
