@@ -68,22 +68,40 @@ class _Exit(Exception):
     writes the message to stderr."""
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: the object as a dict, or _RepeatedKey
+    where json's own dict would keep the last of two equal keys."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise _RepeatedKey(next(key for key in keys if keys.count(key) > 1))
+    return doc
+
+
 def _load(path: str, build: Callable, what: str):
     """build(document) for the JSON document at path.
 
-    An unreadable or malformed file and a shape error from build are
-    parse errors (exit 2); a ValueError from build is a domain error
-    (exit 3), raised with the path in front of its message.
+    An unreadable or malformed file, an object with a repeated key and a
+    shape error from build are parse errors (exit 2); a ValueError from
+    build is a domain error (exit 3), raised with the path in front of
+    its message.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise _Exit(
             EXIT_PARSE,
             "parse error in %s at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg),
         )
+    except _RepeatedKey as exc:
+        key = json.dumps(exc.args[0])
+        raise _Exit(EXIT_PARSE, "parse error in %s: repeated key %s" % (path, key))
     except (OSError, ValueError) as exc:
         raise _Exit(EXIT_PARSE, "cannot read %s: %s" % (path, exc))
     try:

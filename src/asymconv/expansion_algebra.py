@@ -317,9 +317,8 @@ class ExponentSetType:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "ExponentSetType":
-        return ExponentSetType(
-            entries={as_fraction(k): v for k, v in data["entries"].items()}
-        )
+        # __post_init__ converts each key once and refuses two that name one exponent
+        return ExponentSetType(entries=data["entries"])
 
 
 class CaseTag(str, Enum):

@@ -31,12 +31,11 @@ from .quadrature_oracle import (
     _gl,
     _radii,
     _refined,
+    compare_with_closed_form,
     eval_kernel_integral,
-    fit_and_compare,
+    fit_radial_samples,
     scaled_lstsq,
 )
-# Kept as a module attribute: perfbench/tracing.py wraps it by this name.
-from .quadrature_oracle import fit_radial_samples  # noqa: F401
 
 __all__ = [
     "MonomialGerm",
@@ -259,10 +258,9 @@ def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationRepo
     spec = _demo_setup(g1, g2)
 
     result = convolve_terms(_leading_term(g1), _leading_term(g2))
-    values = _demo_samples(g1, g2, spec)
-    return fit_and_compare(
-        spec, values, result.case,
-        result.leading_coeff.real, result.normalization,
+    measured = fit_radial_samples(spec, _demo_samples(g1, g2, spec))
+    return compare_with_closed_form(
+        spec, measured, result.case, result.leading_coeff.real, result.normalization
     )
 
 

@@ -17,8 +17,9 @@ shifts.  Outside the collar (the annulus 1/2 <= |v| <= 3/2 less the disk
 |v - 1| < 1/2), every angular mean is one explicit power series: the one
 Fourier mode of |1-w|^{2a} (1-w)^p that survives, with its own
 Pochhammer recurrence (_mode_coefficients).  Each power of it integrates
-exactly in the radius (_power_log_antiderivative) over the two disks
-|v| <= 1/2 and |v - 1| <= 1/2 and over the far annulus 3|s|/2 <= |u| <= 1.
+exactly in the radius, over the two disks |v| <= 1/2 and |v - 1| <= 1/2
+(_power_log_antiderivative) and over the far annulus 3|s|/2 <= |u| <= 1
+(the ends that _inner_moments builds from the same antiderivative).
 The collar, which touches |v| = 1 where no such series converges
 geometrically, is the only quadrature, at two refinement levels; kernel
 samples, finite parts and the fiber demo's cutoff remainders all pass
@@ -115,15 +116,9 @@ class KernelSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KernelSpec":
-        return KernelSpec(
-            a=as_fraction(data["a"]),
-            b=as_fraction(data["b"]),
-            p=data["p"],
-            q=data["q"],
-            j=data["j"],
-            k=data["k"],
-            chirality=Chirality(data.get("chirality", "holo")),
-        )
+        # __post_init__ converts and checks every field, a and b included
+        fields = {name: data[name] for name in ("a", "b", "p", "q", "j", "k")}
+        return KernelSpec(**fields, chirality=Chirality(data.get("chirality", "holo")))
 
 
 #: Refinement tolerance of every kernel sample and cutoff remainder.
@@ -342,28 +337,6 @@ def _collar(
     return np.array(angular) @ np.array(radial).T
 
 
-def _inner_tables(
-    af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """Moments of |v| <= 3/2 and the far series: (disks, collars, series).
-
-    The disks |v| <= 1/2 and, through v = 1 - z, |v - 1| <= 1/2 are series
-    in the one surviving angular mode (no (-1)^p: (1-v)^p = z^p).  Each
-    level integrates the collar between them by quadrature on its shared
-    _collar_geometry, whose angular rule grows with the top mode p + q;
-    only the a-power and the monomial phases are computed per spec.
-    b + q/2 may be <= -1 as long as b + q > -1, which keeps the angular
-    mean integrable at 0.  The far series shares jets with patch0.
-    """
-    far_mode, near_mode = (p - q, q) if anti else (p + q, -q)
-    jets = _mode_jets(af, p, j, (far_mode, near_mode))
-    patch0 = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
-    patch1 = _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
-    collars = [_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS]
-    far_series = _mode_coefficients(af, p, far_mode, j, jets)
-    return patch0 + patch1, np.array(collars), far_series
-
-
 class _SpecSeries(NamedTuple):
     """One entry of _inner_moments: every s-independent piece of a kernel."""
 
@@ -384,22 +357,31 @@ def _inner_moments(
     af: float, bf: float, p: int, q: int, j: int, k: int, anti: bool
 ) -> _SpecSeries:
     """The one per-spec cache of the oracle, keyed by _floats(spec) (the
-    finite part's kernel too, also at b + q/2 <= -1): each series of a
-    kernel once, and every piece of a kernel sample that does not depend on s.
+    finite part's kernel too): each series of a kernel once, and every
+    piece of a kernel sample that does not depend on s.
 
     ``tables[level, jp, kp]`` integrates |1-v|^{2a} (1-v)^p (Log|1-v|^2)^jp
     * |v|^{2b} v^q (Log|v|^2)^kp (v^q conjugated for anti chirality) over
-    |v| <= 3/2 against (1/2pi) dx dy; ``inner`` is their binomial
-    combination, a polynomial in Log|s|^2, and ``gross`` adds its disks and
-    collar unsigned (they cancel at natural a).  The far field's power r
-    meets int R^(E-1) (Log R^2)^m dR, E = c - r, whose antiderivative is
+    |v| <= 3/2 against (1/2pi) dx dy: the disks |v| <= 1/2 and, through
+    v = 1 - z, |v - 1| <= 1/2 are series in the one surviving angular mode
+    (no (-1)^p: (1-v)^p = z^p), and each level adds its _collar.  b + q/2
+    may be <= -1 as long as b + q > -1, which keeps the angular mean
+    integrable at 0.  ``inner`` is the tables' binomial combination, a
+    polynomial in Log|s|^2, and ``gross`` adds disks and collar unsigned
+    (they cancel at natural a).  The far field's power r meets
+    int R^(E-1) (Log R^2)^m dR, E = c - r, whose antiderivative is
     X^E times a polynomial in Log X^2 with coefficients perm(m, m-n)
     (-2)^(m-n) / E^(m-n+1): the smooth weights at X = 1, the end polynomial
     at X = 3 sigma/2.  Rows with E == 0 are zero, so 0 never divides; the
     finite part needs every other row, and a sample never reads one with
     |E| <= 1/745 (always near: |log(3 sigma/2)| <= 745 for double sigma).
     """
-    disks, collars, (powers, coeffs) = _inner_tables(af, bf, p, q, j, k, anti)
+    mode, near_mode = (p - q, q) if anti else (p + q, -q)
+    jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
+    disks = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
+    disks = disks + _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+    collars = np.array([_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS])
+    powers, coeffs = _mode_coefficients(af, p, mode, j, jets)
     tables = disks + collars
     c = 2.0 * (af + bf + 1.0) + p + q
     E = c - powers
@@ -425,7 +407,7 @@ def _inner_moments(
         gross=tuple(map(tuple, shifted[1].real.tolist())),
         # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
         window=tuple(np.flatnonzero(np.abs(E) <= 1.1).tolist()),
-        c=c, mode=p - q if anti else p + q,
+        c=c, mode=mode,
     )
 
 
@@ -695,29 +677,31 @@ def _csv_field(value) -> str:
     return _format_float(value) if isinstance(value, float) else str(value)
 
 
-def fit_and_compare(
+def compare_with_closed_form(
     spec: KernelSpec,
-    values: Sequence[float],
+    measured: Tuple[LogPolynomial, float],
     case: CaseTag,
     closed: float,
     normalization: float,
 ) -> VerificationReport:
-    """Fit kernel samples at _radii(spec) and compare with the closed form.
+    """The report of measured singular coefficients against the closed form.
 
-    ``closed`` is the normalized prediction base * ``normalization``; the
-    measured normalization is fitted / base.  Smooth kernels ignore both:
-    the fit probes their singular columns anyway, and their error is the
-    largest fitted coefficient, which should vanish.
+    ``measured`` is (singular coefficients in log-degree order, condition
+    number), as fit_radial_samples returns them.  ``closed`` is the
+    normalized prediction base * ``normalization``; the measured
+    normalization is the leading coefficient over base.  Smooth kernels
+    ignore both: their singular columns are probed anyway, and their error
+    is the largest measured coefficient, which should vanish.
     """
-    singular, cond = fit_radial_samples(spec, values)
+    singular, cond = measured
     if case is CaseTag.SMOOTH:
         closed = 0.0
         error = max((abs(c) for c in singular.coefficients), default=0.0)
-        measured: Optional[float] = None
+        normalization_used: Optional[float] = None
     else:
-        fitted = singular.coefficient(max(singular.degree, 0)).real
-        error = abs(fitted - closed) / abs(closed)
-        measured = fitted / (closed / normalization)
+        leading = singular.coefficient(max(singular.degree, 0)).real
+        error = abs(leading - closed) / abs(closed)
+        normalization_used = leading / (closed / normalization)
     return VerificationReport(
         spec=spec,
         case=case,
@@ -725,13 +709,13 @@ def fit_and_compare(
         closed_form=closed,
         relative_error=error,
         condition_number=cond,
-        normalization_used=measured,
+        normalization_used=normalization_used,
     )
 
 
 def verify_constant(spec: KernelSpec) -> VerificationReport:
-    """Fit the kernel at its sample radii and compare with the closed-form
-    constant.
+    """Measure the kernel's singular coefficients by a fit of its samples
+    and report them against the closed-form constant.
 
     Routes through the same case classification and the same constant
     as the convolution engine, for every case and log degree.
@@ -739,5 +723,5 @@ def verify_constant(spec: KernelSpec) -> VerificationReport:
     case, base, norm = kernel_leading_constant(
         spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
     )
-    values = _kernel_samples(spec)
-    return fit_and_compare(spec, values, case, base * norm, norm)
+    measured = fit_radial_samples(spec, _kernel_samples(spec))
+    return compare_with_closed_form(spec, measured, case, base * norm, norm)

@@ -13,7 +13,7 @@ import pytest
 
 import asymconv.quadrature_oracle as oracle
 from asymconv.cli import main
-from test_golden_reports import assert_csv_matches
+from test_golden_reports import DATA, assert_csv_matches
 
 
 def run(capsys, argv):
@@ -56,6 +56,18 @@ class TestTypes:
         code, _, err = run(capsys, ["types", str(doc), str(doc)])
         assert code == 3
         assert "domain error" in err
+
+    def test_repeated_key_is_parse_error(self, capsys):
+        doc = str(DATA / "types_repeated_key.json")
+        code, out, err = run(capsys, ["types", doc, doc])
+        assert (code, out) == (2, "")
+        assert err == "parse error in %s: repeated key \"1/2\"\n" % doc
+
+    def test_keys_naming_one_exponent_are_domain_error(self, capsys):
+        doc = str(DATA / "types_equal_exponents.json")
+        code, out, err = run(capsys, ["types", doc, doc])
+        assert (code, out) == (3, "")
+        assert err == "domain error: %s: duplicate exponent 1/2\n" % doc
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["types", str(tmp_path / "no.json"), str(tmp_path / "no.json")])
@@ -500,6 +512,10 @@ EXIT_CODE_RULE = [
     ("verify", "string", "[%s]" % (_SPEC % '"abc"'), 3),
     ("verify", "float", "[%s]" % (_SPEC % "-0.1"), 2),
     ("verify", "missing", '[{"a": "-1/2"}]', 2),
+    # json's own dict would keep the last of two equal keys without a word
+    ("types", "repeated", '{"entries": {"-1/2": 1, "-1/2": 0}}', 2),
+    ("convolve", "repeated", _TERM % '"-1/2", "r": "-1/3"', 2),
+    ("verify", "repeated", "[%s]" % (_SPEC % '"-1/3", "a": "-1/4"'), 2),
 ]
 
 

@@ -341,6 +341,12 @@ class TestExponentSetType:
         with pytest.raises(ValueError, match="duplicate exponent 1/2"):
             ExponentSetType({F(-1, 3): 0, "1/2": 0, F(1, 2): 0})
 
+    def test_loaded_keys_that_name_one_exponent_are_duplicates(self):
+        # each document key is converted once, by the constructor, which
+        # sees both keys instead of one collapsed entry
+        with pytest.raises(ValueError, match="duplicate exponent 1/2"):
+            ExponentSetType.from_json_dict({"entries": {"2/4": 1, "1/2": 0}})
+
     @pytest.mark.parametrize("degree", [1.0, 1.8, True, "1"])
     def test_rejects_non_integer_degree(self, degree):
         with pytest.raises(ValueError, match="log degree must be an integer"):

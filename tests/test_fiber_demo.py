@@ -311,6 +311,20 @@ class TestThomSebastianiDemo:
         assert exc.value.achieved > 0.0
         assert "cutoff remainder" in str(exc.value)
 
+    def test_fits_once_through_its_own_module_name(self, monkeypatch):
+        # the measurement stage: one fit per demo, looked up in fiber_demo,
+        # where perfbench's tracer wraps it
+        calls = []
+        original = fiber_demo.fit_radial_samples
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fiber_demo, "fit_radial_samples", counted)
+        thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
+        assert len(calls) == 1
+
     def test_reports_are_deterministic(self):
         first = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
         second = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))

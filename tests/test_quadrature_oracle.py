@@ -26,8 +26,8 @@ from asymconv.quadrature_oracle import (
     _floats,
     _gl,
     _inner_moments,
-    _inner_tables,
     _kernel_samples,
+    _mode_coefficients,
     _radii,
     eval_kernel_integral,
     finite_part_direct,
@@ -45,6 +45,24 @@ ANTI = Chirality.ANTI
 def entry_of(spec):
     """The spec's _inner_moments entry, keyed as eval_kernel_integral keys it."""
     return _inner_moments(*_floats(spec))
+
+
+def far_series(af, bf, p, q, j, k, anti):
+    """(powers, coefficients) of the far field's angular mode, as
+    _inner_moments builds them."""
+    return _mode_coefficients(af, p, p - q if anti else p + q, j)
+
+
+def disk_tables(af, bf, p, q, j, k, anti):
+    """[jp, kp]: the two disk series summed, as _inner_moments adds them."""
+    patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
+    return patch0 + _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+
+
+def collar_tables(af, bf, p, q, j, k, anti):
+    """[level, jp, kp]: each level's collar, as _inner_moments builds them."""
+    levels = oracle._LEVELS
+    return np.array([oracle._collar(level, af, bf, p, q, j, k, anti) for level in levels])
 
 
 class TestKernelSpec:
@@ -73,6 +91,21 @@ class TestKernelSpec:
             KernelSpec(a=F(0), b=F(-3, 2), p=0, q=1, j=0, k=0)
         # the same exponents are fine once the monomial lifts them
         KernelSpec(a=F(-1), b=F(0), p=1, q=0, j=0, k=0)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("a", -0.5, TypeError), ("a", "abc", ValueError), ("b", "-3/2", ValueError),
+         ("p", 1.0, ValueError), ("chirality", "left", ValueError)],
+    )
+    def test_json_errors_are_the_constructors(self, field, value, error):
+        # from_json_dict converts nothing itself: the constructor checks
+        data = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=1, j=0, k=0).to_json_dict()
+        data[field] = value
+        with pytest.raises(error) as direct:
+            KernelSpec(**data)
+        with pytest.raises(error) as loaded:
+            KernelSpec.from_json_dict(data)
+        assert str(loaded.value) == str(direct.value)
 
     def test_json_round_trip(self):
         spec = KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=2, j=1, k=0, chirality="anti")
@@ -275,7 +308,7 @@ class TestFarIntegral:
         # series in log R where |E T| <= 1
         af, bf, p, q, j, k, anti = _floats(spec)
         sigma = abs(s)
-        powers, coeffs = _inner_tables(af, bf, p, q, j, k, anti)[2]
+        powers, coeffs = far_series(af, bf, p, q, j, k, anti)
         c = 2.0 * (af + bf + 1.0) + p + q
         E = c - powers
         T = math.log(1.5 * sigma)
@@ -310,7 +343,7 @@ class TestFarIntegral:
         e1 = np.array(edges[1:])[:, None]
         R = (0.5 * (e1 - e0) * nodes + 0.5 * (e1 + e0)).ravel()
         W = (0.5 * (e1 - e0) * wts).ravel()
-        powers, coeffs = _inner_tables(af, bf, p, q, j, k, anti)[2]
+        powers, coeffs = far_series(af, bf, p, q, j, k, anti)
         with np.errstate(under="ignore"):
             modes = (sigma / R)[:, None] ** powers @ coeffs
         L = np.log(R * R)
@@ -372,7 +405,7 @@ class TestDiskMoments:
     largest entry; 1e-14 leaves a margin of fifteen.
     """
 
-    # (c, extra, n, order, radial_exp, logmax), as _inner_tables calls it
+    # (c, extra, n, order, radial_exp, logmax), as _inner_moments calls it
     CASES = [
         (-1 / 3, 0, 0, 0, -0.5, 0),
         # holo patch0 of a=-2/5, b=-7/20, (1,1): the negative mode -q
@@ -463,7 +496,7 @@ class TestCollar:
             unsigned.append(level[1].real)
         return np.array(signed), np.array(unsigned)
 
-    # (a, b, p, q, j, k, anti), as _inner_tables takes them
+    # (a, b, p, q, j, k, anti), as _inner_moments takes them
     CASES = [
         (-1 / 3, -1 / 4, 0, 0, 0, 0, False),
         (-0.4, -0.35, 1, 1, 3, 3, False),
@@ -484,7 +517,7 @@ class TestCollar:
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_dense_quadrature(self, case):
-        _, collars, _ = _inner_tables(*case)
+        collars = collar_tables(*case)
         signed, unsigned = self.dense_collar(*case)
         assert collars.shape == signed.shape
         assert np.all(np.abs(collars - signed) <= 1e-13 * unsigned)
@@ -493,7 +526,7 @@ class TestCollar:
         # every spec with p + q <= 16 shares the two levels' rules
         oracle._collar_geometry.cache_clear()
         for case in self.CASES[:7]:
-            _inner_tables(*case)
+            collar_tables(*case)
             assert oracle._collar_geometry.cache_info().misses == len(oracle._LEVELS)
         for level in oracle._LEVELS:
             for arr in oracle._collar_geometry(2 * level["g"], level["ma"]):
@@ -666,7 +699,7 @@ class TestSpecCache:
         # plus that level's collar, bit for bit
         _inner_moments.cache_clear()
         inner = entry_of(spec).inner
-        disks, collars, _ = _inner_tables(*_floats(spec))
+        disks, collars = disk_tables(*_floats(spec)), collar_tables(*_floats(spec))
         j, k = spec.j, spec.k
         assert len(inner) == len(collars) == 2
         for cached, collar in zip(inner, collars):
@@ -679,21 +712,21 @@ class TestSpecCache:
 
     def test_finite_part_reads_its_kernel_entry(self, monkeypatch):
         # one build of the tables serves the finite part and the kernel
-        # (a, b, 0, q, 0, 0) it is the log-free slot of
+        # (a, b, 0, q, 0, 0) it is the log-free slot of: one collar per level
         calls = []
-        original = oracle._inner_tables
+        original = oracle._collar
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(oracle, "_inner_tables", counted)
+        monkeypatch.setattr(oracle, "_collar", counted)
         _inner_moments.cache_clear()
         value = finite_part_direct(F(-1, 3), F(-1, 5), 2)
         eval_kernel_integral(KernelSpec(a=F(-1, 3), b=F(-1, 5), p=0, q=2, j=0, k=0), 0.1)
         _inner_moments.cache_clear()
         assert type(value) is float
-        assert len(calls) == 1
+        assert len(calls) == len(oracle._LEVELS)
 
     def test_shared_arrays_are_read_only(self):
         with pytest.raises(ValueError):
@@ -827,6 +860,37 @@ class TestVerifyConstant:
         report = verify_constant(spec)
         assert report.case is CaseTag.SMOOTH
         assert report.relative_error < 1e-12
+
+    def test_fits_once_through_its_own_module_name(self, monkeypatch):
+        # the measurement stage: one fit per spec, looked up in
+        # quadrature_oracle, where perfbench's tracer wraps it
+        calls = []
+        original = oracle.fit_radial_samples
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "fit_radial_samples", counted)
+        verify_constant(KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0))
+        assert len(calls) == 1
+
+    def test_report_stage_runs_no_fit(self, monkeypatch):
+        # compare_with_closed_form only judges what it is handed
+        def no_fit(*args):
+            raise AssertionError("the report stage fitted")
+
+        monkeypatch.setattr(oracle, "fit_radial_samples", no_fit)
+        spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
+        measured = (LogPolynomial.of_coeffs([-0.3]), 7.0)
+        report = oracle.compare_with_closed_form(spec, measured, CaseTag.GENERIC, -0.25, 0.5)
+        assert report.fitted_coeffs == measured[0]
+        assert report.condition_number == 7.0
+        assert report.relative_error == pytest.approx(0.2)
+        assert report.normalization_used == pytest.approx(0.6)
+        smooth = oracle.compare_with_closed_form(spec, measured, CaseTag.SMOOTH, -0.25, 0.5)
+        assert (smooth.closed_form, smooth.normalization_used) == (0.0, None)
+        assert smooth.relative_error == pytest.approx(0.3)
 
     def test_reports_are_deterministic(self):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
