@@ -35,6 +35,7 @@ from .expansion_algebra import (
     as_fraction,
     canonical_json,
     combine_types,
+    in_slice,
     kernel_term,
 )
 from .fiber_demo import MonomialGerm, thom_sebastiani_demo
@@ -178,7 +179,7 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
 
 def cmd_constant(args: argparse.Namespace) -> int:
     for flag, x in (("a", args.a), ("b", args.b)):
-        if x <= -1:
+        if not in_slice(x, 0):
             raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
     first = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
     second = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)

@@ -28,6 +28,7 @@ from .expansion_algebra import (
     RationalInput,
     SingularTerm,
     _case,
+    _exact_int,
     as_fraction,
     case_degree,
     classify_case,
@@ -37,6 +38,7 @@ from .expansion_algebra import (
 from .gamma_kernel import (
     Chirality,
     F_const,
+    _check_slice,
     degenerate_case1_coeff,
     integer_case_log_coeff,
     tilde_F_const,
@@ -108,12 +110,11 @@ def kernel_leading_constant(
     coefficient (-4*integer_case_log_coeff for BothInteger), alpha, beta
     and gamma are 1 when a, b and a+b+1 are natural (else 0), and L is
     the output log degree.  The normalization is RHO_NORM in every
-    singular case; Smooth returns (Smooth, 0.0, 0.0).  This is
-    classify_case followed by the case-constant step that every term
-    pair of the engine goes through too.
+    singular case; Smooth returns (Smooth, 0.0, 0.0), once its input has
+    passed the closed forms' checks too.  Then come classify_case and
+    the case-constant step that every term pair of the engine goes through.
     """
-    af = as_fraction(a)
-    bf = as_fraction(b)
+    af, bf, chirality = _check_slice(p, q, a, b, chirality)
     case = classify_case(af, bf, j, k)
     if case is CaseTag.SMOOTH:
         return case, 0.0, 0.0
@@ -314,8 +315,7 @@ def bernstein_combine(
     integer-shift budget and only widens the candidate set.  An empty
     input yields an empty result.
     """
-    if not isinstance(kappa, int) or isinstance(kappa, bool) or kappa < 0:
-        raise ValueError("kappa must be an integer >= 0, got %r" % (kappa,))
+    _exact_int("kappa", kappa)
     r1 = [as_fraction(x) for x in roots1]
     r2 = [as_fraction(x) for x in roots2]
     for x in r1 + r2:

@@ -52,11 +52,28 @@ def is_natural(x: Fraction) -> bool:
     return x.denominator == 1 and x.numerator >= 0
 
 
+def _exact_int(name: str, value, minimum: int = 0) -> int:
+    """An integer field >= minimum.  Floats, bools and strings are refused
+    instead of truncated; this is the one integer rule of the exact layer."""
+    if type(value) is not int or value < minimum:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    return value
+
+
+def in_slice(x: Fraction, degree: int) -> bool:
+    """x + degree/2 > -1: the admissible slice of an exponent x whose term
+    carries a monomial of the given degree (degree 0: x > -1).  Decided
+    on integers, as 2*numerator > -(degree + 2)*denominator."""
+    return 2 * x.numerator > -(degree + 2) * x.denominator
+
+
 class Chirality(str, Enum):
     """Which monomial factor a canonical kernel term carries.
 
     HOLO means a factor s^p (or (s-u)^p inside a kernel), ANTI means the
-    conjugate sbar^p.  p = 0 is canonically HOLO.
+    conjugate sbar^p.  p = 0 is canonically HOLO.  Chirality(value) is
+    the one chirality rule: it takes a member or its string value and
+    raises ValueError on anything else.
     """
 
     HOLO = "holo"
@@ -92,8 +109,7 @@ class LogPolynomial:
     @staticmethod
     def monomial(degree: int, c: complex = 1.0) -> "LogPolynomial":
         """c * X^degree."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        _exact_int("degree", degree)
         return LogPolynomial.of_coeffs([0.0] * degree + [complex(c)])
 
     @property
@@ -112,9 +128,7 @@ class LogPolynomial:
         return self.coefficients[-1]
 
     def coefficient(self, l: int) -> complex:
-        if l < 0:
-            raise ValueError("negative index")
-        if l >= len(self.coefficients):
+        if _exact_int("index", l) >= len(self.coefficients):
             return 0.0 + 0.0j
         return self.coefficients[l]
 
@@ -127,14 +141,6 @@ class LogPolynomial:
         if c == 0:
             return LogPolynomial.zero()
         return LogPolynomial.of_coeffs([c * v for v in self.coefficients])
-
-
-def _exact_int(name: str, value) -> int:
-    """An integer field; floats, bools and strings are refused instead
-    of truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return value
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,10 @@ class SingularTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.r, Fraction):
             object.__setattr__(self, "r", as_fraction(self.r))
-        # -1 < r <= 0 on the numerator over the (positive) denominator
-        if not (-self.r.denominator < self.r.numerator <= 0):
+        if not (in_slice(self.r, 0) and self.r.numerator <= 0):
             raise ValueError("r must lie in (-1, 0], got %s" % self.r)
-        if self.m < 0 or self.n < 0:
-            raise ValueError("monomial powers must be >= 0")
+        _exact_int("m", self.m)
+        _exact_int("n", self.n)
 
     @property
     def key(self) -> Tuple[Fraction, int, int]:
@@ -184,10 +189,7 @@ class SingularTerm:
         if not finite:
             raise ValueError("each log_coeffs entry must be a finite complex number")
         return SingularTerm(
-            r=as_fraction(data["r"]),
-            m=_exact_int("m", data["m"]),
-            n=_exact_int("n", data["n"]),
-            poly=LogPolynomial.of_coeffs(coeffs),
+            r=data["r"], m=data["m"], n=data["n"], poly=LogPolynomial.of_coeffs(coeffs)
         )
 
 
@@ -225,10 +227,11 @@ def kernel_term(
     The whole part of a moves into the monomial pair, leaving r = a -
     ceil(a) in (-1, 0]; with p = 0 both chiralities give the same term.
     """
-    if a <= -1:
+    if not in_slice(a, 0):
         raise ValueError("kernel exponent must be > -1, got %s" % a)
+    _exact_int("p", p)
     shift = math.ceil(a)
-    if chirality is Chirality.ANTI:
+    if Chirality(chirality) is Chirality.ANTI:
         m, n = shift, shift + p
     else:
         m, n = shift + p, shift
@@ -255,8 +258,7 @@ class Expansion:
     compensated: frozenset = field(default_factory=frozenset, compare=False)
 
     def __post_init__(self) -> None:
-        if self.smooth_order < 0:
-            raise ValueError("smooth_order must be >= 0")
+        _exact_int("smooth_order", self.smooth_order)
         scale = math.lcm(*(term.r.denominator for term in self.terms))
         merged: Dict[Tuple[int, int, int], SingularTerm] = {}
         for term in self.terms:
@@ -277,10 +279,8 @@ class Expansion:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Expansion":
-        return Expansion(
-            terms=[SingularTerm.from_json_dict(item) for item in data["terms"]],
-            smooth_order=_exact_int("smooth_order", data["smooth_order"]),
-        )
+        terms = [SingularTerm.from_json_dict(item) for item in data["terms"]]
+        return Expansion(terms, data["smooth_order"])
 
 
 @dataclass
@@ -298,11 +298,9 @@ class ExponentSetType:
         clean: Dict[Fraction, int] = {}
         for index, (key, degree) in enumerate(self.entries.items()):
             frac = as_fraction(key)
-            if frac.numerator <= -frac.denominator:
+            if not in_slice(frac, 0):
                 raise ValueError("exponent %s is not > -1" % frac)
-            if _exact_int("log degree", degree) < 0:
-                raise ValueError("log degree must be >= 0, got %d" % degree)
-            clean[frac] = degree
+            clean[frac] = _exact_int("log degree", degree)
             if len(clean) == index:
                 raise ValueError("duplicate exponent %s" % frac)
         self.entries = clean
@@ -342,10 +340,13 @@ def classify_case(a: RationalInput, b: RationalInput, j: int, k: int) -> CaseTag
     """
     af = as_fraction(a)
     bf = as_fraction(b)
-    if af <= -1 or bf <= -1:
+    if not (in_slice(af, 0) and in_slice(bf, 0)):
         raise ValueError("exponents must lie in (-1, oo), got a=%s b=%s" % (af, bf))
-    if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
-        raise ValueError("log degrees must be integers >= 0, got j=%r k=%r" % (j, k))
+    try:
+        _exact_int("j", j)
+        _exact_int("k", k)
+    except ValueError:
+        raise ValueError("log degrees must be integers >= 0, got j=%r k=%r" % (j, k)) from None
     return _case(is_natural(af), is_natural(bf), is_natural(af + bf + 1), j, k)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, classify_case
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int, classify_case
 from .quadrature_oracle import (
     _SAMPLE_TOLERANCE,
     _SMOOTH_CUTOFF,
@@ -63,10 +63,7 @@ class MonomialGerm:
     support: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise ValueError("exponent must be an integer >= 1")
-        if self.exponent < 1:
-            raise ValueError("exponent must be an integer >= 1")
+        _exact_int("exponent", self.exponent, 1)
         if not (0.0 < self.plateau < self.support <= 1.0):
             raise ValueError("need 0 < plateau < support <= 1")
 

@@ -13,7 +13,9 @@ exact.  Every function that decides a branch on integrality (is an
 exponent a natural number, is a sum resonant) takes its exponents as
 exact rationals and refuses a float with TypeError; only the three
 identity evaluators beta_tail_integral, binomial_gamma_sum and gauss_sum
-take floats, since they classify nothing.  A constant is a plain float,
+take floats, since they classify nothing.  Integer fields, the chirality
+and the admissible slice pass expansion_algebra's rules (_exact_int,
+Chirality, in_slice) and nothing else.  A constant is a plain float,
 GammaPoleError (a ValueError) where the continuation has a pole, or a
 ValueError where its magnitude is beyond float range.
 
@@ -26,7 +28,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .expansion_algebra import Chirality, RationalInput, as_fraction, is_natural
+from .expansion_algebra import Chirality, RationalInput, _exact_int, as_fraction
+from .expansion_algebra import in_slice, is_natural
 
 
 class GammaPoleError(ValueError):
@@ -37,23 +40,15 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-def _signed_log_gamma(x: float) -> Tuple[float, int]:
-    """(log|Gamma(x)|, sign of Gamma(x)) away from the poles."""
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError("Gamma pole at %g" % x)
-    if x > 0:
-        return math.lgamma(x), 1
-    sign = 1 if math.floor(x) % 2 == 0 else -1
-    return math.lgamma(x), sign
-
-
 def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
     """Product of Gamma(n_i) over product of Gamma(d_j), in log-space.
 
     A denominator at a pole contributes an exact zero factor.  A numerator
     at a pole raises GammaPoleError unless a denominator pole cancels it;
     an exactly balanced pair is refused as indeterminate, since its value
-    depends on the direction of approach.
+    depends on the direction of approach.  Past those checks no argument
+    is a pole, and Gamma(x) is negative exactly where floor(x) is a
+    negative odd integer.
     """
     zeros = sum(1 for x in denominators if _is_nonpositive_integer(x))
     poles = sum(1 for x in numerators if _is_nonpositive_integer(x))
@@ -66,13 +61,13 @@ def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
     logs: List[float] = []
     sign = 1
     for x in numerators:
-        lg, s = _signed_log_gamma(x)
-        logs.append(lg)
-        sign *= s
+        logs.append(math.lgamma(x))
+        if x < 0 and math.floor(x) % 2:
+            sign = -sign
     for x in denominators:
-        lg, s = _signed_log_gamma(x)
-        logs.append(-lg)
-        sign *= s
+        logs.append(-math.lgamma(x))
+        if x < 0 and math.floor(x) % 2:
+            sign = -sign
     # summing in sorted order makes the value independent of argument
     # order, so symmetric ratios are exactly symmetric in floating point
     log_value = math.fsum(sorted(logs))
@@ -105,10 +100,10 @@ def fourier_coefficient(a: RationalInput, q: int, r: int) -> float:
     average is a polynomial and the coefficient is a signed product of two
     binomials with a finite support window; otherwise it is a Gamma ratio.
     """
-    if q < 0 or r < 0:
-        raise ValueError("q and r must be >= 0")
+    _exact_int("q", q)
+    _exact_int("r", r)
     a = as_fraction(a)
-    if a <= -1:
+    if not in_slice(a, 0):
         raise ValueError("need a > -1")
     if (r - q) % 2 != 0:
         return 0.0
@@ -142,11 +137,10 @@ def G_q(a: RationalInput, b: RationalInput, q: int) -> float:
     Raises GammaPoleError when a+b+1 is a natural number and the residue
     coefficient is nonzero, and ValueError when that residue vanishes.
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _exact_int("q", q)
     a = as_fraction(a)
     b = as_fraction(b)
-    if a <= -1:
+    if not in_slice(a, 0):
         raise ValueError("need a > -1")
     total = _natural_sum(a, b)
     if total is not None:
@@ -165,8 +159,7 @@ def binomial_gamma_sum(p: int, x: float, y: float) -> float:
     sum over j of (-1)^j C(p,j) Gamma(x+j)/Gamma(x+y+j)
     = Gamma(x) Gamma(y+p) / (Gamma(x+y+p) Gamma(y)).
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    _exact_int("p", p)
     x = float(x)
     y = float(y)
     if _is_nonpositive_integer(x) or _is_nonpositive_integer(y):
@@ -193,33 +186,37 @@ def gauss_sum(x: float, y: float, z: float) -> float:
 
 
 def _check_slice(
-    p: int, q: int, a: RationalInput, b: RationalInput
-) -> Tuple[Fraction, Fraction]:
-    """(a, b) as exact rationals, once p, q >= 0 and the admissible slice
-    a+p/2 > -1, b+q/2 > -1 (KernelSpec's bounds) are checked."""
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be >= 0")
+    p: int, q: int, a: RationalInput, b: RationalInput, chirality: Chirality
+) -> Tuple[Fraction, Fraction, Chirality]:
+    """(a, b, chirality) once the exact layer's rules accept them: p and q
+    integers >= 0, (a, b) in the admissible slice a+p/2 > -1, b+q/2 > -1
+    (KernelSpec's bounds), and Chirality(chirality).  A member skips the
+    enum lookup: F_const runs once per Generic pair of a convolution."""
+    _exact_int("p", p)
+    _exact_int("q", q)
     a = as_fraction(a)
     b = as_fraction(b)
-    # a + p/2 <= -1 times 2*denominator, in integers: two Fraction sums
-    # here would add half again to F_const, which runs once per Generic pair
-    if (2 * a.numerator <= -(p + 2) * a.denominator
-            or 2 * b.numerator <= -(q + 2) * b.denominator):
+    if not (in_slice(a, p) and in_slice(b, q)):
         raise ValueError(
             "parameters outside the admissible slice: need a+p/2 > -1 and b+q/2 > -1"
         )
-    return a, b
+    if chirality.__class__ is not Chirality:
+        chirality = Chirality(chirality)
+    return a, b, chirality
 
 
-def _natural_sum(a: Fraction, b: Fraction) -> Optional[int]:
-    """a+b+1 when it is natural, else None.
+def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
+    """a+b+1+shift when it is natural, else None.
 
-    Decided on integer numerators over the product of the denominators,
-    several times cheaper than two Fraction sums; every singular pair of
-    a convolution asks.
+    In lowest terms a+b is an integer only when a and b share their
+    denominator; it is then decided on the integer numerators, several
+    times cheaper than two Fraction sums.  Every singular pair of a
+    convolution asks, and a Generic pair's constant asks twice.
     """
-    denominator = a.denominator * b.denominator
-    total = a.numerator * b.denominator + b.numerator * a.denominator + denominator
+    denominator = a.denominator
+    if b.denominator != denominator:
+        return None
+    total = a.numerator + b.numerator + (shift + 1) * denominator
     if total < 0 or total % denominator:
         return None
     return total // denominator
@@ -237,6 +234,9 @@ def _leading_coefficient(
     (-1)^(n+1) n!; a natural m (``resonance`` is the caller's natural
     a+b+1) turns Gamma(-m-u) into its residue (-1)^(m+1)/m! in u = e_a+e_b.
     With a and b both natural, C = -4*integer_case_log_coeff up to rounding.
+    Off resonance, a natural m (a pole of Gamma(-m)) is decided exactly
+    by _natural_sum, since the float -a-b-s-1 may round off the pole;
+    _gamma_ratio still refuses a rounded sum that lands on one.
     """
     a_f, b_f = float(a), float(b)
     shift = 0 if chirality2 is Chirality.HOLO else p
@@ -244,6 +244,9 @@ def _leading_coefficient(
     numerators = [a_f + p + 1, b_f + q + 1]
     denominators = [a_f + b_f + (p - shift) + q + 2]
     if resonance is None:
+        m = _natural_sum(a, b, shift)
+        if m is not None:
+            raise GammaPoleError("Gamma pole of Gamma(-m) at m = a+b+%d+1 = %d" % (shift, m))
         numerators.append(-a_f - b_f - shift - 1)
     else:
         denominators.append(a_f + b_f + shift + 2)  # 1/m! = 1/Gamma(m+1)
@@ -275,7 +278,7 @@ def F_const(
     exact zero when a or b is natural, and raises GammaPoleError when
     a+b+1 is natural (the resonant constant applies there instead).
     """
-    a, b = _check_slice(p, q, a, b)
+    a, b, chirality2 = _check_slice(p, q, a, b, chirality2)
     total = _natural_sum(a, b)
     if total is not None:
         raise GammaPoleError("a+b+1 = %s is natural: a pole of F_const" % total)
@@ -292,7 +295,7 @@ def tilde_F_const(
     Requires a and b with a+b+1 natural and neither integer; never zero
     under those conditions.
     """
-    a, b = _check_slice(p, q, a, b)
+    a, b, chirality2 = _check_slice(p, q, a, b, chirality2)
     total = _natural_sum(a, b)
     if total is None:
         raise ValueError("resonant constant needs a+b+1 natural")
@@ -309,13 +312,10 @@ def integer_case_log_coeff(
     Pure rational arithmetic: every Gamma value is a factorial here.  The
     value is symmetric under swapping (p, a) with (q, b) and never zero.
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be >= 0")
-    for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError("%s must be a non-negative integer" % name)
+    for name, value in (("p", p), ("q", q), ("a", a), ("b", b)):
+        _exact_int(name, value)
     fact = math.factorial
-    if chirality2 is Chirality.HOLO:
+    if Chirality(chirality2) is Chirality.HOLO:
         first = Fraction(fact(a) * fact(b), fact(a + b + 1))
         second = Fraction(fact(a + p) * fact(b + q), fact(a + b + p + q + 1))
     else:
@@ -334,7 +334,7 @@ def degenerate_case1_coeff(
     (-1)^(n+1) n! at the natural exponent n.  Nonzero under the
     preconditions.
     """
-    a, b = _check_slice(p, q, a, b)
+    a, b, chirality2 = _check_slice(p, q, a, b, chirality2)
     if _natural_sum(a, b) is not None:
         raise ValueError("resonant parameters: the resonant constants apply")
     if is_natural(a) == is_natural(b):

@@ -7,9 +7,11 @@ Evaluates the model kernel
 
 by singular-aware quadrature, fits its small-|s| expansion on one fixed
 geometric radius grid (_radii), and compares the fitted leading singular
-coefficient against the closed-form Gamma-factor constants.  Everything
-here is independent of those closed forms: nothing is taken from
-gamma_kernel.
+coefficient against the closed-form Gamma-factor constants.  The
+measurement (the kernel samples, finite parts and fit) is independent of
+those closed forms: nothing in it is taken from gamma_kernel.  Only the
+report stage, compare_with_closed_form, reads the closed form, through
+convolution_engine.kernel_leading_constant.
 
 Region scheme for K(s): inside |u| <= 3|s|/2 the substitution u = s*v
 removes all s-dependence except an exact prefactor and binomial log
@@ -48,9 +50,11 @@ from .expansion_algebra import (
     Chirality,
     LogPolynomial,
     RationalInput,
+    _exact_int,
     _format_float,
     as_fraction,
     degree_rule,
+    in_slice,
     is_natural,
 )
 
@@ -88,20 +92,14 @@ class KernelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", as_fraction(self.a))
         object.__setattr__(self, "b", as_fraction(self.b))
-        chir = self.chirality
-        if isinstance(chir, str) and not isinstance(chir, Chirality):
-            chir = Chirality(chir)
+        chir = Chirality(self.chirality)
         for name in ("p", "q", "j", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError("%s must be an integer >= 0, got %r" % (name, v))
-        if self.a + Fraction(self.p, 2) <= -1:
+            _exact_int(name, getattr(self, name))
+        if not in_slice(self.a, self.p):
             raise ValueError("need a + p/2 > -1 for local integrability at s")
-        if self.b + Fraction(self.q, 2) <= -1:
+        if not in_slice(self.b, self.q):
             raise ValueError("need b + q/2 > -1 for local integrability at 0")
-        if self.q == 0:
-            chir = Chirality.HOLO
-        object.__setattr__(self, "chirality", chir)
+        object.__setattr__(self, "chirality", chir if self.q else Chirality.HOLO)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,9 +114,9 @@ class KernelSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KernelSpec":
-        # __post_init__ converts and checks every field, a and b included
+        # __post_init__ converts and checks every field
         fields = {name: data[name] for name in ("a", "b", "p", "q", "j", "k")}
-        return KernelSpec(**fields, chirality=Chirality(data.get("chirality", "holo")))
+        return KernelSpec(**fields, chirality=data.get("chirality", "holo"))
 
 
 #: Refinement tolerance of every kernel sample and cutoff remainder.
@@ -598,11 +596,10 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     """
     a = as_fraction(a)
     b = as_fraction(b)
-    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise ValueError("q must be an integer >= 0")
-    if a <= -1:
+    _exact_int("q", q)
+    if not in_slice(a, 0):
         raise ValueError("need a > -1")
-    if b + q <= -1:
+    if not in_slice(b, 2 * q):
         raise ValueError("need b + q > -1")
     if is_natural(a + b + 1):
         raise ValueError(

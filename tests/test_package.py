@@ -40,3 +40,45 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
         tracer.uninstall()
     for owner, attr, raw in patches:
         assert owner.__dict__[attr] is raw, attr
+
+
+def test_traced_names_are_called(monkeypatch):
+    # perfbench/tracing.py times these names through the module that looks
+    # each one up; a name that is bound but no longer called there would
+    # leave its per-layer row empty without any error
+    from fractions import Fraction as F
+
+    from asymconv import KernelSpec, MonomialGerm, thom_sebastiani_demo, verify_constant
+    from asymconv.convolution_engine import convolve_terms
+    from asymconv.expansion_algebra import Chirality, kernel_term
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracing = importlib.import_module("tracing")
+
+    def traced(run):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        return {name for name, row in tracer.summary().items() if row["calls"]}
+
+    def pairs():
+        # Generic, Resonant, OneIntegerFactor and BothInteger pairs
+        for a, b, j, k in ((F(-1, 3), F(-1, 4), 0, 0), (F(-1, 2), F(-1, 2), 0, 0),
+                           (F(1), F(-1, 4), 1, 0), (F(0), F(1), 1, 1)):
+            convolve_terms(kernel_term(a, 1, Chirality.HOLO, j),
+                           kernel_term(b, 1, Chirality.ANTI, k))
+
+    assert traced(pairs) >= {
+        "gamma_kernel." + name
+        for name in ("F_const", "tilde_F_const", "degenerate_case1_coeff",
+                     "integer_case_log_coeff")
+    }
+    oracle = {"quadrature_oracle.eval_kernel_integral", "quadrature_oracle.fit_radial_samples"}
+    spec = KernelSpec(a="-1/3", b="-1/4", p=0, q=0, j=0, k=0)
+    assert traced(lambda: verify_constant(spec)) >= oracle | {
+        "convolution_engine.kernel_leading_constant"
+    }
+    assert traced(lambda: thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))) >= oracle
