@@ -5,11 +5,12 @@ the monomial demo.
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 parse error, 3 domain error.  A document that cannot be read, is not
 JSON, or has the wrong shape (a missing key, a JSON type where another
-is expected, such as a float where a rational string belongs) is a
-parse error; a well-formed value the mathematics refuses (including a
-string that is not a rational) is a domain error.  All JSON output goes
-through the canonical serializer (sorted keys, fixed float formatting),
-so identical inputs produce byte-identical output.
+is expected, such as a float where a rational string belongs) is a parse
+error, and so is a report that cannot be written; a well-formed value
+the mathematics refuses (including a string that is not a rational) is
+a domain error.  All JSON output goes through the canonical serializer
+(sorted keys, fixed float formatting), so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -133,11 +134,18 @@ def _each(build: Callable, label: str) -> Callable:
     return build_all
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; an unwritable path exits 2, like _load's unreadable one."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Exit(EXIT_PARSE, "cannot write %s: %s" % (path, exc))
+
+
 def _write_csv(path: str, reports: Sequence[VerificationReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(VerificationReport.csv_header() + "\n")
-        for report in reports:
-            fh.write(report.to_csv_row() + "\n")
+    rows = [VerificationReport.csv_header()] + [r.to_csv_row() for r in reports]
+    _write(path, "".join(row + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "reports": [r.to_json_dict() for r in done],
             "rho_norm": rho_block,
         }
-        with open(args.report + ".json", "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
+        _write(args.report + ".json", canonical_json(doc))
         _write_csv(args.report + ".csv", done)
 
     sys.stdout.write(
@@ -282,9 +289,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
         report = thom_sebastiani_demo(first, second)
     except (ToleranceNotMet, IllConditioned) as exc:
         raise _Exit(EXIT_VERIFY_FAILED, "demo refused: %s: %s" % (type(exc).__name__, exc))
-    sys.stdout.write(canonical_json(report.to_json_dict()))
     if args.csv is not None:
         _write_csv(args.csv, [report])
+    sys.stdout.write(canonical_json(report.to_json_dict()))
     return EXIT_OK
 
 

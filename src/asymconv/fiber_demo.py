@@ -3,14 +3,14 @@
 A one-variable germ x -> x^N with a radial cutoff density has a fiber
 integral that can be written in closed form as a finite sum over the
 N-th roots of the base point.  Convolving two such fiber integrals over
-the plane and fitting the small-radius expansion of the result gives a
-fully independent, geometry-first check of the convolution engine's
-predicted exponent, log degree and leading constant.
+the plane and filtering the smooth powers out of its small-radius samples
+gives a fully independent, geometry-first check of the convolution
+engine's predicted exponent, log degree and leading constant.
 
 The plane convolution is evaluated by splitting off the pure-power part,
 which is exactly the singular kernel the quadrature oracle already
 integrates, from a cutoff-dependent remainder that is smooth in the
-sample point and only shifts the smooth columns of the fit.
+sample point and only shifts the smooth powers the filter removes.
 """
 
 from __future__ import annotations
@@ -18,24 +18,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int, classify_case
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int
+from .expansion_algebra import classify_case, is_natural
 from .quadrature_oracle import (
     _SAMPLE_TOLERANCE,
-    _SMOOTH_CUTOFF,
     KernelSpec,
     VerificationReport,
     _gl,
-    _radii,
     _refined,
+    _refuse_near_smooth_power,
     compare_with_closed_form,
     eval_kernel_integral,
-    fit_radial_samples,
-    scaled_lstsq,
 )
+
+# The demo makes no fit; the name stays bound here only because
+# perfbench/tracing.py wraps fiber_demo.fit_radial_samples.
+from .quadrature_oracle import fit_radial_samples  # noqa: F401
 
 __all__ = [
     "MonomialGerm",
@@ -48,6 +51,17 @@ __all__ = [
 #: Inner radius below which the cutoff remainder vanishes identically;
 #: germs must keep their plateaus wide enough to clear it (validated).
 _SAFE_RADIUS = 0.35
+
+#: The sample radii sigma_i = 0.2 * 2^-i, i < 16.  On this geometric grid a
+#: smooth power sigma^{2t} is a geometric sequence in i, and so is the
+#: singular term A sigma^{2x}, with ratio lambda = 4^-x.
+_GRID = tuple(0.2 * 2.0**-i for i in range(16))
+
+#: The ratios mu_t = 4^-t of the smooth powers t = 0..4.  The filter
+#: P(E) = prod_t (E - mu_t), E the shift i -> i + 1, removes each of them
+#: exactly (Richardson's deferred approach to the limit) and leaves
+#: A sigma^{2x} as A sigma_i^{2x} P(lambda).
+_RATIOS = tuple(4.0**-t for t in range(5))
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,8 @@ def _leading_term(germ: MonomialGerm) -> SingularTerm:
     return SingularTerm(r=r, m=0, n=0, poly=LogPolynomial.of_coeffs([theta]))
 
 
-def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm, sigma_max: float) -> None:
-    if g1.plateau ** g1.exponent - sigma_max < _SAFE_RADIUS:
+def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm) -> None:
+    if g1.plateau ** g1.exponent - _GRID[0] < _SAFE_RADIUS:
         raise ValueError(
             "first germ's plateau^N leaves no room around the sample point; "
             "widen the plateau or lower the exponent"
@@ -122,16 +136,9 @@ def _demo_setup(g1: MonomialGerm, g2: MonomialGerm) -> KernelSpec:
     """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
     and b = 1/M - 1, once the germs' geometry has been checked against
     its largest sample radius."""
-    spec = KernelSpec(
-        a=Fraction(1, g1.exponent) - 1,
-        b=Fraction(1, g2.exponent) - 1,
-        p=0,
-        q=0,
-        j=0,
-        k=0,
-    )
-    _validate_geometry(g1, g2, max(_radii(spec)))
-    return spec
+    _validate_geometry(g1, g2)
+    return KernelSpec(a=Fraction(1, g1.exponent) - 1, b=Fraction(1, g2.exponent) - 1,
+                      p=0, q=0, j=0, k=0)
 
 
 def _cutoff_remainder(
@@ -233,7 +240,7 @@ def _demo_samples(
     af, bf = float(spec.a), float(spec.b)
     scale = 1.0 / (g1.exponent * g2.exponent)
     out = []
-    for sigma in _radii(spec):
+    for sigma in _GRID:
         base = eval_kernel_integral(spec, sigma).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
@@ -245,32 +252,60 @@ def _demo_samples(
     return out
 
 
+def _windows(values) -> np.ndarray:
+    """W_i = sum_k c_k y_(i+k), i = 0..10, for sum_k c_k z^k = P(z): np.poly
+    lists P's coefficients from the top, the order np.convolve needs."""
+    return np.convolve(values, np.poly(_RATIOS), "valid")
+
+
+def _filter_readout(spec: KernelSpec, values) -> Tuple[LogPolynomial, float]:
+    """The singular coefficients read off the deepest window, and the
+    condition number: how much the readout amplifies a relative error in
+    the samples, from the taps, lambda and the grid alone."""
+    x = spec.a + spec.b + 1
+    resonant, xf = is_natural(x), float(x)
+    lam, sig = 4.0**-xf, np.array(_GRID)
+    column = np.abs(sig ** (2.0 * xf) * (np.log(sig**2) if resonant else 1.0))
+    # A sigma^{2x} leaves A sigma_i^{2x} P(lambda) in the window from sigma_i,
+    # the deepest one's first radius.  At resonance (x natural, so x <= 1 and
+    # lambda is a ratio) the filter removes it, and A_1 sigma^{2x} Log sigma^2
+    # leaves -log 4 lambda A_1 sigma_i^{2x} P'(lambda): the readout is [0, A_1].
+    first = sig[-1 - len(_RATIOS)]
+    response = first ** (2.0 * xf) * math.prod(lam - mu for mu in _RATIOS if mu != lam)
+    if resonant:
+        response *= -math.log(4.0) * lam
+    # the filter with its taps made positive, on the column's magnitudes
+    spread = np.convolve(column, np.abs(np.poly(_RATIOS)), "valid")[-1]
+    coeff = float(_windows(values)[-1]) / response
+    coeffs = [0.0, coeff] if resonant else [coeff]
+    return LogPolynomial.of_coeffs(coeffs), float(spread / abs(response))
+
+
 def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationReport:
     """Convolve the two fiber integrals numerically and compare the
-    fitted leading coefficient against the engine's predicted term.
+    filtered leading coefficient against the engine's predicted term.
 
     The report's spec field records the effective kernel exponents
-    a = 1/N - 1 and b = 1/M - 1 of the two leading fiber terms.
+    a = 1/N - 1 and b = 1/M - 1 of the two leading fiber terms.  An
+    exponent near a smooth power is refused before any sample is taken.
     """
     spec = _demo_setup(g1, g2)
+    _refuse_near_smooth_power(spec)
 
     result = convolve_terms(_leading_term(g1), _leading_term(g2))
-    measured = fit_radial_samples(spec, _demo_samples(g1, g2, spec))
+    measured = _filter_readout(spec, _demo_samples(g1, g2, spec))
     return compare_with_closed_form(
         spec, measured, result.case, result.leading_coeff.real, result.normalization
     )
 
 
 def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
-    """Measure the singular exponent of the convolution from samples
-    alone, by minimizing the fit residual over a trial exponent.
+    """Measure the singular exponent x from samples alone: the filtered
+    windows go as (4^-x)^i, so x is -log_4 of the ratio of the two deepest.
 
-    Only meaningful for pairs whose combined exponent 1/N + 1/M - 1 is
-    neither a natural number (where the power degenerates into a log)
-    nor too close to a smooth power for the columns to separate.  Raises
-    ``ValueError`` for a Smooth pair (N = 1 or M = 1), which has no
-    singular exponent, for a resonant one, and when the search ends on
-    an edge of its trial window instead of at an interior minimum.
+    Raises ``ValueError`` for a Smooth pair (N = 1 or M = 1), which has no
+    singular exponent, for a resonant one (x natural, where the power
+    degenerates into a log), and when the two windows differ in sign.
     """
     spec = _demo_setup(g1, g2)
     if classify_case(spec.a, spec.b, 0, 0) is CaseTag.SMOOTH:
@@ -278,46 +313,15 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
             "a germ of exponent 1 makes the pair Smooth; "
             "there is no singular exponent to measure"
         )
-    x_model = float(spec.a + spec.b + 1)
-    if abs(x_model - round(x_model)) < 0.02:
+    if is_natural(spec.a + spec.b + 1):
         raise ValueError(
-            "combined exponent sits on (or hugs) a resonance; "
-            "the trial-exponent scan cannot separate it from a smooth power"
+            "combined exponent a+b+1 is a natural number: a resonance, "
+            "where the power degenerates into a log"
         )
-
-    values = _demo_samples(g1, g2, spec)
-    sig = np.array(_radii(spec))
-    y = np.asarray(values, dtype=float)
-    smooth_cols = [sig ** (2.0 * t) for t in range(_SMOOTH_CUTOFF + 1)]
-
-    def residual(x: float) -> float:
-        cols = np.column_stack([sig ** (2.0 * x)] + smooth_cols)
-        return scaled_lstsq(cols, y)[1]
-
-    # the trial window stays 0.02 clear of the integers on both sides of
-    # the model exponent, where the probe column meets a smooth power
-    window = 0.12
-    lo_edge = max(x_model - window, math.floor(x_model) + 0.02)
-    hi_edge = min(x_model + window, math.ceil(x_model) - 0.02)
-    lo, hi = lo_edge, hi_edge
-    # golden-section search; the residual is smooth and unimodal here
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = residual(c), residual(d)
-    for _ in range(64):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = residual(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = residual(d)
-    x = 0.5 * (lo + hi)
-    if min(x - lo_edge, hi_edge - x) < 1e-6:
+    before, last = _windows(_demo_samples(g1, g2, spec))[-2:]
+    if not before * last > 0.0:
         raise ValueError(
-            "the fit residual has no interior minimum in the trial window "
-            "[%.4f, %.4f]; the search ended at %.6f" % (lo_edge, hi_edge, x)
+            "the two deepest filtered windows, %.3e and %.3e, differ in sign"
+            % (before, last)
         )
-    return x
+    return -math.log(last / before, 4.0)

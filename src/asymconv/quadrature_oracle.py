@@ -68,7 +68,8 @@ class ToleranceNotMet(RuntimeError):
 
 
 class IllConditioned(RuntimeError):
-    """The fit model cannot separate its columns at the sample radii."""
+    """The singular power cannot be told from a smooth one at the sample
+    radii, by the fit's columns or by the fiber demo's filter."""
 
 
 @dataclass(frozen=True)
@@ -490,6 +491,18 @@ def eval_kernel_integral(spec: KernelSpec, s: complex) -> complex:
 _SMOOTH_CUTOFF = 4
 
 
+def _refuse_near_smooth_power(spec: KernelSpec) -> None:
+    """IllConditioned when a non-resonant a+b+1 lies within 1e-3 of a smooth
+    power |s|^{2t} of the model, the one gap rule of the fit and the demo."""
+    x = spec.a + spec.b + 1
+    t_min = -spec.p if spec.chirality is Chirality.ANTI else 0
+    if not is_natural(x) and min(abs(x - t) for t in range(t_min, _SMOOTH_CUTOFF + 1)) < 1e-3:
+        raise IllConditioned(
+            "exponent a+b+1 = %.6f lies within 1e-3 of a smooth power; "
+            "use the resonant model only for exact resonance" % x
+        )
+
+
 def scaled_lstsq(
     A: np.ndarray, y: np.ndarray
 ) -> Tuple[np.ndarray, float, np.ndarray]:
@@ -537,14 +550,7 @@ def fit_radial_samples(
         L = max(spec.j + spec.k, 1)
     T = _SMOOTH_CUTOFF
     t_min = -spec.p if spec.chirality is Chirality.ANTI else 0
-
-    if not resonant_exponent:
-        gap = min(abs(xf - t) for t in range(t_min, T + 1))
-        if gap < 1e-3:
-            raise IllConditioned(
-                "exponent a+b+1 = %.6f lies within 1e-3 of a smooth power; "
-                "use the resonant model only for exact resonance" % xf
-            )
+    _refuse_near_smooth_power(spec)
 
     n_sing = L - l_min + 1
     n_cols = n_sing + (T - t_min + 1)

@@ -307,6 +307,17 @@ class TestVerify:
         assert len(lines[0].split(",")) == 13
         assert len(lines[1].split(",")) == 13
 
+    def test_unwritable_report_is_parse_error(self, tmp_path, capsys):
+        # exit 1 means "verification failed"; a report that cannot be
+        # written is one stderr line and exit 2, as an unreadable spec file is
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_GENERIC]))
+        base = tmp_path / "missing" / "report"
+        code, out, err = run(capsys, ["verify", str(specs), "--report", str(base)])
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write %s.json: " % base)
+        assert err.count("\n") == 1
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))
@@ -550,6 +561,16 @@ class TestDemo:
         assert doc["spec"]["b"] == "-2/3"
         assert doc["relative_error"] < 1e-6
         assert_csv_matches(csv_path.read_text(), [doc])
+
+    def test_unwritable_csv_is_parse_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "demo.csv"
+        code, out, err = run(
+            capsys,
+            ["demo", "monomial", "--n", "2", "--m", "3", "--csv", str(csv_path)],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write %s: " % csv_path)
+        assert err.count("\n") == 1
 
     def test_bad_plateau_is_domain_error(self, capsys):
         code, _, err = run(

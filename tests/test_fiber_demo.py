@@ -240,7 +240,7 @@ class TestCutoffRemainder:
         # exact +0.0 terms and keeps every summation order
         spec = fiber_demo._demo_setup(g1, g2)
         af, bf = float(spec.a), float(spec.b)
-        for sigma in fiber_demo._radii(spec):
+        for sigma in fiber_demo._GRID:
             expected, zero_rings = _dense_cutoff_remainder(g1, g2, af, bf, sigma, level)
             got = _cutoff_remainder(g1, g2, af, bf, sigma, level)
             assert got == expected, sigma
@@ -311,19 +311,24 @@ class TestThomSebastianiDemo:
         assert exc.value.achieved > 0.0
         assert "cutoff remainder" in str(exc.value)
 
-    def test_fits_once_through_its_own_module_name(self, monkeypatch):
-        # the measurement stage: one fit per demo, looked up in fiber_demo,
-        # where perfbench's tracer wraps it
-        calls = []
-        original = fiber_demo.fit_radial_samples
+    def test_samples_through_its_own_module_name_and_never_fits(self, monkeypatch):
+        # the measurement stage: sixteen kernel samples, looked up in
+        # fiber_demo, where perfbench's tracer wraps them, and no fit
+        calls = {"fit_radial_samples": 0, "eval_kernel_integral": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(name):
+            original = getattr(fiber_demo, name)
 
-        monkeypatch.setattr(fiber_demo, "fit_radial_samples", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fiber_demo, name, counted(name))
         thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
-        assert len(calls) == 1
+        assert calls == {"fit_radial_samples": 0, "eval_kernel_integral": 16}
 
     def test_reports_are_deterministic(self):
         first = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
@@ -354,14 +359,74 @@ class TestMeasureSingularExponent:
         with pytest.raises(ValueError, match="Smooth"):
             measure_singular_exponent(g1, g2)
 
-    def test_window_edge_is_not_a_measurement(self, monkeypatch):
-        # samples of a pure power at exponent 0.3 put the residual's
-        # minimum above the (2, 3) trial window, so the search ends on
-        # its upper edge
+    def test_reads_the_samples_not_the_model(self, monkeypatch):
+        # samples of a pure power at exponent 0.3, far from the (2, 3)
+        # model's -1/6, are read as 0.3: the exponent comes from the
+        # samples alone
         monkeypatch.setattr(
             fiber_demo,
             "_demo_samples",
-            lambda g1, g2, spec: [s ** 0.6 for s in fiber_demo._radii(spec)],
+            lambda g1, g2, spec: [s ** 0.6 for s in fiber_demo._GRID],
         )
-        with pytest.raises(ValueError, match="no interior minimum"):
+        x = measure_singular_exponent(MonomialGerm(2), MonomialGerm(3))
+        assert x == pytest.approx(0.3, abs=1e-12)
+
+    def test_windows_of_opposite_sign_are_refused(self, monkeypatch):
+        # a spike at the next-to-last radius meets the filter's top tap in
+        # the window before the deepest and its next tap, -sum mu_t, in the
+        # deepest: no ratio to read
+        monkeypatch.setattr(
+            fiber_demo,
+            "_demo_samples",
+            lambda g1, g2, spec: [0.0] * 14 + [1.0, 0.0],
+        )
+        with pytest.raises(ValueError, match="differ in sign"):
             measure_singular_exponent(MonomialGerm(2), MonomialGerm(3))
+
+
+#: The benchmark's demo domain: every pair N <= 5, M <= 9.
+_DOMAIN = [(n, m) for n in range(1, 6) for m in range(1, 10)]
+
+_NARROW = {"plateau": 0.95, "support": 0.96}
+
+
+class TestDemoDomain:
+    """The filter readout on the whole demo domain and its hard corners."""
+
+    @pytest.mark.parametrize("n, m", _DOMAIN)
+    def test_constant(self, n, m):
+        report = thom_sebastiani_demo(MonomialGerm(n), MonomialGerm(m))
+        assert math.isfinite(report.condition_number)
+        if report.case is CaseTag.SMOOTH:
+            # no singular term: the probe reads the cutoff's leak alone
+            assert report.relative_error <= 1e-6
+        else:
+            assert report.relative_error <= 1e-12
+
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [(MonomialGerm(n), MonomialGerm(m)) for n, m in _DOMAIN
+         if n > 1 and m > 1 and (n, m) != (2, 2)]
+        + [
+            # x = -0.98667 and -0.98 sit near -1, which is no smooth power
+            (MonomialGerm(150, plateau=0.999), MonomialGerm(150, plateau=0.999)),
+            (MonomialGerm(100, plateau=0.998), MonomialGerm(100, plateau=0.998)),
+        ],
+    )
+    def test_exponent(self, g1, g2):
+        expected = Fraction(1, g1.exponent) + Fraction(1, g2.exponent) - 1
+        assert measure_singular_exponent(g1, g2) == pytest.approx(float(expected), abs=1e-9)
+
+    def test_narrow_resonant_pair(self):
+        report = thom_sebastiani_demo(MonomialGerm(2, **_NARROW), MonomialGerm(2, **_NARROW))
+        assert report.case is CaseTag.RESONANT
+        assert report.fitted_coeffs.coefficient(0) == 0.0
+        assert report.relative_error <= 1e-12
+
+    def test_narrow_smooth_pair_has_a_finite_condition_number(self):
+        # the condition number comes from the filter, lambda and the grid,
+        # never from the samples, so a window that reads 0 cannot spoil it
+        report = thom_sebastiani_demo(MonomialGerm(1, **_NARROW), MonomialGerm(2, **_NARROW))
+        assert report.case is CaseTag.SMOOTH
+        assert math.isfinite(report.condition_number)
+        assert report.relative_error <= 1e-6
