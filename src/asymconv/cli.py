@@ -134,10 +134,10 @@ def _each(build: Callable, label: str) -> Callable:
     return build_all
 
 
-def _write(path: str, text: str) -> None:
-    """Write text to path; an unwritable path exits 2, like _load's unreadable one."""
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write text to path (mode "a", no text: only check it); exit 2 if unwritable."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _Exit(EXIT_PARSE, "cannot write %s: %s" % (path, exc))
@@ -218,6 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     specs: List[KernelSpec] = _load(
         args.specs, _each(KernelSpec.from_json_dict, "spec"), "a spec list"
     )
+    outputs = () if args.report is None else (args.report + ".json", args.report + ".csv")
+    for path in outputs:
+        _write(path, "", "a")
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(_verify_one, specs))
 
@@ -247,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "consistent": spread <= _RHO_CONSISTENCY,
         }
 
-    if args.report is not None:
+    if outputs:
         doc = {
             "all_passed": not failures,
             "tolerance": tolerance,
@@ -255,8 +258,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "reports": [r.to_json_dict() for r in done],
             "rho_norm": rho_block,
         }
-        _write(args.report + ".json", canonical_json(doc))
-        _write_csv(args.report + ".csv", done)
+        _write(outputs[0], canonical_json(doc))
+        _write_csv(outputs[1], done)
 
     sys.stdout.write(
         "verified %d specs: %d passed, %d failed\n"
@@ -285,6 +288,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
     second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
+    if args.csv is not None:
+        _write(args.csv, "", "a")
     try:
         report = thom_sebastiani_demo(first, second)
     except (ToleranceNotMet, IllConditioned) as exc:

@@ -7,10 +7,10 @@ the plane and filtering the smooth powers out of its small-radius samples
 gives a fully independent, geometry-first check of the convolution
 engine's predicted exponent, log degree and leading constant.
 
-The plane convolution is evaluated by splitting off the pure-power part,
-which is exactly the singular kernel the quadrature oracle already
-integrates, from a cutoff-dependent remainder that is smooth in the
-sample point and only shifts the smooth powers the filter removes.
+The plane convolution splits into the pure-power part, exactly the
+singular kernel the quadrature oracle integrates, and a cutoff remainder
+that is smooth in the sample point and only shifts the smooth powers the
+filter removes.  Both are sampled only at the seven radii the filter reads.
 """
 
 from __future__ import annotations
@@ -52,16 +52,27 @@ __all__ = [
 #: germs must keep their plateaus wide enough to clear it (validated).
 _SAFE_RADIUS = 0.35
 
-#: The sample radii sigma_i = 0.2 * 2^-i, i < 16.  On this geometric grid a
-#: smooth power sigma^{2t} is a geometric sequence in i, and so is the
-#: singular term A sigma^{2x}, with ratio lambda = 4^-x.
-_GRID = tuple(0.2 * 2.0**-i for i in range(16))
+#: How far the first germ's plateau^N must clear the safety radius around
+#: the sample point (validated).  It is the grid's base radius 0.2, above
+#: every sampled one: lowering it to the largest sampled radius would admit
+#: wider germs, whose accuracy has not been checked.
+_GEOMETRY_RADIUS = 0.2
+
+#: The sample radii sigma_i = 0.2 * 2^-i, i = 9..15.  On this geometric grid
+#: a smooth power sigma^{2t} is a geometric sequence in i, and so is the
+#: singular term A sigma^{2x}, with ratio lambda = 4^-x.  The filter below
+#: has six taps, so seven radii make exactly the two deepest windows: the
+#: readout takes the deepest (sigma_10..sigma_15), the exponent both.
+_GRID = tuple(0.2 * 2.0**-i for i in range(9, 16))
 
 #: The ratios mu_t = 4^-t of the smooth powers t = 0..4.  The filter
 #: P(E) = prod_t (E - mu_t), E the shift i -> i + 1, removes each of them
 #: exactly (Richardson's deferred approach to the limit) and leaves
 #: A sigma^{2x} as A sigma_i^{2x} P(lambda).
 _RATIOS = tuple(4.0**-t for t in range(5))
+
+#: P's coefficients from the top, the order np.convolve needs.
+_TAPS = np.poly(_RATIOS)
 
 
 @dataclass(frozen=True)
@@ -114,14 +125,13 @@ def monomial_fiber_integral(germ: MonomialGerm, s: complex) -> float:
     return bump_profile(germ, root_mod) * root_mod ** (2 - 2 * n) / n
 
 
-def _leading_term(germ: MonomialGerm) -> SingularTerm:
-    r = Fraction(1, germ.exponent) - 1
-    theta = 1.0 / germ.exponent
-    return SingularTerm(r=r, m=0, n=0, poly=LogPolynomial.of_coeffs([theta]))
+def _leading_term(r: Fraction) -> SingularTerm:
+    # a germ of exponent N has the leading fiber term |s|^{2r} / N, r = 1/N - 1
+    return SingularTerm(r=r, m=0, n=0, poly=LogPolynomial.of_coeffs([float(r + 1)]))
 
 
 def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm) -> None:
-    if g1.plateau ** g1.exponent - _GRID[0] < _SAFE_RADIUS:
+    if g1.plateau ** g1.exponent - _GEOMETRY_RADIUS < _SAFE_RADIUS:
         raise ValueError(
             "first germ's plateau^N leaves no room around the sample point; "
             "widen the plateau or lower the exponent"
@@ -135,7 +145,7 @@ def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm) -> None:
 def _demo_setup(g1: MonomialGerm, g2: MonomialGerm) -> KernelSpec:
     """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
     and b = 1/M - 1, once the germs' geometry has been checked against
-    its largest sample radius."""
+    the geometry radius."""
     _validate_geometry(g1, g2)
     return KernelSpec(a=Fraction(1, g1.exponent) - 1, b=Fraction(1, g2.exponent) - 1,
                       p=0, q=0, j=0, k=0)
@@ -232,11 +242,8 @@ def _cutoff_remainder(
     return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape)))
 
 
-def _demo_samples(
-    g1: MonomialGerm,
-    g2: MonomialGerm,
-    spec: KernelSpec,
-) -> list:
+def _demo_samples(g1: MonomialGerm, g2: MonomialGerm, spec: KernelSpec) -> list:
+    """One kernel sample plus the finer of two remainder levels per radius of _GRID."""
     af, bf = float(spec.a), float(spec.b)
     scale = 1.0 / (g1.exponent * g2.exponent)
     out = []
@@ -244,18 +251,15 @@ def _demo_samples(
         base = eval_kernel_integral(spec, sigma).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
-        c1 = _refined(
-            c0, c1, max(abs(base), abs(c1)), _SAMPLE_TOLERANCE,
-            "the cutoff remainder at sigma=%.3e" % sigma,
-        )
+        c1 = _refined(c0, c1, max(abs(base), abs(c1)), _SAMPLE_TOLERANCE,
+                      "the cutoff remainder at sigma=%.3e" % sigma)
         out.append(scale * (base + c1))
     return out
 
 
 def _windows(values) -> np.ndarray:
-    """W_i = sum_k c_k y_(i+k), i = 0..10, for sum_k c_k z^k = P(z): np.poly
-    lists P's coefficients from the top, the order np.convolve needs."""
-    return np.convolve(values, np.poly(_RATIOS), "valid")
+    """W_i = sum_k c_k y_(i+k), i = 0, 1 on the grid, for sum_k c_k z^k = P(z)."""
+    return np.convolve(values, _TAPS, "valid")
 
 
 def _filter_readout(spec: KernelSpec, values) -> Tuple[LogPolynomial, float]:
@@ -267,15 +271,16 @@ def _filter_readout(spec: KernelSpec, values) -> Tuple[LogPolynomial, float]:
     lam, sig = 4.0**-xf, np.array(_GRID)
     column = np.abs(sig ** (2.0 * xf) * (np.log(sig**2) if resonant else 1.0))
     # A sigma^{2x} leaves A sigma_i^{2x} P(lambda) in the window from sigma_i,
-    # the deepest one's first radius.  At resonance (x natural, so x <= 1 and
-    # lambda is a ratio) the filter removes it, and A_1 sigma^{2x} Log sigma^2
-    # leaves -log 4 lambda A_1 sigma_i^{2x} P'(lambda): the readout is [0, A_1].
+    # the deepest one's first radius, sigma_10.  At resonance (x natural, so
+    # x <= 1 and lambda is a ratio) the filter removes it, and
+    # A_1 sigma^{2x} Log sigma^2 leaves -log 4 lambda A_1 sigma_i^{2x} P'(lambda):
+    # the readout is [0, A_1].
     first = sig[-1 - len(_RATIOS)]
     response = first ** (2.0 * xf) * math.prod(lam - mu for mu in _RATIOS if mu != lam)
     if resonant:
         response *= -math.log(4.0) * lam
     # the filter with its taps made positive, on the column's magnitudes
-    spread = np.convolve(column, np.abs(np.poly(_RATIOS)), "valid")[-1]
+    spread = np.convolve(column, np.abs(_TAPS), "valid")[-1]
     coeff = float(_windows(values)[-1]) / response
     coeffs = [0.0, coeff] if resonant else [coeff]
     return LogPolynomial.of_coeffs(coeffs), float(spread / abs(response))
@@ -292,7 +297,7 @@ def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationRepo
     spec = _demo_setup(g1, g2)
     _refuse_near_smooth_power(spec)
 
-    result = convolve_terms(_leading_term(g1), _leading_term(g2))
+    result = convolve_terms(_leading_term(spec.a), _leading_term(spec.b))
     measured = _filter_readout(spec, _demo_samples(g1, g2, spec))
     return compare_with_closed_form(
         spec, measured, result.case, result.leading_coeff.real, result.normalization
@@ -318,7 +323,7 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
             "combined exponent a+b+1 is a natural number: a resonance, "
             "where the power degenerates into a log"
         )
-    before, last = _windows(_demo_samples(g1, g2, spec))[-2:]
+    before, last = _windows(_demo_samples(g1, g2, spec))
     if not before * last > 0.0:
         raise ValueError(
             "the two deepest filtered windows, %.3e and %.3e, differ in sign"

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import asymconv.cli as cli
 import asymconv.quadrature_oracle as oracle
 from asymconv.cli import main
 from test_golden_reports import DATA, assert_csv_matches
@@ -318,6 +319,16 @@ class TestVerify:
         assert err.startswith("cannot write %s.json: " % base)
         assert err.count("\n") == 1
 
+    def test_unwritable_report_fails_before_any_verification(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "verify_constant", lambda spec: calls.append(spec))
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))
+        base = tmp_path / "missing" / "report"
+        code, out, err = run(capsys, ["verify", str(specs), "--report", str(base)])
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("cannot write %s.json: " % base)
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))
@@ -571,6 +582,31 @@ class TestDemo:
         assert (code, out) == (2, "")
         assert err.startswith("cannot write %s: " % csv_path)
         assert err.count("\n") == 1
+
+    def test_unwritable_csv_fails_before_the_demo_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "thom_sebastiani_demo", lambda g1, g2: calls.append(g1))
+        csv_path = tmp_path / "missing" / "demo.csv"
+        code, out, err = run(
+            capsys,
+            ["demo", "monomial", "--n", "2", "--m", "3", "--csv", str(csv_path)],
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("cannot write %s: " % csv_path)
+
+    def test_refused_demo_leaves_an_existing_csv_as_it_is(self, tmp_path, capsys):
+        # the early check opens the path for append, so a demo that is
+        # refused afterwards does not empty a file that was already there
+        csv_path = tmp_path / "demo.csv"
+        csv_path.write_text("earlier run\n")
+        code, _, err = run(
+            capsys,
+            ["demo", "monomial", "--n", "1", "--m", "2", "--plateau", "0.5",
+             "--support", "0.8", "--csv", str(csv_path)],
+        )
+        assert code == 3
+        assert "plateau" in err
+        assert csv_path.read_text() == "earlier run\n"
 
     def test_bad_plateau_is_domain_error(self, capsys):
         code, _, err = run(

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import asymconv.fiber_demo as fiber_demo
 from asymconv.convolution_engine import CaseTag
@@ -17,6 +19,7 @@ from asymconv.fiber_demo import (
     thom_sebastiani_demo,
 )
 from asymconv.quadrature_oracle import ToleranceNotMet
+from test_golden_reports import DEMO_DOMAIN
 
 F = Fraction
 
@@ -209,6 +212,10 @@ def _dense_cutoff_remainder(g1, g2, af, bf, sigma, level):
     return float(np.sum(rad_w * rho_grid * ring.reshape(rho_grid.shape))), zero_rings
 
 
+#: Sixteen radii 0.2 * 2^-i, i = 0..15: the demo samples only the deepest
+#: seven, and the shallower ones keep the remainder's wider geometry covered.
+_REMAINDER_RADII = tuple(0.2 * 2.0**-i for i in range(16))
+
 _REMAINDER_PAIRS = [
     (MonomialGerm(1), MonomialGerm(3)),
     (MonomialGerm(2), MonomialGerm(3)),
@@ -240,7 +247,7 @@ class TestCutoffRemainder:
         # exact +0.0 terms and keeps every summation order
         spec = fiber_demo._demo_setup(g1, g2)
         af, bf = float(spec.a), float(spec.b)
-        for sigma in fiber_demo._GRID:
+        for sigma in _REMAINDER_RADII:
             expected, zero_rings = _dense_cutoff_remainder(g1, g2, af, bf, sigma, level)
             got = _cutoff_remainder(g1, g2, af, bf, sigma, level)
             assert got == expected, sigma
@@ -292,29 +299,39 @@ class TestThomSebastianiDemo:
         assert report.relative_error < 1e-3
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            thom_sebastiani_demo(
-                MonomialGerm(1, plateau=0.5, support=0.8), MonomialGerm(2)
-            )
-        with pytest.raises(ValueError):
+        # the first germ is held to the radius 0.2, not to the deepest
+        # sampled radii: plateau^N = 0.5 and 0.9^6 would clear those
+        for first in (MonomialGerm(1, plateau=0.5, support=0.8), MonomialGerm(6)):
+            with pytest.raises(ValueError, match="first germ's plateau\\^N leaves no room"):
+                thom_sebastiani_demo(first, MonomialGerm(2))
+        with pytest.raises(ValueError, match="second germ's plateau\\^M is narrower"):
             thom_sebastiani_demo(
                 MonomialGerm(2), MonomialGerm(1, plateau=0.3, support=0.9)
             )
 
     def test_remainder_refusal_is_typed(self, monkeypatch):
-        # a zero pure-power part leaves the remainder as the scale; its two
-        # levels differ by ~7e-14 relative at sigma = 0.2, far above 1e-16
+        # a zero pure-power part leaves the remainder as the scale.  At the
+        # demo's radii, 0.2 * 2^-9 and below, the remainder's two levels
+        # agree to roundoff (0 to 1.6e-16 relative at (2, 3)), so the coarse
+        # level is moved by 1e-3 relative, far above the 1e-6 tolerance
+        real = fiber_demo._cutoff_remainder
+
+        def coarse_moved(g1, g2, af, bf, sigma, level):
+            value = real(g1, g2, af, bf, sigma, level)
+            return value * 1.001 if level == 0 else value
+
         monkeypatch.setattr(fiber_demo, "eval_kernel_integral", lambda spec, s: 0j)
-        monkeypatch.setattr(fiber_demo, "_SAMPLE_TOLERANCE", 1e-16)
+        monkeypatch.setattr(fiber_demo, "_cutoff_remainder", coarse_moved)
         with pytest.raises(ToleranceNotMet) as exc:
             thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
-        assert exc.value.achieved > 0.0
-        assert "cutoff remainder" in str(exc.value)
+        assert exc.value.achieved == pytest.approx(1e-3, rel=1e-9)
+        assert "cutoff remainder at sigma=3.906e-04" in str(exc.value)
 
     def test_samples_through_its_own_module_name_and_never_fits(self, monkeypatch):
-        # the measurement stage: sixteen kernel samples, looked up in
+        # the measurement stage: one kernel sample and two remainder levels
+        # at each of the seven radii the filter reads, looked up in
         # fiber_demo, where perfbench's tracer wraps them, and no fit
-        calls = {"fit_radial_samples": 0, "eval_kernel_integral": 0}
+        calls = {"fit_radial_samples": 0, "eval_kernel_integral": 0, "_cutoff_remainder": 0}
 
         def counted(name):
             original = getattr(fiber_demo, name)
@@ -328,7 +345,7 @@ class TestThomSebastianiDemo:
         for name in calls:
             monkeypatch.setattr(fiber_demo, name, counted(name))
         thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
-        assert calls == {"fit_radial_samples": 0, "eval_kernel_integral": 16}
+        assert calls == {"fit_radial_samples": 0, "eval_kernel_integral": 7, "_cutoff_remainder": 14}
 
     def test_reports_are_deterministic(self):
         first = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
@@ -360,9 +377,9 @@ class TestMeasureSingularExponent:
             measure_singular_exponent(g1, g2)
 
     def test_reads_the_samples_not_the_model(self, monkeypatch):
-        # samples of a pure power at exponent 0.3, far from the (2, 3)
-        # model's -1/6, are read as 0.3: the exponent comes from the
-        # samples alone
+        # samples of a pure power at exponent 0.3 on the seven radii, far
+        # from the (2, 3) model's -1/6, are read as 0.3: the exponent comes
+        # from the samples alone
         monkeypatch.setattr(
             fiber_demo,
             "_demo_samples",
@@ -372,20 +389,24 @@ class TestMeasureSingularExponent:
         assert x == pytest.approx(0.3, abs=1e-12)
 
     def test_windows_of_opposite_sign_are_refused(self, monkeypatch):
-        # a spike at the next-to-last radius meets the filter's top tap in
-        # the window before the deepest and its next tap, -sum mu_t, in the
-        # deepest: no ratio to read
+        # a spike at the next-to-last of the seven radii meets the filter's
+        # top tap in the window before the deepest and its next tap,
+        # -sum mu_t, in the deepest: no ratio to read
         monkeypatch.setattr(
             fiber_demo,
             "_demo_samples",
-            lambda g1, g2, spec: [0.0] * 14 + [1.0, 0.0],
+            lambda g1, g2, spec: [0.0] * 5 + [1.0, 0.0],
         )
         with pytest.raises(ValueError, match="differ in sign"):
             measure_singular_exponent(MonomialGerm(2), MonomialGerm(3))
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=16, max_size=16))
+    def test_seven_samples_make_the_two_deepest_of_sixteen_windows(self, values):
+        # a valid window reads its own six samples alone, so the deepest
+        # seven of sixteen samples give the last two windows bit for bit
+        deepest = fiber_demo._windows(values[-7:])
+        assert deepest.tobytes() == fiber_demo._windows(values)[-2:].tobytes()
 
-#: The benchmark's demo domain: every pair N <= 5, M <= 9.
-_DOMAIN = [(n, m) for n in range(1, 6) for m in range(1, 10)]
 
 _NARROW = {"plateau": 0.95, "support": 0.96}
 
@@ -393,7 +414,7 @@ _NARROW = {"plateau": 0.95, "support": 0.96}
 class TestDemoDomain:
     """The filter readout on the whole demo domain and its hard corners."""
 
-    @pytest.mark.parametrize("n, m", _DOMAIN)
+    @pytest.mark.parametrize("n, m", DEMO_DOMAIN)
     def test_constant(self, n, m):
         report = thom_sebastiani_demo(MonomialGerm(n), MonomialGerm(m))
         assert math.isfinite(report.condition_number)
@@ -405,7 +426,7 @@ class TestDemoDomain:
 
     @pytest.mark.parametrize(
         "g1, g2",
-        [(MonomialGerm(n), MonomialGerm(m)) for n, m in _DOMAIN
+        [(MonomialGerm(n), MonomialGerm(m)) for n, m in DEMO_DOMAIN
          if n > 1 and m > 1 and (n, m) != (2, 2)]
         + [
             # x = -0.98667 and -0.98 sit near -1, which is no smooth power

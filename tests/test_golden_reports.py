@@ -30,6 +30,13 @@ degree up to 2, with two planted pairs of products in sixths and halves)
 and print ``golden_convolve_large.json``: one pair of products cancels
 exactly, so its key is dropped, and one cancels to about 1e-12, so its
 key is kept and compensated.
+
+``golden_demo_domain.json`` pins the whole demo domain byte for byte: it
+is ``canonical_json(demo_domain_document())``, the report of every pair
+N <= 5, M <= 9 with that pair's ``measure_singular_exponent`` or the text
+of its refusal.  Each entry's ``report`` is the exact output of
+``asymconv demo monomial --n N --m M`` once it is written through
+``canonical_json``.
 """
 
 import json
@@ -41,7 +48,8 @@ import pytest
 
 from asymconv.cli import main
 from asymconv.convolution_engine import convolve_expansions, convolve_terms
-from asymconv.expansion_algebra import CaseTag, Expansion
+from asymconv.expansion_algebra import CaseTag, Expansion, canonical_json
+from asymconv.fiber_demo import MonomialGerm, measure_singular_exponent, thom_sebastiani_demo
 from asymconv.quadrature_oracle import _CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
@@ -128,6 +136,40 @@ def test_square_cube_demo_matches_golden(capsys):
     assert code == 0
     expected = json.loads((DATA / "golden_demo_2_3.json").read_text())
     assert_matches(json.loads(out), expected)
+
+
+#: The demo domain the benchmark draws from: every pair N <= 5, M <= 9.
+DEMO_DOMAIN = [(n, m) for n in range(1, 6) for m in range(1, 10)]
+
+
+def demo_domain_document() -> dict:
+    """Every domain pair's demo report, with its measured exponent or the
+    refusal that measure_singular_exponent raises instead."""
+    entries = []
+    for n, m in DEMO_DOMAIN:
+        g1, g2 = MonomialGerm(n), MonomialGerm(m)
+        entry = {"n": n, "m": m, "report": thom_sebastiani_demo(g1, g2).to_json_dict()}
+        try:
+            entry["exponent"] = measure_singular_exponent(g1, g2)
+        except ValueError as exc:
+            entry["refusal"] = "%s: %s" % (type(exc).__name__, exc)
+        entries.append(entry)
+    return {"pairs": entries}
+
+
+def test_demo_domain_matches_golden_bytes():
+    expected = (DATA / "golden_demo_domain.json").read_text()
+    assert canonical_json(demo_domain_document()) == expected
+
+
+def test_demo_cli_prints_the_domain_golden_entry(capsys):
+    # the installed-demo CI step cmp's this command against the same entry
+    code = main(["demo", "monomial", "--n", "2", "--m", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = json.loads((DATA / "golden_demo_domain.json").read_text())
+    entry = next(e for e in golden["pairs"] if (e["n"], e["m"]) == (2, 2))
+    assert out == canonical_json(entry["report"])
 
 
 @pytest.mark.parametrize("command", ["convolve", "types", "bernstein"])
