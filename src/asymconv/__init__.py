@@ -8,7 +8,16 @@ maps each case to its constant and accumulates the convolved expansion.
 ``quadrature_oracle`` verifies every closed-form constant against
 direct singular quadrature, and ``fiber_demo`` runs the whole pipeline
 on honest fiber integrals of monomial germs.
+
+Only the first three layers are imported with the package; they use the
+standard library alone.  The names of ``quadrature_oracle`` and
+``fiber_demo`` (the oracle's ``KernelSpec``, ``VerificationReport``,
+``verify_constant``, its two refusals and its sampling functions, and
+the demo's ``MonomialGerm`` and its three functions) load their module,
+and with it numpy, on first access.
 """
+
+import importlib
 
 from .convolution_engine import (
     INTEGER_CASE_SCALE,
@@ -32,12 +41,6 @@ from .expansion_algebra import (
     combine_types,
     degree_rule,
 )
-from .fiber_demo import (
-    MonomialGerm,
-    measure_singular_exponent,
-    monomial_fiber_integral,
-    thom_sebastiani_demo,
-)
 from .gamma_kernel import (
     F_const,
     G_q,
@@ -49,16 +52,23 @@ from .gamma_kernel import (
     integer_case_log_coeff,
     tilde_F_const,
 )
-from .quadrature_oracle import (
-    IllConditioned,
-    KernelSpec,
-    ToleranceNotMet,
-    VerificationReport,
-    eval_kernel_integral,
-    finite_part_direct,
-    fit_radial_samples,
-    verify_constant,
-)
+
+#: Public name -> the numpy-backed module that defines it, imported on
+#: first access by ``__getattr__``.
+_LAZY = {
+    "IllConditioned": "quadrature_oracle",
+    "KernelSpec": "quadrature_oracle",
+    "ToleranceNotMet": "quadrature_oracle",
+    "VerificationReport": "quadrature_oracle",
+    "eval_kernel_integral": "quadrature_oracle",
+    "finite_part_direct": "quadrature_oracle",
+    "fit_radial_samples": "quadrature_oracle",
+    "verify_constant": "quadrature_oracle",
+    "MonomialGerm": "fiber_demo",
+    "measure_singular_exponent": "fiber_demo",
+    "monomial_fiber_integral": "fiber_demo",
+    "thom_sebastiani_demo": "fiber_demo",
+}
 
 __version__ = "0.1.0"
 
@@ -103,3 +113,17 @@ __all__ = [
     "tilde_F_const",
     "verify_constant",
 ]
+
+
+def __getattr__(name: str):
+    """Import the module behind a lazy public name and keep the name in
+    the package namespace, so later lookups do not come here."""
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,6 +11,10 @@ the mathematics refuses (including a string that is not a rational) is
 a domain error.  All JSON output goes through the canonical serializer
 (sorted keys, fixed float formatting), so identical inputs produce
 byte-identical output.
+
+The oracle and the demo, and numpy with them, are imported only by the
+``verify`` and ``demo`` commands, so the other four start on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from .convolution_engine import (
     bernstein_combine,
@@ -39,14 +43,10 @@ from .expansion_algebra import (
     in_slice,
     kernel_term,
 )
-from .fiber_demo import MonomialGerm, thom_sebastiani_demo
-from .quadrature_oracle import (
-    IllConditioned,
-    KernelSpec,
-    ToleranceNotMet,
-    VerificationReport,
-    verify_constant,
-)
+
+if TYPE_CHECKING:
+    from .fiber_demo import MonomialGerm
+    from .quadrature_oracle import KernelSpec, VerificationReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,7 +143,25 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise _Exit(EXIT_PARSE, "cannot write %s: %s" % (path, exc))
 
 
+def _check_writable(paths: Sequence[str]) -> None:
+    """Exit 2 before any work if a path is unwritable, removing the files
+    this check created; a file that was there keeps its bytes."""
+    created = []
+    try:
+        for path in paths:
+            new = not os.path.lexists(path)
+            _write(path, "", "a")
+            if new:
+                created.append(path)
+    except _Exit:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def _write_csv(path: str, reports: Sequence[VerificationReport]) -> None:
+    from .quadrature_oracle import VerificationReport
+
     rows = [VerificationReport.csv_header()] + [r.to_csv_row() for r in reports]
     _write(path, "".join(row + "\n" for row in rows))
 
@@ -196,13 +214,29 @@ def cmd_constant(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify and demo: the only commands that import the oracle
+
+
+def verify_constant(spec: KernelSpec) -> VerificationReport:
+    """The oracle's verify_constant, imported on first call."""
+    from .quadrature_oracle import verify_constant
+
+    return verify_constant(spec)
+
+
+def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationReport:
+    """The demo's thom_sebastiani_demo, imported on first call."""
+    from .fiber_demo import thom_sebastiani_demo
+
+    return thom_sebastiani_demo(g1, g2)
 
 
 def _verify_one(spec: KernelSpec):
     """(report, None) or (None, reason): a spec the oracle cannot check,
     including one it refuses with ValueError, fails alone and does not
     abort the batch."""
+    from .quadrature_oracle import IllConditioned, ToleranceNotMet
+
     try:
         return verify_constant(spec), None
     except (ToleranceNotMet, IllConditioned, ValueError) as exc:
@@ -210,6 +244,10 @@ def _verify_one(spec: KernelSpec):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .quadrature_oracle import KernelSpec
+
     tolerance = args.tolerance
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be > 0")
@@ -219,8 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.specs, _each(KernelSpec.from_json_dict, "spec"), "a spec list"
     )
     outputs = () if args.report is None else (args.report + ".json", args.report + ".csv")
-    for path in outputs:
-        _write(path, "", "a")
+    _check_writable(outputs)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(_verify_one, specs))
 
@@ -281,15 +318,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# demo
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .fiber_demo import MonomialGerm
+    from .quadrature_oracle import IllConditioned, ToleranceNotMet
+
     first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
     second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
     if args.csv is not None:
-        _write(args.csv, "", "a")
+        _check_writable([args.csv])
     try:
         report = thom_sebastiani_demo(first, second)
     except (ToleranceNotMet, IllConditioned) as exc:

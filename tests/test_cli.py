@@ -329,6 +329,27 @@ class TestVerify:
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("cannot write %s.json: " % base)
 
+    @pytest.mark.parametrize("earlier", [None, "earlier run\n"])
+    def test_unwritable_csv_leaves_the_json_as_it_was(self, tmp_path, capsys, monkeypatch, earlier):
+        # the path check creates BASE.json before BASE.csv fails; a new
+        # one is removed again and an existing one keeps its bytes
+        calls = []
+        monkeypatch.setattr(cli, "verify_constant", lambda spec: calls.append(spec))
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_GENERIC]))
+        base = tmp_path / "r"
+        (tmp_path / "r.csv").mkdir()
+        if earlier is not None:
+            (tmp_path / "r.json").write_text(earlier)
+        code, out, err = run(capsys, ["verify", str(specs), "--report", str(base)])
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("cannot write %s.csv: " % base)
+        assert err.count("\n") == 1
+        if earlier is None:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "specs.json"]
+        else:
+            assert (tmp_path / "r.json").read_text() == earlier
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))

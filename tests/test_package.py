@@ -1,18 +1,128 @@
 """The package's public surface and the benchmark tracer's view of it."""
 
 import importlib
+import inspect
+import json
 import os
 import re
+import subprocess
+import sys
+import types
+
+import pytest
 
 import asymconv
+from asymconv import cli
+from test_golden_reports import DATA, GOLDEN_CONSTANTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+SUBMODULES = ("gamma_kernel", "expansion_algebra", "convolution_engine",
+              "quadrature_oracle", "fiber_demo")
+
+#: What the oracle and the demo import; the exact layer must not.
+NUMPY_BACKED = ["numpy", "asymconv.quadrature_oracle", "asymconv.fiber_demo"]
+
+
+def defining_module(name, obj):
+    """obj's own module, or for a plain value the submodule that assigns
+    it at top level."""
+    if isinstance(obj, (type, types.FunctionType)):
+        return importlib.import_module(obj.__module__)
+    [home] = [
+        module for module in (importlib.import_module("asymconv." + m) for m in SUBMODULES)
+        if re.search(r"^%s\b[^=\n]*=" % name, inspect.getsource(module), re.M)
+    ]
+    return home
 
 
 def test_every_public_name_resolves():
     assert len(set(asymconv.__all__)) == len(asymconv.__all__)
+    assert set(asymconv.__all__) <= set(dir(asymconv))
     for name in asymconv.__all__:
-        assert getattr(asymconv, name, None) is not None, name
+        obj = getattr(asymconv, name)
+        assert vars(defining_module(name, obj))[name] is obj, name
+    from asymconv import KernelSpec
+
+    assert KernelSpec is asymconv.quadrature_oracle.KernelSpec
+    # a plain AttributeError: hasattr would let an ImportError or a KeyError through
+    assert not hasattr(asymconv, "no_such_name")
+    with pytest.raises(AttributeError) as info:
+        asymconv.no_such_name
+    assert type(info.value) is AttributeError
+
+
+def _fresh_cli(argv):
+    """(exit code, stdout, NUMPY_BACKED modules loaded) of
+    ``asymconv.cli.main(argv)`` in a new interpreter started in src/."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import asymconv\n"
+        "from asymconv import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "loaded = [m for m in json.loads(sys.argv[2]) if m in sys.modules]\n"
+        "print(json.dumps([code, out.getvalue(), loaded]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv), json.dumps(NUMPY_BACKED)],
+        cwd=SRC, capture_output=True, text=True, check=True,
+    )
+    return tuple(json.loads(done.stdout))
+
+
+def _pair(command, name=None):
+    """argv of command on the golden_<name>_left/right inputs, and its golden."""
+    name = name or command
+    inputs = [str(DATA / ("golden_%s_%s.json" % (name, side))) for side in ("left", "right")]
+    return [command] + inputs, "golden_%s.json" % name
+
+
+EXACT_LAYER = [
+    _pair("convolve"),
+    _pair("convolve", "convolve_mixed"),
+    _pair("convolve", "convolve_large"),
+    _pair("types"),
+    _pair("types", "types_mixed"),
+    _pair("bernstein"),
+    (_pair("bernstein")[0] + ["--kappa", "1"], "golden_bernstein_kappa1.json"),
+] + [
+    (["constant"] + options, "golden_constant_%s.json" % name)
+    for name, (_, options) in GOLDEN_CONSTANTS.items()
+]
+
+
+def _demo_2_2():
+    doc = json.loads((DATA / "golden_demo_domain.json").read_text())
+    entry = next(e for e in doc["pairs"] if (e["n"], e["m"]) == (2, 2))
+    return asymconv.canonical_json(entry["report"])
+
+
+FRESH_CASES = [(argv, golden, []) for argv, golden in EXACT_LAYER] + [
+    # the command perfbench/setup_probe.py times; it has no golden file,
+    # so its bytes are checked against this process's run
+    (["constant", "-a", "-1/3", "-b", "-1/4"], None, []),
+    (["verify", str(DATA / "golden_specs.json")], None, NUMPY_BACKED[:2]),
+    (["demo", "monomial", "--n", "2", "--m", "2"], _demo_2_2, NUMPY_BACKED),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden, loaded", FRESH_CASES,
+    ids=[golden[:-5] if isinstance(golden, str) else argv[0] for argv, golden, _ in FRESH_CASES],
+)
+def test_exact_layer_starts_without_numpy(capsys, argv, golden, loaded):
+    result = _fresh_cli(argv)
+    if golden is None:
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+    elif callable(golden):
+        expected = golden()
+    else:
+        expected = (DATA / golden).read_bytes().decode("utf-8")
+    assert result == (0, expected, loaded)
 
 
 def test_readme_quick_start_runs(capsys):
