@@ -20,6 +20,7 @@ standard library alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -143,9 +144,11 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise _Exit(EXIT_PARSE, "cannot write %s: %s" % (path, exc))
 
 
-def _check_writable(paths: Sequence[str]) -> None:
-    """Exit 2 before any work if a path is unwritable, removing the files
-    this check created; a file that was there keeps its bytes."""
+@contextlib.contextmanager
+def _check_writable(paths: Sequence[str]):
+    """Exit 2 before any work if a path is unwritable.  The files this
+    check created are removed again when the check or the work under it
+    fails; a file that was there keeps its bytes."""
     created = []
     try:
         for path in paths:
@@ -153,7 +156,8 @@ def _check_writable(paths: Sequence[str]) -> None:
             _write(path, "", "a")
             if new:
                 created.append(path)
-    except _Exit:
+        yield
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
@@ -257,8 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.specs, _each(KernelSpec.from_json_dict, "spec"), "a spec list"
     )
     outputs = () if args.report is None else (args.report + ".json", args.report + ".csv")
-    _check_writable(outputs)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with _check_writable(outputs), ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(_verify_one, specs))
 
     done: List[VerificationReport] = []
@@ -324,10 +327,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
     second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
-    if args.csv is not None:
-        _check_writable([args.csv])
     try:
-        report = thom_sebastiani_demo(first, second)
+        with _check_writable([] if args.csv is None else [args.csv]):
+            report = thom_sebastiani_demo(first, second)
     except (ToleranceNotMet, IllConditioned) as exc:
         raise _Exit(EXIT_VERIFY_FAILED, "demo refused: %s: %s" % (type(exc).__name__, exc))
     if args.csv is not None:

@@ -30,7 +30,9 @@ rule and every spec-independent table on it (e^{i theta}, 1 - v and its
 Log|1 - v|^2) are built once and shared (_collar_geometry); a kernel
 adds only its a-power and its monomial phases.  Every series of a kernel
 is computed once in its _inner_moments cache entry, which kernel samples
-and finite parts only read.
+and finite parts only read: a sample computes only what depends on s, the
+powers of |s| and, where a power is near (|E log(3|s|/2)| <= 1), the
+powers of log(3|s|/2) its series in log R reads.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,17 +339,38 @@ def _collar(
     return np.array(angular) @ np.array(radial).T
 
 
+#: Terms of the series in log R that a near power takes: |E T| <= 1, so 25
+#: terms reach roundoff.
+_NEAR_TERMS = 25
+
+
+class _NearSeries(NamedTuple):
+    """The far field of one set of near powers: every piece of it that does
+    not depend on s."""
+
+    index: np.ndarray  # [near]: the near powers' rows r
+    rest: np.ndarray  # [r]: the other rows, as a mask
+    smooth: np.ndarray  # [rest]: the upper end R = 1 of the other rows
+    ends_total: np.ndarray  # [n]: the lower ends of the other rows, summed
+    jets: np.ndarray  # [near, t]: E^t / t!
+    weights: np.ndarray  # [near, m]: the near rows of weights
+
+
 class _SpecSeries(NamedTuple):
     """One entry of _inner_moments: every s-independent piece of a kernel."""
 
-    powers: np.ndarray  # r, the far series' powers of sigma / R
+    powers: np.ndarray  # r, the far series' powers of sigma / R, as floats
     weights: np.ndarray  # [r, m]: (-1)^p perm(j, i) coeffs[r, i], m = j - i + k
     smooth: np.ndarray  # [r]: the far field's upper end R = 1
     ends: np.ndarray  # [r, n]: its lower end R = 3 sigma/2
+    orders: np.ndarray  # [t + m]: t + m + 1, the powers of T a near series reads
+    gather: np.ndarray  # [m, t]: t + m, each near term's place in orders
+    near_scale: np.ndarray  # [m, 1]: -2^m
     ends_total: Tuple[float, ...]  # [n]: ends summed over r
     inner: Tuple[Tuple[complex, ...], ...]  # [level][o]: of (Log|s|^2)^o
     gross: Tuple[Tuple[float, ...], ...]  # [level][o]: disks + collar, unsigned
-    window: Tuple[int, ...]  # the powers that can be near: |E| <= 1.1
+    window: Tuple[Tuple[int, float], ...]  # (r, E) of the powers that can be near: |E| <= 1.1
+    near: Mapping[Tuple[int, ...], _NearSeries]  # each non-empty set of window rows
     c: float  # 2(a+b+1) + p + q
     mode: int  # n = p + q (holo) or p - q (anti)
 
@@ -374,6 +398,11 @@ def _inner_moments(
     at X = 3 sigma/2.  Rows with E == 0 are zero, so 0 never divides; the
     finite part needs every other row, and a sample never reads one with
     |E| <= 1/745 (always near: |log(3 sigma/2)| <= 745 for double sigma).
+
+    A sample's near powers are a set of ``window`` rows.  E steps by 2, so
+    the window holds at most two rows, and ``near`` holds a _NearSeries for
+    each of its non-empty sets, built here: the entry is shared by threads
+    and never changes.
     """
     mode, near_mode = (p - q, q) if anti else (p + q, -q)
     jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
@@ -381,6 +410,7 @@ def _inner_moments(
     disks = disks + _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
     collars = np.array([_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS])
     powers, coeffs = _mode_coefficients(af, p, mode, j, jets)
+    powers = powers.astype(float)
     tables = disks + collars
     c = 2.0 * (af + bf + 1.0) + p + q
     E = c - powers
@@ -399,20 +429,41 @@ def _inner_moments(
         comb = math.comb(j, jp) * math.comb(k, kp)
         unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
         shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
+    # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
+    window = tuple((r, E[r].item()) for r in np.flatnonzero(np.abs(E) <= 1.1).tolist())
+    t = np.arange(_NEAR_TERMS)
+    near = {}
+    for size in range(1, len(window) + 1):
+        for rows in itertools.combinations([r for r, _ in window], size):
+            index = np.array(rows)
+            rest = np.ones(len(powers), dtype=bool)
+            rest[index] = False
+            near[rows] = _NearSeries(*_frozen(
+                index, rest, poly[rest, 0], ends[rest].sum(0),
+                (c - powers[index, None]) ** t / np.cumprod(np.maximum(t, 1)),
+                weights[index],
+            ))
+    logs = np.arange(j + k + 1)[:, None]
     return _SpecSeries(
-        *_frozen(powers, weights, poly[:, 0].copy(), ends),
+        *_frozen(
+            powers, weights, poly[:, 0].copy(), ends,
+            np.arange(1.0, j + k + _NEAR_TERMS + 1), logs + t, -(2.0**logs),
+        ),
         ends_total=tuple(ends.sum(axis=0).tolist()),
         inner=tuple(map(tuple, shifted[0].tolist())),
         gross=tuple(map(tuple, shifted[1].real.tolist())),
-        # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
-        window=tuple(np.flatnonzero(np.abs(E) <= 1.1).tolist()),
+        window=window,
+        near=types.MappingProxyType(near),
         c=c, mode=mode,
     )
 
 
 def _horner(coeffs: Sequence, x):
     """sum_n coeffs[n] x^n: a kernel sample's polynomials are short."""
-    return functools.reduce(lambda acc, coeff: acc * x + coeff, reversed(coeffs), 0.0)
+    acc = 0.0
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc
 
 
 def _far_integral(entry: _SpecSeries, s: complex) -> complex:
@@ -423,28 +474,24 @@ def _far_integral(entry: _SpecSeries, s: complex) -> complex:
     exactly to sigma^r smooth_r - sigma^c sum_n (2T)^n ends[r, n],
     T = log(3 sigma/2), except where |E T| <= 1 and the two ends cancel
     (at E = 0 no antiderivative exists): that power takes the series in
-    log R, 2^m sum_t E^t/t! (-T^(t+m+1))/(t+m+1).
+    log R, 2^m sum_t E^t/t! (-T^(t+m+1))/(t+m+1).  Only the powers of
+    sigma and of T are computed here, each once; the rest is read from
+    the entry, the near powers' pieces from their _NearSeries.
     """
     sigma = abs(s)
     T = math.log(1.5 * sigma)
-    # E steps by 2: one power, rarely two
-    near = [r for r in entry.window if abs((entry.c - entry.powers[r]) * T) <= 1.0]
+    near = tuple(r for r, E in entry.window if abs(E * T) <= 1.0)
     with np.errstate(under="ignore"):
         top = sigma**entry.powers
     if not near:
         far = entry.smooth @ top - sigma**entry.c * _horner(entry.ends_total, 2.0 * T)
     else:
-        rest = np.ones(len(top), dtype=bool)
-        rest[near] = False
-        far = entry.smooth[rest] @ top[rest]
-        far -= sigma**entry.c * _horner(entry.ends[rest].sum(0), 2.0 * T)
-        t = np.arange(25)  # |E T| <= 1: 25 terms reach roundoff
-        E = entry.c - entry.powers[near, None]
-        jets = E**t / np.cumprod(np.maximum(t, 1))  # E^t / t!
-        m = np.arange(len(entry.ends_total))[:, None]
-        ends = T ** (t + m + 1) / (t + m + 1)  # int_0^T u^(t+m) du
-        radial = -(2.0**m) * top[near] * (ends @ jets.T)  # [m, near power]
-        far += np.sum(entry.weights[near].T * radial)
+        series = entry.near[near]
+        far = series.smooth @ top[series.rest]
+        far -= sigma**entry.c * _horner(series.ends_total, 2.0 * T)
+        ends = (T**entry.orders / entry.orders)[entry.gather]  # int_0^T u^(t+m) du
+        radial = entry.near_scale * top[series.index] * (ends @ series.jets.T)  # [m, near]
+        far += np.sum(series.weights.T * radial)
     return complex((s / sigma) ** entry.mode * far)
 
 

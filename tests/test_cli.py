@@ -629,6 +629,22 @@ class TestDemo:
         assert "plateau" in err
         assert csv_path.read_text() == "earlier run\n"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # IllConditioned: a + b + 1 = 1/2000 is within 1e-3 of a smooth power
+            (["--n", "1", "--m", "2000", "--plateau", "0.9999"], 1),
+            # the geometry check: plateau^M is narrower than the safety radius
+            (["--n", "1", "--m", "2", "--plateau", "0.5", "--support", "0.8"], 3),
+        ],
+    )
+    def test_refused_demo_leaves_no_new_csv(self, tmp_path, capsys, argv, expected):
+        # the early path check creates the file; a refused demo removes it
+        csv_path = tmp_path / "new.csv"
+        code, out, _ = run(capsys, ["demo", "monomial"] + argv + ["--csv", str(csv_path)])
+        assert (code, out) == (expected, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_plateau_is_domain_error(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from asymconv.quadrature_oracle import (
     scaled_lstsq,
     verify_constant,
 )
-from test_golden_reports import assert_csv_matches
+from test_golden_reports import DATA, assert_csv_matches
 
 F = Fraction
 HOLO = Chirality.HOLO
@@ -281,6 +282,10 @@ class TestFarIntegral:
         KernelSpec(a=F(-1, 4), b=F(-1, 2), p=0, q=0, j=2, k=1),
     ]
 
+    #: Both window powers, E = +-1, are near at sigma = 1/4 (T = log 0.375),
+    #: which no grid radius reaches.
+    BOTH_NEAR = KernelSpec(a=F(-1, 4), b=F(-1, 4), p=0, q=0, j=1, k=1)
+
     @staticmethod
     def brute_force(spec, s):
         a, b = float(spec.a), float(spec.b)
@@ -384,6 +389,81 @@ class TestFarIntegral:
                 reference = self.per_sample_reference(spec, s)
                 value = _far_integral(entry, s)
                 assert abs(value - reference) <= 1e-13 * abs(reference), (spec, sigma)
+
+    @staticmethod
+    def rebuilt_far_integral(entry, s):
+        # the sample path that rebuilt the near powers' s-independent
+        # pieces at every sample, from the entry's series fields alone
+        sigma = abs(s)
+        T = math.log(1.5 * sigma)
+        rows = range(len(entry.powers))
+        near = [r for r in rows if abs((entry.c - entry.powers[r]) * T) <= 1.0]
+
+        def horner(coeffs, x):
+            return functools.reduce(lambda acc, coeff: acc * x + coeff, reversed(coeffs), 0.0)
+
+        with np.errstate(under="ignore"):
+            top = sigma**entry.powers
+        if not near:
+            far = entry.smooth @ top - sigma**entry.c * horner(entry.ends_total, 2.0 * T)
+        else:
+            rest = np.ones(len(top), dtype=bool)
+            rest[near] = False
+            far = entry.smooth[rest] @ top[rest]
+            far -= sigma**entry.c * horner(entry.ends[rest].sum(0), 2.0 * T)
+            t = np.arange(25)
+            E = entry.c - entry.powers[near, None]
+            jets = E**t / np.cumprod(np.maximum(t, 1))
+            m = np.arange(len(entry.ends_total))[:, None]
+            ends = T ** (t + m + 1) / (t + m + 1)
+            radial = -(2.0**m) * top[near] * (ends @ jets.T)
+            far += np.sum(entry.weights[near].T * radial)
+        return complex((s / sigma) ** entry.mode * far)
+
+    @staticmethod
+    def switch_sigmas(entry):
+        # sigma on both sides of each switch |E T| = 1 between the near
+        # series and the two ends
+        E = entry.c - entry.powers
+        for absE in np.abs(E[E != 0.0]):
+            for f in (0.999999, 1.000001):
+                sigma = math.exp(-f / absE) / 1.5
+                if 0.0 < sigma <= 0.25:
+                    yield sigma
+
+    def test_bit_for_bit_the_rebuilt_near_series(self):
+        # the cached near tables change no bit of a sample: the grid
+        # radii, both sides of each switch, two deep radii, and the two
+        # near powers of BOTH_NEAR at sigma = 1/4
+        cases = [(spec, sigma) for spec in self.SPECS for sigma in itertools.chain(
+            _radii(spec), [6.1e-6, 1e-30], self.switch_sigmas(entry_of(spec)))]
+        assert [E for _, E in entry_of(self.BOTH_NEAR).window] == [1.0, -1.0]
+        cases.append((self.BOTH_NEAR, 0.25))
+        for spec, sigma in cases:
+            entry = entry_of(spec)
+            s = sigma * complex(math.cos(0.4), math.sin(0.4))
+            assert _far_integral(entry, s) == self.rebuilt_far_integral(entry, s), (spec, sigma)
+
+    @pytest.mark.parametrize("source", ["far", "golden"])
+    def test_every_near_set_has_its_table(self, source):
+        # every set of near powers that some 0 < sigma <= 1/4 selects, by
+        # the sample's rule over all rows, is a key of the entry
+        if source == "far":
+            specs = self.SPECS + [self.BOTH_NEAR]
+        else:
+            raw = json.loads((DATA / "golden_specs.json").read_text())
+            specs = [KernelSpec.from_json_dict(doc) for doc in raw]
+        for spec in specs:
+            entry = entry_of(spec)
+            sigmas = np.concatenate([
+                np.geomspace(1e-300, 0.25, 20001), list(self.switch_sigmas(entry)), [0.25]])
+            T = np.log(1.5 * sigmas)
+            near = np.abs((entry.c - entry.powers)[:, None] * T) <= 1.0  # [r, sigma]
+            ever = np.flatnonzero(near.any(axis=1))
+            for column in np.unique(near[ever], axis=1).T:
+                rows = tuple(ever[column].tolist())
+                if rows:
+                    assert entry.near[rows].index.tolist() == list(rows), (spec, rows)
 
     def test_exact_resonance_leaves_the_ends_finite(self):
         # E = c - r = 0 at r = 2: the cache never divides by it
@@ -734,10 +814,15 @@ class TestSpecCache:
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=1, k=0)
         entry = entry_of(spec)
         arrays = [v for v in entry if isinstance(v, np.ndarray)]
-        assert len(arrays) == 4
+        arrays += [v for series in entry.near.values() for v in series]
+        # seven series arrays, and the six of the one near set (r = 0, E = 5/6)
+        assert list(entry.near) == [(0,)]
+        assert len(arrays) == 13
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
+        with pytest.raises(TypeError):
+            entry.near[(1,)] = entry.near[(0,)]
 
 
 def test_oracle_takes_no_closed_form_from_gamma_kernel():
