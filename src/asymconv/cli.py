@@ -7,10 +7,10 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 JSON, or has the wrong shape (a missing key, a JSON type where another
 is expected, such as a float where a rational string belongs) is a parse
 error, and so is a report that cannot be written; a well-formed value
-the mathematics refuses (including a string that is not a rational) is
-a domain error.  All JSON output goes through the canonical serializer
-(sorted keys, fixed float formatting), so identical inputs produce
-byte-identical output.
+the mathematics refuses (including a string that is not a rational, such
+as "1/0", and an exponent beyond float range) is a domain error.  All
+JSON output goes through the canonical serializer (sorted keys, fixed
+float formatting), so identical inputs produce byte-identical output.
 
 The oracle and the demo, and numpy with them, are imported only by the
 ``verify`` and ``demo`` commands, so the other four start on the
@@ -26,7 +26,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from .convolution_engine import (
@@ -362,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "constant", help="case and leading constant for one kernel"
     )
     const_p._negative_number_matcher = _NEGATIVE_TOKEN
-    const_p.add_argument("-a", type=Fraction, required=True, metavar="RATIONAL")
-    const_p.add_argument("-b", type=Fraction, required=True, metavar="RATIONAL")
+    const_p.add_argument("-a", type=as_fraction, required=True, metavar="RATIONAL")
+    const_p.add_argument("-b", type=as_fraction, required=True, metavar="RATIONAL")
     const_p.add_argument("-p", type=int, default=0)
     const_p.add_argument("-q", type=int, default=0)
     const_p.add_argument("-j", type=int, default=0)

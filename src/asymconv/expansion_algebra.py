@@ -30,7 +30,8 @@ def as_fraction(value: RationalInput) -> Fraction:
 
     Floats are refused on purpose: integrality tests (is this exponent a
     natural number?) drive branch selection and must not depend on binary
-    rounding of decimal input.
+    rounding of decimal input.  A string that is not a rational ("1/0"
+    too) raises ValueError naming it: one parser for documents and flags.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
@@ -39,10 +40,22 @@ def as_fraction(value: RationalInput) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in the rational %r" % value) from None
     raise TypeError(
         "expected Fraction, int, or 'p/q' string, got %r" % type(value).__name__
     )
+
+
+def _float(name: str, x: Union[Fraction, int]) -> float:
+    """x as a float, or ValueError naming it where its magnitude is beyond
+    float range: the one way an exact input of the numeric layers becomes a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("%s is beyond float range" % name) from None
 
 
 def is_natural(x: Fraction) -> bool:
@@ -438,7 +451,7 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
-def _canonical(value, indent: int, step: int) -> str:
+def _canonical(value, indent: int) -> str:
     kind = type(value)
     if kind is float:
         return _format_float(value)
@@ -456,22 +469,22 @@ def _canonical(value, indent: int, step: int) -> str:
         if isinstance(value, float):
             return _format_float(value)
         if isinstance(value, str):
-            return json.dumps(value)
+            return _quote(value)
         if not isinstance(value, (list, tuple, dict)):
             raise TypeError("cannot serialize %r" % type(value).__name__)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     pad = " " * indent
-    inner = " " * (indent + step)
-    indent += step
+    indent += 2
+    inner = " " * indent
     if not isinstance(value, dict):
-        parts = [inner + _canonical(v, indent, step) for v in value]
+        parts = [inner + _canonical(v, indent) for v in value]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     parts = []
     for key in sorted(value):
         if not isinstance(key, str):
             raise TypeError("canonical documents use string keys only")
-        parts.append(inner + _quote(key) + ": " + _canonical(value[key], indent, step))
+        parts.append(inner + _quote(key) + ": " + _canonical(value[key], indent))
     return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
 
 
@@ -484,4 +497,4 @@ def canonical_json(data) -> str:
     subclasses (the str-Enum values) take the isinstance chain.  A string
     or key is quoted directly when json.dumps would leave it unescaped.
     """
-    return _canonical(data, 0, 2) + "\n"
+    return _canonical(data, 0) + "\n"

@@ -23,10 +23,10 @@ from typing import Tuple
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int, _float
 from .expansion_algebra import classify_case, is_natural
 from .quadrature_oracle import (
-    _SAMPLE_TOLERANCE,
+    _SMOOTH_CUTOFF,
     KernelSpec,
     VerificationReport,
     _gl,
@@ -65,11 +65,12 @@ _GEOMETRY_RADIUS = 0.2
 #: readout takes the deepest (sigma_10..sigma_15), the exponent both.
 _GRID = tuple(0.2 * 2.0**-i for i in range(9, 16))
 
-#: The ratios mu_t = 4^-t of the smooth powers t = 0..4.  The filter
+#: The ratios mu_t = 4^-t of the smooth powers t = 0.._SMOOTH_CUTOFF, the
+#: powers the gap rule _refuse_near_smooth_power guards.  The filter
 #: P(E) = prod_t (E - mu_t), E the shift i -> i + 1, removes each of them
 #: exactly (Richardson's deferred approach to the limit) and leaves
 #: A sigma^{2x} as A sigma_i^{2x} P(lambda).
-_RATIOS = tuple(4.0**-t for t in range(5))
+_RATIOS = tuple(4.0**-t for t in range(_SMOOTH_CUTOFF + 1))
 
 #: P's coefficients from the top, the order np.convolve needs.
 _TAPS = np.poly(_RATIOS)
@@ -88,7 +89,7 @@ class MonomialGerm:
     support: float = 1.0
 
     def __post_init__(self) -> None:
-        _exact_int("exponent", self.exponent, 1)
+        _float("exponent", _exact_int("exponent", self.exponent, 1))
         if not (0.0 < self.plateau < self.support <= 1.0):
             raise ValueError("need 0 < plateau < support <= 1")
 
@@ -251,8 +252,7 @@ def _demo_samples(g1: MonomialGerm, g2: MonomialGerm, spec: KernelSpec) -> list:
         base = eval_kernel_integral(spec, sigma).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
-        c1 = _refined(c0, c1, max(abs(base), abs(c1)), _SAMPLE_TOLERANCE,
-                      "the cutoff remainder at sigma=%.3e" % sigma)
+        c1 = _refined(c0, c1, max(abs(base), abs(c1)), "the cutoff remainder at sigma=%.3e" % sigma)
         out.append(scale * (base + c1))
     return out
 

@@ -17,7 +17,8 @@ take floats, since they classify nothing.  Integer fields, the chirality
 and the admissible slice pass expansion_algebra's rules (_exact_int,
 Chirality, in_slice) and nothing else.  A constant is a plain float,
 GammaPoleError (a ValueError) where the continuation has a pole, or a
-ValueError where its magnitude is beyond float range.
+ValueError where its magnitude, or an exponent's, is beyond float range
+(expansion_algebra._float).
 
 Natural numbers include 0 throughout.
 """
@@ -28,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .expansion_algebra import Chirality, RationalInput, _exact_int, as_fraction
+from .expansion_algebra import Chirality, RationalInput, _exact_int, _float, as_fraction
 from .expansion_algebra import in_slice, is_natural
 
 
@@ -117,7 +118,7 @@ def fourier_coefficient(a: RationalInput, q: int, r: int) -> float:
         if half_plus > n:
             return 0.0
         return float(sign * math.comb(n, half_plus) * math.comb(n, half_minus))
-    a_f = float(a)
+    a_f = _float("a", a)
     value = _gamma_ratio(
         [a_f + 1, a_f + 1],
         [
@@ -238,7 +239,7 @@ def _leading_coefficient(
     by _natural_sum, since the float -a-b-s-1 may round off the pole;
     _gamma_ratio still refuses a rounded sum that lands on one.
     """
-    a_f, b_f = float(a), float(b)
+    a_f, b_f = _float("a", a), _float("b", b)
     shift = 0 if chirality2 is Chirality.HOLO else p
     sign = -1 if shift % 2 else 1
     numerators = [a_f + p + 1, b_f + q + 1]
@@ -255,13 +256,9 @@ def _leading_coefficient(
     for x, x_f in ((a, a_f), (b, b_f)):
         if is_natural(x):  # (-1)^(n+1) n! at n = x
             n = x.numerator
-            try:
-                n_factorial = float(math.factorial(n))
-            except OverflowError:
-                raise ValueError(
-                    "%d! at the natural exponent %d is beyond float range" % (n, n)
-                ) from None
-            factor *= n_factorial * (1.0 if n % 2 else -1.0)
+            if n > 170:  # 171! is the first factorial beyond float range
+                raise ValueError("%d! at the natural exponent %d is beyond float range" % (n, n))
+            factor *= float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
         else:
             denominators.append(-x_f)
     return sign * factor * _gamma_ratio(numerators, denominators)

@@ -54,6 +54,7 @@ from .expansion_algebra import (
     LogPolynomial,
     RationalInput,
     _exact_int,
+    _float,
     _format_float,
     as_fraction,
     degree_rule,
@@ -94,8 +95,9 @@ class KernelSpec:
     chirality: Chirality = Chirality.HOLO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+            _float(name, getattr(self, name))
         chir = Chirality(self.chirality)
         for name in ("p", "q", "j", "k"):
             _exact_int(name, getattr(self, name))
@@ -123,7 +125,8 @@ class KernelSpec:
         return KernelSpec(**fields, chirality=data.get("chirality", "holo"))
 
 
-#: Refinement tolerance of every kernel sample and cutoff remainder.
+#: Refinement tolerance of every kernel sample, finite part and cutoff
+#: remainder, read by _refined alone.
 _SAMPLE_TOLERANCE = 1e-6
 
 
@@ -495,14 +498,14 @@ def _far_integral(entry: _SpecSeries, s: complex) -> complex:
     return complex((s / sigma) ** entry.mode * far)
 
 
-def _refined(v0, v1, scale: float, tolerance: float, where: str):
-    """v1, the finer of two refinement levels, or ToleranceNotMet when
-    |v1 - v0| exceeds ``tolerance`` * ``scale`` (floored at 1e-300)."""
+def _refined(v0, v1, scale: float, where: str):
+    """v1, the finer of two refinement levels, or ToleranceNotMet when |v1 - v0| exceeds
+    _SAMPLE_TOLERANCE * ``scale`` (floored at 1e-300); one test for every kind of sample."""
     achieved = abs(v1 - v0) / max(scale, 1e-300)
-    if achieved > tolerance:
+    if achieved > _SAMPLE_TOLERANCE:
         raise ToleranceNotMet(
             "refinement moved %s by %.3e relative (tolerance %.1e)"
-            % (where, achieved, tolerance),
+            % (where, achieved, _SAMPLE_TOLERANCE),
             achieved=achieved,
         )
     return v1
@@ -527,7 +530,7 @@ def eval_kernel_integral(spec: KernelSpec, s: complex) -> complex:
     v0, v1 = (pref * _horner(poly, ls) + far for poly in entry.inner)
     gross = abs(pref) * max(_horner(poly, abs(ls)) for poly in entry.gross) + abs(far)
     scale = max(abs(v1), 1e-3 * gross)
-    return _refined(v0, v1, scale, _SAMPLE_TOLERANCE, "the value at |s|=%.3e" % sigma)
+    return _refined(v0, v1, scale, "the value at |s|=%.3e" % sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +662,12 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
             "a+b+1 is a natural number: resonant exponent, no plain "
             "finite part on this route; fit the log column instead"
         )
-    entry = _inner_moments(float(a), float(b), 0, q, 0, 0, False)
+    entry = _inner_moments(_float("a", a), _float("b", b), 0, q, 0, 0, False)
     outer = entry.ends_total[0]
     v0, v1 = (inner[0].real - outer for inner in entry.inner)
     gross = max(g[0] for g in entry.gross) + abs(outer)
     scale = max(abs(v1), 1e-3 * gross)
-    return _refined(v0, v1, scale, _SAMPLE_TOLERANCE, "the finite part at q=%d" % q)
+    return _refined(v0, v1, scale, "the finite part at q=%d" % q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ stable contract: 0 success, 1 verification failure, 2 parse error,
 
 import gc
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,21 @@ class TestConstant:
         code, out, _ = run(capsys, ["constant", "-a", "170", "-b", "-1/3", "-j", "1"])
         assert code == 0
         assert json.loads(out)["leading_coeff"] == [0.00096720613307340535, 0]
+
+    def test_factorial_bound_comes_before_the_bignum(self, capsys, monkeypatch):
+        # 10000000! has 65 million digits: the bound n > 170 must refuse it
+        # before any factorial that large is computed
+        real = math.factorial
+
+        def bounded(n):
+            assert n <= 170, "computed %d! exactly" % n
+            return real(n)
+
+        monkeypatch.setattr(math, "factorial", bounded)
+        code, out, err = run(capsys, ["constant", "-a", "10000000", "-b", "-1/3", "-j", "1"])
+        assert code == 3
+        assert out == ""
+        assert "10000000! at the natural exponent 10000000 is beyond float range" in err
 
     def test_both_integer_underflow_names_float_range(self, capsys):
         # -4*integer_case_log_coeff at a = b = 400 is about 2^-1609
@@ -577,6 +593,60 @@ class TestExitCodeRule:
         assert out == ""
         assert err.startswith("parse error" if expected == 2 else "domain error")
         assert str(doc) in err
+
+
+# Two number faults, each a typed refusal: a zero denominator (exit 2 in
+# a flag, which argparse refuses, and 3 in a document, naming the item)
+# and an exponent beyond float range (exit 3).  None may end in a
+# traceback: exit 1 means a verification failed.
+_N = 10**400
+_GOOD_SPEC = _SPEC % '"-1/3"'
+_BIG_TERM = (
+    '{"terms": [{"r": "-1/2", "m": %d, "n": %d, "log_coeffs": [[1, 0]]}], "smooth_order": 1}'
+    % (_N, _N)
+)
+NUMBER_FAULTS = [
+    ("constant-zero-denominator", ["constant", "-a", "1/0", "-b", "0"], None, 2, "'1/0'"),
+    ("verify-zero-denominator", ["verify"], "[%s]" % (_SPEC % '"1/0"'), 3, "spec 0"),
+    ("convolve-zero-denominator", ["convolve"], _TERM % '"1/0"', 3, "'1/0'"),
+    ("types-zero-denominator", ["types"], (DATA / "types_zero_denominator.json").read_text(), 3,
+     "'1/0'"),
+    ("bernstein-zero-denominator", ["bernstein"], '["1/0"]', 3, "root 0"),
+    ("constant-a-over-3", ["constant", "-a", "%d/3" % _N, "-b", "-1/3"], None, 3,
+     "a is beyond float range"),
+    ("constant-natural-a", ["constant", "-a", str(_N), "-b", "-1/3", "-j", "1"], None, 3,
+     "a is beyond float range"),
+    ("verify-natural-a", ["verify"], "[%s, %s]" % (_SPEC % ('"%d"' % _N), _GOOD_SPEC), 3,
+     "spec 0: a is beyond float range"),
+    ("verify-a-over-3", ["verify"], "[%s, %s]" % (_SPEC % ('"%d/3"' % _N), _GOOD_SPEC), 3,
+     "spec 0: a is beyond float range"),
+    ("convolve-natural-powers", ["convolve"], _BIG_TERM, 3, "a is beyond float range"),
+    ("demo-exponent", ["demo", "monomial", "--n", str(_N), "--m", "2"], None, 3,
+     "exponent is beyond float range"),
+]
+
+
+class TestNumberFaults:
+    @pytest.mark.parametrize(
+        "argv, text, expected, needle",
+        [row[1:] for row in NUMBER_FAULTS],
+        ids=[row[0] for row in NUMBER_FAULTS],
+    )
+    def test_typed_refusal(self, tmp_path, capsys, argv, text, expected, needle):
+        if text is not None:
+            doc = tmp_path / "doc.json"
+            doc.write_text(text)
+            argv = argv + ([str(doc)] if argv == ["verify"] else [str(doc), str(doc)])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert needle in captured.err.splitlines()[-1]
+        assert expected == 2 or captured.err.count("\n") == 1
 
 
 class TestDemo:

@@ -4,6 +4,9 @@ Every public entry point checks its integer fields with one rule (a
 Python int at or above its minimum; floats, bools and strings refused,
 never truncated), reads its chirality with one rule (the enum or its
 string value, nothing else) and decides its poles on exact rationals.
+A rational string with a zero denominator, and an exact number whose
+magnitude is beyond float range where it would become a float, are
+refused with ValueError.
 """
 
 import math
@@ -20,6 +23,7 @@ from asymconv.expansion_algebra import (
     Expansion,
     LogPolynomial,
     SingularTerm,
+    as_fraction,
     classify_case,
     degree_rule,
     is_natural,
@@ -91,6 +95,25 @@ def test_integer_field_is_refused(entry, kwargs, field, value):
         message = "%s must be an integer" % field
     with pytest.raises(ValueError, match=message):
         entry(**bad)
+
+
+# (entry point, keyword arguments, message): one number fault each.  The
+# F_const point is off resonance, so the float conversion is what refuses.
+NUMBER_FAULTS = [
+    (as_fraction, dict(value="1/0"), "zero denominator in the rational '1/0'"),
+    (F_const, dict(p=0, q=0, a=F(10**400, 3), b=F(-1, 4), chirality2=HOLO),
+     "a is beyond float range"),
+    (KernelSpec, dict(a=10**400, b=F(-1, 4), p=0, q=0, j=0, k=0), "a is beyond float range"),
+    (MonomialGerm, dict(exponent=10**400), "exponent is beyond float range"),
+]
+
+
+@pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS,
+                         ids=[entry.__name__ for entry, _, _ in NUMBER_FAULTS])
+def test_number_fault_is_a_value_error(entry, kwargs, message):
+    with pytest.raises(ValueError, match=message) as info:
+        entry(**kwargs)
+    assert type(info.value) is ValueError
 
 
 # (entry point, arguments before the chirality, arguments after it):
