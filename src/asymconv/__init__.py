@@ -10,11 +10,9 @@ direct singular quadrature, and ``fiber_demo`` runs the whole pipeline
 on honest fiber integrals of monomial germs.
 
 Only the first three layers are imported with the package; they use the
-standard library alone.  The names of ``quadrature_oracle`` and
-``fiber_demo`` (the oracle's ``KernelSpec``, ``VerificationReport``,
-``verify_constant``, its two refusals and its sampling functions, and
-the demo's ``MonomialGerm`` and its three functions) load their module,
-and with it numpy, on first access.
+standard library alone.  A name of ``quadrature_oracle`` or ``fiber_demo``
+(the ``_LAZY`` table, which the CLI reads too) loads its module, and with
+it numpy, on first access.
 """
 
 import importlib

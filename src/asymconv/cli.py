@@ -12,9 +12,9 @@ as "1/0", and an exponent beyond float range) is a domain error.  All
 JSON output goes through the canonical serializer (sorted keys, fixed
 float formatting), so identical inputs produce byte-identical output.
 
-The oracle and the demo, and numpy with them, are imported only by the
-``verify`` and ``demo`` commands, so the other four start on the
-standard library alone.
+Names of the oracle and the demo are read as ``asymconv.<name>``, which
+imports them, and numpy, only in ``verify`` and ``demo``; the other four
+commands start on the standard library alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
+
+import asymconv
 
 from .convolution_engine import (
     bernstein_combine,
@@ -37,16 +39,13 @@ from .expansion_algebra import (
     Chirality,
     Expansion,
     ExponentSetType,
+    _float,
     as_fraction,
     canonical_json,
     combine_types,
     in_slice,
     kernel_term,
 )
-
-if TYPE_CHECKING:
-    from .fiber_demo import MonomialGerm
-    from .quadrature_oracle import KernelSpec, VerificationReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -162,10 +161,8 @@ def _check_writable(paths: Sequence[str]):
         raise
 
 
-def _write_csv(path: str, reports: Sequence[VerificationReport]) -> None:
-    from .quadrature_oracle import VerificationReport
-
-    rows = [VerificationReport.csv_header()] + [r.to_csv_row() for r in reports]
+def _write_csv(path: str, reports: Sequence[asymconv.VerificationReport]) -> None:
+    rows = [asymconv.VerificationReport.csv_header()] + [r.to_csv_row() for r in reports]
     _write(path, "".join(row + "\n" for row in rows))
 
 
@@ -210,6 +207,7 @@ def cmd_constant(args: argparse.Namespace) -> int:
     for flag, x in (("a", args.a), ("b", args.b)):
         if not in_slice(x, 0):
             raise ValueError("precondition violated: %s > -1 (got %s)" % (flag, x))
+        _float(flag, x)
     first = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
     second = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)
     sys.stdout.write(canonical_json(convolve_terms(first, second).to_json_dict()))
@@ -220,57 +218,51 @@ def cmd_constant(args: argparse.Namespace) -> int:
 # verify and demo: the only commands that import the oracle
 
 
-def verify_constant(spec: KernelSpec) -> VerificationReport:
-    """The oracle's verify_constant, imported on first call."""
-    from .quadrature_oracle import verify_constant
-
-    return verify_constant(spec)
-
-
-def thom_sebastiani_demo(g1: MonomialGerm, g2: MonomialGerm) -> VerificationReport:
-    """The demo's thom_sebastiani_demo, imported on first call."""
-    from .fiber_demo import thom_sebastiani_demo
-
-    return thom_sebastiani_demo(g1, g2)
+# The two names below stay in this module: the benchmark tracer and the
+# tests patch them here.
+def verify_constant(spec: asymconv.KernelSpec) -> asymconv.VerificationReport:
+    """The oracle's verify_constant, loaded on first call."""
+    return asymconv.verify_constant(spec)
 
 
-def _verify_one(spec: KernelSpec):
+def thom_sebastiani_demo(g1: asymconv.MonomialGerm, g2: asymconv.MonomialGerm):
+    """The demo's thom_sebastiani_demo (a VerificationReport), loaded on first call."""
+    return asymconv.thom_sebastiani_demo(g1, g2)
+
+
+def _verify_one(spec: asymconv.KernelSpec):
     """(report, None) or (None, reason): a spec the oracle cannot check,
     including one it refuses with ValueError, fails alone and does not
     abort the batch."""
-    from .quadrature_oracle import IllConditioned, ToleranceNotMet
-
     try:
         return verify_constant(spec), None
-    except (ToleranceNotMet, IllConditioned, ValueError) as exc:
+    except (asymconv.ToleranceNotMet, asymconv.IllConditioned, ValueError) as exc:
         return None, "%s: %s" % (type(exc).__name__, exc)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .quadrature_oracle import KernelSpec
-
     tolerance = args.tolerance
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be > 0")
     if args.jobs < 1:
         raise ValueError("parallelism must be >= 1")
-    specs: List[KernelSpec] = _load(
-        args.specs, _each(KernelSpec.from_json_dict, "spec"), "a spec list"
+    specs: List[asymconv.KernelSpec] = _load(
+        args.specs, _each(asymconv.KernelSpec.from_json_dict, "spec"), "a spec list"
     )
     outputs = () if args.report is None else (args.report + ".json", args.report + ".csv")
     with _check_writable(outputs), ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(_verify_one, specs))
 
-    done: List[VerificationReport] = []
+    done: List[asymconv.VerificationReport] = []
     failures: List[str] = []
     for spec, (report, problem) in zip(specs, outcomes):
         if problem is not None:
             failures.append("%s: %s" % (json.dumps(spec.to_json_dict()), problem))
             continue
         done.append(report)
-        if report.relative_error > tolerance:
+        if not (report.relative_error <= tolerance):
             failures.append(
                 "%s: relative error %.3e exceeds tolerance %.3e"
                 % (json.dumps(spec.to_json_dict()), report.relative_error, tolerance)
@@ -321,15 +313,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .fiber_demo import MonomialGerm
-    from .quadrature_oracle import IllConditioned, ToleranceNotMet
-
-    first = MonomialGerm(args.n, plateau=args.plateau, support=args.support)
-    second = MonomialGerm(args.m, plateau=args.plateau, support=args.support)
+    first = asymconv.MonomialGerm(args.n, plateau=args.plateau, support=args.support)
+    second = asymconv.MonomialGerm(args.m, plateau=args.plateau, support=args.support)
     try:
         with _check_writable([] if args.csv is None else [args.csv]):
             report = thom_sebastiani_demo(first, second)
-    except (ToleranceNotMet, IllConditioned) as exc:
+    except (asymconv.ToleranceNotMet, asymconv.IllConditioned) as exc:
         raise _Exit(EXIT_VERIFY_FAILED, "demo refused: %s: %s" % (type(exc).__name__, exc))
     if args.csv is not None:
         _write_csv(args.csv, [report])

@@ -39,6 +39,7 @@ from .gamma_kernel import (
     Chirality,
     F_const,
     _check_slice,
+    _integer_case_log2,
     degenerate_case1_coeff,
     integer_case_log_coeff,
     tilde_F_const,
@@ -65,7 +66,7 @@ class ConvolutionResult:
 
     ``term`` is None exactly in the Smooth case.  Only the leading log
     coefficient of the output is computed; the term's polynomial stores it
-    as a pure monomial of the declared degree, with lower slots zero as
+    as a pure monomial of the declared degree, with lower slots +0 as
     placeholders (sub-leading coefficients are not part of the contract).
     ``normalization`` records the measure factor already multiplied into
     ``leading_coeff``: RHO_NORM in every singular case, 0.0 for Smooth.
@@ -144,17 +145,19 @@ def _case_constant(
     if case is CaseTag.ONE_INTEGER_FACTOR:
         base = degenerate_case1_coeff(p, q, a, b, chirality)
         return base * (j if is_natural(a) else k)
-    exact = integer_case_log_coeff(p, q, int(a), int(b), chirality)
-    base = -4.0 * float(exact)
-    if base == 0:  # the exact rational is never zero
-        raise ValueError(
-            "BothInteger constant at a=%s, b=%s is below float range: "
-            "-4*integer_case_log_coeff is about 2^%.0f"
-            % (a, b, 2 + math.log2(abs(exact.numerator)) - math.log2(exact.denominator))
-        )
-    base *= j
-    base *= k
-    return base / case_degree(case, j, k)
+    # lgamma's estimate refuses a constant far below float range before
+    # any factorial is built; nearer the edge the exact rational decides
+    log2, error = _integer_case_log2(p, q, a, b, chirality)
+    if log2 + error > -1138:  # 64 bits below 2^-1074, the smallest float
+        base = -4.0 * float(integer_case_log_coeff(p, q, int(a), int(b), chirality))
+        if base != 0:  # the exact rational is never zero
+            base *= j
+            base *= k
+            return base / case_degree(case, j, k)
+    raise ValueError(
+        "BothInteger constant at a=%s, b=%s is below float range: "
+        "-4*integer_case_log_coeff is about 2^%.0f" % (a, b, log2)
+    )
 
 
 class _TermFacts(NamedTuple):
@@ -236,7 +239,9 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
             term=None, case=case, leading_coeff=0j, degree=degree, normalization=0.0
         )
     r_num, m_out, n_out = key
-    poly = LogPolynomial.monomial(degree).scale(leading)
+    # the slot rule of convolve_expansions: every slot starts at 0j, and
+    # the leading coefficient is added to the slot of its degree
+    poly = LogPolynomial.of_coeffs([0j] * degree + [0j + leading])
     term = SingularTerm(r=Fraction(r_num, denominator), m=m_out, n=n_out, poly=poly)
     return ConvolutionResult(
         term=term, case=case, leading_coeff=leading, degree=degree, normalization=RHO_NORM
@@ -252,8 +257,8 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     output key keeps a list of log-slot totals, each starting at +0, and
     one of per-slot peaks: a pair adds its leading coefficient to the
     slot of its degree, in pair order, and raises that slot's peak to its
-    magnitude.  A sum from +0 never becomes -0, so this is bit for bit
-    the sum of the pairs' monomials, whose lower slots are +-0.  A key
+    magnitude.  A sum from +0 never becomes -0, so a key reached by one
+    pair holds that pair's convolve_terms polynomial bit for bit.  A key
     whose total in some slot is below 1e-9 times the slot's peak is
     flagged as compensated, never silently dropped; a term cancelling to
     exactly zero is flagged, and Expansion drops it.

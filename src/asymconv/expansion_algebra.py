@@ -66,10 +66,11 @@ def is_natural(x: Fraction) -> bool:
 
 
 def _exact_int(name: str, value, minimum: int = 0) -> int:
-    """An integer field >= minimum.  Floats, bools and strings are refused
-    instead of truncated; this is the one integer rule of the exact layer."""
+    """An integer field >= minimum and within float range (as _float says).  Floats,
+    bools and strings are refused instead of truncated; the exact layer's one integer rule."""
     if type(value) is not int or value < minimum:
         raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    _float(name, value)
     return value
 
 
@@ -149,11 +150,6 @@ class LogPolynomial:
         size = max(len(self.coefficients), len(other.coefficients))
         out = [self.coefficient(l) + other.coefficient(l) for l in range(size)]
         return LogPolynomial.of_coeffs(out)
-
-    def scale(self, c: complex) -> "LogPolynomial":
-        if c == 0:
-            return LogPolynomial.zero()
-        return LogPolynomial.of_coeffs([c * v for v in self.coefficients])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int, _float
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int
 from .expansion_algebra import classify_case, is_natural
 from .quadrature_oracle import (
     _SMOOTH_CUTOFF,
@@ -89,7 +89,7 @@ class MonomialGerm:
     support: float = 1.0
 
     def __post_init__(self) -> None:
-        _float("exponent", _exact_int("exponent", self.exponent, 1))
+        _exact_int("exponent", self.exponent, 1)
         if not (0.0 < self.plateau < self.support <= 1.0):
             raise ValueError("need 0 < plateau < support <= 1")
 
@@ -252,7 +252,7 @@ def _demo_samples(g1: MonomialGerm, g2: MonomialGerm, spec: KernelSpec) -> list:
         base = eval_kernel_integral(spec, sigma).real
         c0 = _cutoff_remainder(g1, g2, af, bf, sigma, 0)
         c1 = _cutoff_remainder(g1, g2, af, bf, sigma, 1)
-        c1 = _refined(c0, c1, max(abs(base), abs(c1)), "the cutoff remainder at sigma=%.3e" % sigma)
+        c1 = _refined(c0, c1, abs(base), "the cutoff remainder at sigma=%.3e" % sigma)
         out.append(scale * (base + c1))
     return out
 

@@ -312,13 +312,29 @@ def integer_case_log_coeff(
     for name, value in (("p", p), ("q", q), ("a", a), ("b", b)):
         _exact_int(name, value)
     fact = math.factorial
-    if Chirality(chirality2) is Chirality.HOLO:
-        first = Fraction(fact(a) * fact(b), fact(a + b + 1))
-        second = Fraction(fact(a + p) * fact(b + q), fact(a + b + p + q + 1))
-    else:
-        first = Fraction(fact(a) * fact(b + q), fact(a + b + q + 1))
-        second = Fraction(fact(a + p) * fact(b), fact(a + b + p + 1))
+    first, second = (
+        Fraction(fact(x) * fact(y), fact(x + y + 1))
+        for x, y in _integer_case_pairs(p, q, a, b, chirality2)
+    )
     return Fraction(-1, 4) * first * second
+
+
+def _integer_case_pairs(p, q, a, b, chirality2: Chirality) -> tuple:
+    """The two (x, y), ints or floats, whose x! y! / (x+y+1)! multiply to C."""
+    if Chirality(chirality2) is Chirality.HOLO:
+        return (a, b), (a + p, b + q)
+    return (a, b + q), (a + p, b)
+
+
+def _integer_case_log2(p: int, q: int, a, b, chirality2: Chirality) -> Tuple[float, float]:
+    """(log2 |C|, a bound on its error in bits) from math.lgamma of the six factorial
+    arguments, no factorial built.  The bound, 1e-12 of the lgamma magnitudes, is far
+    above their few-ulp error, and below one bit wherever a factorial is feasible; an
+    argument sum beyond float range gives -inf or nan."""
+    logs = []
+    for x, y in _integer_case_pairs(p, q, _float("a", a), _float("b", b), chirality2):
+        logs += [math.lgamma(x + 1.0), math.lgamma(y + 1.0), -math.lgamma(x + y + 2.0)]
+    return sum(logs) / math.log(2), 1e-12 * sum(map(abs, logs)) / math.log(2)
 
 
 def degenerate_case1_coeff(

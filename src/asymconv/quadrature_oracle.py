@@ -498,11 +498,11 @@ def _far_integral(entry: _SpecSeries, s: complex) -> complex:
     return complex((s / sigma) ** entry.mode * far)
 
 
-def _refined(v0, v1, scale: float, where: str):
-    """v1, the finer of two refinement levels, or ToleranceNotMet when |v1 - v0| exceeds
-    _SAMPLE_TOLERANCE * ``scale`` (floored at 1e-300); one test for every kind of sample."""
-    achieved = abs(v1 - v0) / max(scale, 1e-300)
-    if achieved > _SAMPLE_TOLERANCE:
+def _refined(v0, v1, floor: float, where: str):
+    """v1, the finer of two refinement levels, or ToleranceNotMet unless |v1 - v0| is within
+    _SAMPLE_TOLERANCE of max(|v1|, ``floor``, 1e-300) (a NaN never is); the one such test."""
+    achieved = abs(v1 - v0) / max(abs(v1), floor, 1e-300)
+    if not (achieved <= _SAMPLE_TOLERANCE):
         raise ToleranceNotMet(
             "refinement moved %s by %.3e relative (tolerance %.1e)"
             % (where, achieved, _SAMPLE_TOLERANCE),
@@ -529,8 +529,7 @@ def eval_kernel_integral(spec: KernelSpec, s: complex) -> complex:
     pref = sigma**entry.c * (s / sigma) ** entry.mode
     v0, v1 = (pref * _horner(poly, ls) + far for poly in entry.inner)
     gross = abs(pref) * max(_horner(poly, abs(ls)) for poly in entry.gross) + abs(far)
-    scale = max(abs(v1), 1e-3 * gross)
-    return _refined(v0, v1, scale, "the value at |s|=%.3e" % sigma)
+    return _refined(v0, v1, 1e-3 * gross, "the value at |s|=%.3e" % sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +665,7 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     outer = entry.ends_total[0]
     v0, v1 = (inner[0].real - outer for inner in entry.inner)
     gross = max(g[0] for g in entry.gross) + abs(outer)
-    scale = max(abs(v1), 1e-3 * gross)
-    return _refined(v0, v1, scale, "the finite part at q=%d" % q)
+    return _refined(v0, v1, 1e-3 * gross, "the finite part at q=%d" % q)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,35 @@ class TestConstant:
         assert "BothInteger constant at a=400, b=400 is below float range" in err
         assert "cannot vanish" not in err
 
+    def test_both_integer_range_check_comes_before_the_factorials(self, capsys, monkeypatch):
+        # (100000!)^2 / 200001! is about 2^-400017: the lgamma estimate
+        # refuses it before integer_case_log_coeff builds any factorial
+        real = math.factorial
+
+        def bounded(n):
+            assert n <= 1000, "computed %d! exactly" % n
+            return real(n)
+
+        monkeypatch.setattr(math, "factorial", bounded)
+        code, out, err = run(
+            capsys, ["constant", "-a", "100000", "-b", "100000", "-j", "1", "-k", "1"]
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "domain error: BothInteger constant at a=100000, b=100000 is below float "
+            "range: -4*integer_case_log_coeff is about 2^-400017\n"
+        )
+
+    def test_both_integer_edge_is_decided_exactly(self, capsys):
+        # within 64 bits of the smallest float the exact rational decides:
+        # 2^-1068 is a subnormal constant, 2^-1088 is refused
+        code, out, _ = run(capsys, ["constant", "-a", "265", "-b", "265", "-j", "1", "-k", "1"])
+        assert code == 0
+        assert json.loads(out)["leading_coeff"] == [1.1857575500189917e-322, 0]
+        code, out, err = run(capsys, ["constant", "-a", "270", "-b", "270", "-j", "1", "-k", "1"])
+        assert (code, out) == (3, "")
+        assert "below float range: -4*integer_case_log_coeff is about 2^-1088\n" in err
+
     def test_garbage_rational_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["constant", "-a", "abc", "-b", "0"])
@@ -275,6 +304,35 @@ class TestConvolve:
         assert out == ""
         assert "BothInteger constant at a=400, b=400 is below float range" in err
         assert "cannot vanish" not in err
+
+    def test_both_integer_range_check_comes_before_the_factorials(self, capsys, monkeypatch):
+        # (100000!)^2 / 200001! is about 2^-400017: the lgamma estimate
+        # refuses it before integer_case_log_coeff builds any factorial
+        real = math.factorial
+
+        def bounded(n):
+            assert n <= 1000, "computed %d! exactly" % n
+            return real(n)
+
+        monkeypatch.setattr(math, "factorial", bounded)
+        code, out, err = run(
+            capsys, ["constant", "-a", "100000", "-b", "100000", "-j", "1", "-k", "1"]
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "domain error: BothInteger constant at a=100000, b=100000 is below float "
+            "range: -4*integer_case_log_coeff is about 2^-400017\n"
+        )
+
+    def test_both_integer_edge_is_decided_exactly(self, capsys):
+        # within 64 bits of the smallest float the exact rational decides:
+        # 2^-1068 is a subnormal constant, 2^-1088 is refused
+        code, out, _ = run(capsys, ["constant", "-a", "265", "-b", "265", "-j", "1", "-k", "1"])
+        assert code == 0
+        assert json.loads(out)["leading_coeff"] == [1.1857575500189917e-322, 0]
+        code, out, err = run(capsys, ["constant", "-a", "270", "-b", "270", "-j", "1", "-k", "1"])
+        assert (code, out) == (3, "")
+        assert "below float range: -4*integer_case_log_coeff is about 2^-1088\n" in err
 
     @pytest.mark.parametrize(
         "number", ["1" + "0" * 400, "1e400"], ids=["int401", "float1e400"]
@@ -436,6 +494,40 @@ class TestVerify:
         assert "0 passed, 1 failed" in out
         assert "exceeds tolerance" in err
 
+    def test_nan_relative_error_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN compares False with every bound, so the test must be
+        # "not within tolerance", not "beyond tolerance"
+        spec = oracle.KernelSpec(a="-1/3", b="-1/4", p=0, q=0, j=0, k=0)
+        poly = oracle.LogPolynomial.of_coeffs([1.0])
+        nan_report = oracle.VerificationReport(
+            spec, oracle.CaseTag.GENERIC, poly, 1.0, math.nan, 1.0, None
+        )
+        monkeypatch.setattr(cli, "verify_constant", lambda spec: nan_report)
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_GENERIC]))
+        code, out, err = run(capsys, ["verify", str(specs)])
+        assert code == 1
+        assert out == "verified 1 specs: 0 passed, 1 failed\n"
+        assert "relative error nan exceeds tolerance" in err
+
+    def test_overflowing_spec_is_refused(self, tmp_path, capsys):
+        # at p = 800 the collar's (1 - v)^p overflows and both levels read
+        # NaN; _refined refuses the first sample instead of passing it
+        spec = {"a": "-1/3", "b": "-1/4", "p": 800, "q": 0, "j": 0, "k": 0}
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([spec]))
+        try:
+            with pytest.warns(RuntimeWarning):
+                code, out, err = run(capsys, ["verify", str(specs)])
+        finally:
+            oracle._inner_moments.cache_clear()
+            oracle._collar_geometry.cache_clear()
+        assert code == 1
+        assert out == "verified 1 specs: 0 passed, 1 failed\n"
+        assert err.count("\n") == 1
+        assert err.startswith("FAILED ") and "ToleranceNotMet: refinement moved" in err
+        assert "by nan relative" in err
+
     def test_empty_spec_list(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text("[]")
@@ -595,16 +687,17 @@ class TestExitCodeRule:
         assert str(doc) in err
 
 
-# Two number faults, each a typed refusal: a zero denominator (exit 2 in
-# a flag, which argparse refuses, and 3 in a document, naming the item)
-# and an exponent beyond float range (exit 3).  None may end in a
-# traceback: exit 1 means a verification failed.
+# Number faults, each a typed refusal: a zero denominator (exit 2 in a
+# flag, which argparse refuses, and 3 in a document, naming the item), an
+# exponent or integer field beyond float range and a BothInteger constant
+# far below it (exit 3).  None may end in a traceback: exit 1 means a
+# verification failed.
 _N = 10**400
 _GOOD_SPEC = _SPEC % '"-1/3"'
-_BIG_TERM = (
+_POWERS_TERM = (
     '{"terms": [{"r": "-1/2", "m": %d, "n": %d, "log_coeffs": [[1, 0]]}], "smooth_order": 1}'
-    % (_N, _N)
 )
+_BIG_TERM = _POWERS_TERM % (_N, _N)
 NUMBER_FAULTS = [
     ("constant-zero-denominator", ["constant", "-a", "1/0", "-b", "0"], None, 2, "'1/0'"),
     ("verify-zero-denominator", ["verify"], "[%s]" % (_SPEC % '"1/0"'), 3, "spec 0"),
@@ -620,7 +713,17 @@ NUMBER_FAULTS = [
      "spec 0: a is beyond float range"),
     ("verify-a-over-3", ["verify"], "[%s, %s]" % (_SPEC % ('"%d/3"' % _N), _GOOD_SPEC), 3,
      "spec 0: a is beyond float range"),
-    ("convolve-natural-powers", ["convolve"], _BIG_TERM, 3, "a is beyond float range"),
+    ("convolve-natural-powers", ["convolve"], _BIG_TERM, 3, "m is beyond float range"),
+    ("convolve-power-m", ["convolve"], _POWERS_TERM % (_N, 0), 3, "m is beyond float range"),
+    ("constant-p", ["constant", "-a", "-1/3", "-b", "-1/4", "-p", str(_N)], None, 3,
+     "p is beyond float range"),
+    ("constant-j", ["constant", "-a", "-1/3", "-b", "-1/4", "-j", str(_N)], None, 3,
+     "degree is beyond float range"),
+    ("verify-p", ["verify"], '[{"a": "-1/3", "b": "-1/4", "p": %d, "q": 0, "j": 0, "k": 0}]' % _N,
+     3, "spec 0: p is beyond float range"),
+    ("constant-both-integer-far", ["constant", "-a", "100000", "-b", "100000", "-j", "1", "-k",
+                                   "1"], None, 3,
+     "BothInteger constant at a=100000, b=100000 is below float range"),
     ("demo-exponent", ["demo", "monomial", "--n", str(_N), "--m", "2"], None, 3,
      "exponent is beyond float range"),
 ]

@@ -10,6 +10,7 @@ from asymconv.gamma_kernel import (
     G_q,
     GammaPoleError,
     _gamma_ratio,
+    _integer_case_log2,
     _natural_sum,
     beta_tail_integral,
     binomial_gamma_sum,
@@ -379,6 +380,18 @@ class TestIntegerCaseLogCoeff:
     def test_rejects_non_integer_exponents(self):
         with pytest.raises(ValueError):
             integer_case_log_coeff(0, 0, -1, 0, HOLO)
+
+    def test_lgamma_estimate_is_within_its_bound(self):
+        # the BothInteger range check reads this estimate instead of the
+        # factorials; it must stay inside its own error bound
+        for p, q, a, b in [(0, 0, 0, 0), (1, 3, 2, 0), (5, 2, 40, 7), (0, 6, 270, 270),
+                           (3, 0, 400, 400), (9, 9, 123, 4567)]:
+            for chirality in (HOLO, ANTI):
+                exact = integer_case_log_coeff(p, q, a, b, chirality)
+                log2 = 2 + math.log2(abs(exact.numerator)) - math.log2(exact.denominator)
+                estimate, error = _integer_case_log2(p, q, float(a), float(b), chirality)
+                assert 0 <= error < 1e-6
+                assert abs(estimate - log2) <= error
 
 
 class TestDegenerateCase1Coeff:

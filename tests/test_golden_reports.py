@@ -46,9 +46,9 @@ from pathlib import Path
 
 import pytest
 
-from asymconv.cli import main
+from asymconv.cli import build_parser, main
 from asymconv.convolution_engine import convolve_expansions, convolve_terms
-from asymconv.expansion_algebra import CaseTag, Expansion, canonical_json
+from asymconv.expansion_algebra import CaseTag, Chirality, Expansion, canonical_json, kernel_term
 from asymconv.fiber_demo import MonomialGerm, measure_singular_exponent, thom_sebastiani_demo
 from asymconv.quadrature_oracle import _CSV_COLUMNS
 
@@ -279,14 +279,28 @@ def test_exact_layer_golden_covers_its_cases():
             result = convolve_terms(t1, t2)
             cases.add(result.case)
             if result.term is not None:
-                products.setdefault(result.term.key, []).append(result.term.poly)
+                products.setdefault(result.term.key, []).append(result.term)
     assert cases == set(CaseTag)
     # a key whose two contributions cancel exactly is flagged and dropped
     merged = convolve_expansions(left, right)
     assert merged.compensated - {term.key for term in merged.terms}
-    # a lone product with a -0.0 placeholder slot, printed as 0 only
-    # because each key's sum starts from zero
-    assert any(
-        len(polys) == 1 and str(polys[0].coefficients[0].real) == "-0.0"
-        for polys in products.values()
+    # a key with one product, placeholder slots among them, holds that
+    # product's convolve_terms term byte for byte
+    kept = {term.key: term for term in merged.terms}
+    lone = [terms[0] for terms in products.values() if len(terms) == 1]
+    assert any(term.poly.degree > 0 for term in lone)
+    for term in lone:
+        assert canonical_json(kept[term.key].to_json_dict()) == canonical_json(term.to_json_dict())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONSTANTS))
+def test_lone_pair_term_is_its_convolution_term(name):
+    # convolve_terms builds its term by the slot rule of convolve_expansions
+    args = build_parser().parse_args(["constant"] + GOLDEN_CONSTANTS[name][1])
+    t1 = kernel_term(args.a, args.p, Chirality.HOLO, args.j)
+    t2 = kernel_term(args.b, args.q, Chirality(args.chirality), args.k)
+    term = convolve_terms(t1, t2).term
+    merged = convolve_expansions(Expansion([t1], 0), Expansion([t2], 0)).terms
+    assert [canonical_json(t.to_json_dict()) for t in merged] == (
+        [] if term is None else [canonical_json(term.to_json_dict())]
     )

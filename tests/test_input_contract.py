@@ -4,9 +4,10 @@ Every public entry point checks its integer fields with one rule (a
 Python int at or above its minimum; floats, bools and strings refused,
 never truncated), reads its chirality with one rule (the enum or its
 string value, nothing else) and decides its poles on exact rationals.
-A rational string with a zero denominator, and an exact number whose
-magnitude is beyond float range where it would become a float, are
-refused with ValueError.
+A rational string with a zero denominator, an integer field whose
+magnitude is beyond float range, and an exponent whose magnitude is
+beyond float range where it would become a float, are refused with
+ValueError.
 """
 
 import math
@@ -105,6 +106,10 @@ NUMBER_FAULTS = [
      "a is beyond float range"),
     (KernelSpec, dict(a=10**400, b=F(-1, 4), p=0, q=0, j=0, k=0), "a is beyond float range"),
     (MonomialGerm, dict(exponent=10**400), "exponent is beyond float range"),
+    (KernelSpec, dict(a=F(-1, 3), b=F(-1, 4), p=10**400, q=0, j=0, k=0),
+     "p is beyond float range"),
+    (SingularTerm, dict(r="-1/2", m=10**400, n=0, poly=LogPolynomial.monomial(0)),
+     "m is beyond float range"),
 ]
 
 

@@ -186,6 +186,19 @@ class TestEvalKernelIntegral:
             _inner_moments.cache_clear()
         assert exc.value.achieved > 1e-3
 
+    @pytest.mark.parametrize("v0, v1", [(math.nan, math.nan), (1.0, math.nan),
+                                        (math.inf, math.inf), (1.0, math.inf)])
+    def test_refined_refuses_a_non_finite_level(self, v0, v1):
+        # every comparison with NaN is False: the test is "not within"
+        with pytest.raises(ToleranceNotMet):
+            oracle._refined(v0, v1, 1.0, "x")
+
+    def test_refined_scales_by_the_larger_of_value_and_floor(self):
+        assert oracle._refined(1.0, 1.0 + 5e-7, 1e-3, "x") == 1.0 + 5e-7
+        assert oracle._refined(1e-3, 1e-3 + 5e-7, 1.0, "x") == 1e-3 + 5e-7
+        with pytest.raises(ToleranceNotMet):
+            oracle._refined(1e-3, 1e-3 + 5e-7, 1e-3, "x")
+
     def test_rotation_covariance_holo(self):
         spec = KernelSpec(a=F(-2, 5), b=F(-7, 20), p=1, q=1, j=0, k=0)
         base = eval_kernel_integral(spec, 0.1)
