@@ -52,12 +52,6 @@ __all__ = [
 #: germs must keep their plateaus wide enough to clear it (validated).
 _SAFE_RADIUS = 0.35
 
-#: How far the first germ's plateau^N must clear the safety radius around
-#: the sample point (validated).  It is the grid's base radius 0.2, above
-#: every sampled one: lowering it to the largest sampled radius would admit
-#: wider germs, whose accuracy has not been checked.
-_GEOMETRY_RADIUS = 0.2
-
 #: The sample radii sigma_i = 0.2 * 2^-i, i = 9..15.  On this geometric grid
 #: a smooth power sigma^{2t} is a geometric sequence in i, and so is the
 #: singular term A sigma^{2x}, with ratio lambda = 4^-x.  The filter below
@@ -131,8 +125,11 @@ def _leading_term(r: Fraction) -> SingularTerm:
     return SingularTerm(r=r, m=0, n=0, poly=LogPolynomial.of_coeffs([float(r + 1)]))
 
 
-def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm) -> None:
-    if g1.plateau ** g1.exponent - _GEOMETRY_RADIUS < _SAFE_RADIUS:
+def _demo_setup(g1: MonomialGerm, g2: MonomialGerm) -> KernelSpec:
+    """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
+    and b = 1/M - 1, once the germs clear the safety radius: the first
+    germ's plateau^N around every sample point of _GRID."""
+    if g1.plateau ** g1.exponent - max(_GRID) < _SAFE_RADIUS:
         raise ValueError(
             "first germ's plateau^N leaves no room around the sample point; "
             "widen the plateau or lower the exponent"
@@ -141,13 +138,6 @@ def _validate_geometry(g1: MonomialGerm, g2: MonomialGerm) -> None:
         raise ValueError(
             "second germ's plateau^M is narrower than the inner safety radius"
         )
-
-
-def _demo_setup(g1: MonomialGerm, g2: MonomialGerm) -> KernelSpec:
-    """The pure-power kernel of the two leading fiber terms, a = 1/N - 1
-    and b = 1/M - 1, once the germs' geometry has been checked against
-    the geometry radius."""
-    _validate_geometry(g1, g2)
     return KernelSpec(a=Fraction(1, g1.exponent) - 1, b=Fraction(1, g2.exponent) - 1,
                       p=0, q=0, j=0, k=0)
 

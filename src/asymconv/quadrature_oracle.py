@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,8 +406,13 @@ def _inner_moments(
     A sample's near powers are a set of ``window`` rows.  E steps by 2, so
     the window holds at most two rows, and ``near`` holds a _NearSeries for
     each of its non-empty sets, built here: the entry is shared by threads
-    and never changes.
+    and never changes.  A collar beyond float range is refused first.
     """
+    # the collar's largest |1-v|^(2a+p) |v|^(2b+q) is at v = -3/2
+    top = max(0.0, 2.0 * af + p) * math.log(2.5) + max(0.0, 2.0 * bf + q) * math.log(1.5)
+    if top > math.log(sys.float_info.max):
+        raise ValueError("the collar's |1-v|^(2a+p) |v|^(2b+q) reaches e^%.0f at v = -3/2, "
+                         "beyond float range" % top)
     mode, near_mode = (p - q, q) if anti else (p + q, -q)
     jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
     disks = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)

@@ -378,6 +378,20 @@ class TestBernsteinCombine:
         with pytest.raises(ValueError):
             bernstein_combine([F(-1, 2)], [F(-1, 2)], kappa=-1)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_brieskorn_pham_roots_are_candidates(self, n, m):
+        # the b-function of x^N + y^M has the roots -1 and -(i/N + j/M),
+        # 0 < i < N, 0 < j < M (Brieskorn-Pham); from the one-variable
+        # roots -k/N and -l/M the shift budget kappa = 1 reaches all of them
+        roots = {F(-1)} | {-(F(i, n) + F(j, m)) for i in range(1, n) for j in range(1, m)}
+        first = [F(-k, n) for k in range(1, n + 1)]
+        second = [F(-l, m) for l in range(1, m + 1)]
+        assert roots <= bernstein_combine(first, second, kappa=1).candidates
+        if (n, m) == (2, 3):
+            # at kappa = 0 the canonical window [-1, 0) holds -1/6, not -7/6
+            assert F(-7, 6) not in bernstein_combine(first, second).candidates
+
     @given(
         roots1=st.sets(
             st.fractions(min_value=F(-4), max_value=F(-1, 16), max_denominator=16),

@@ -299,11 +299,19 @@ class TestThomSebastianiDemo:
         assert report.relative_error < 1e-3
 
     def test_geometry_validation(self):
-        # the first germ is held to the radius 0.2, not to the deepest
-        # sampled radii: plateau^N = 0.5 and 0.9^6 would clear those
+        # the first germ's plateau^N must clear the safety radius 0.35 by
+        # the largest sampled radius, 0.2 * 2^-9: plateau^N = 0.5 and
+        # 0.9^6 = 0.53 do, 0.35 and 0.9^10 = 0.349 do not
         for first in (MonomialGerm(1, plateau=0.5, support=0.8), MonomialGerm(6)):
+            assert thom_sebastiani_demo(first, MonomialGerm(2)).relative_error <= 1e-10
+        for first in (MonomialGerm(1, plateau=0.35, support=0.8), MonomialGerm(10)):
             with pytest.raises(ValueError, match="first germ's plateau\\^N leaves no room"):
                 thom_sebastiani_demo(first, MonomialGerm(2))
+        # the bound is the grid's largest radius, not the safety radius alone
+        edge = _SAFE_RADIUS + max(fiber_demo._GRID)
+        fiber_demo._demo_setup(MonomialGerm(1, plateau=edge * 1.001, support=0.8), MonomialGerm(2))
+        with pytest.raises(ValueError, match="first germ's plateau\\^N leaves no room"):
+            fiber_demo._demo_setup(MonomialGerm(1, plateau=edge * 0.999, support=0.8), MonomialGerm(2))
         with pytest.raises(ValueError, match="second germ's plateau\\^M is narrower"):
             thom_sebastiani_demo(
                 MonomialGerm(2), MonomialGerm(1, plateau=0.3, support=0.9)
@@ -437,6 +445,30 @@ class TestDemoDomain:
     def test_exponent(self, g1, g2):
         expected = Fraction(1, g1.exponent) + Fraction(1, g2.exponent) - 1
         assert measure_singular_exponent(g1, g2) == pytest.approx(float(expected), abs=1e-9)
+
+    @pytest.mark.parametrize("n, m", DEMO_DOMAIN)
+    def test_accuracy_is_pinned(self, n, m, monkeypatch):
+        # at plateau 0.9 and support 1 every pair N, M <= 9 agrees to 1e-10
+        # (worst 2.2e-11, a Smooth probe), measures its exponent to 1e-14
+        # and refines every cutoff remainder, by _refined's own measure,
+        # to 1e-15 (worst 4.2e-17)
+        real, moved = fiber_demo._refined, []
+
+        def recorded(v0, v1, floor, where):
+            moved.append(abs(v1 - v0) / max(abs(v1), floor, 1e-300))
+            return real(v0, v1, floor, where)
+
+        monkeypatch.setattr(fiber_demo, "_refined", recorded)
+        g1, g2 = MonomialGerm(n), MonomialGerm(m)
+        assert thom_sebastiani_demo(g1, g2).relative_error <= 1e-10
+        if n > 1 and m > 1 and (n, m) != (2, 2):
+            expected = Fraction(1, n) + Fraction(1, m) - 1
+            assert abs(measure_singular_exponent(g1, g2) - float(expected)) <= 1e-14
+        else:
+            # refused before any sample is taken
+            with pytest.raises(ValueError, match="Smooth|resonance"):
+                measure_singular_exponent(g1, g2)
+        assert max(moved) <= 1e-15
 
     def test_narrow_resonant_pair(self):
         report = thom_sebastiani_demo(MonomialGerm(2, **_NARROW), MonomialGerm(2, **_NARROW))

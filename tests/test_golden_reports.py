@@ -33,7 +33,7 @@ key is kept and compensated.
 
 ``golden_demo_domain.json`` pins the whole demo domain byte for byte: it
 is ``canonical_json(demo_domain_document())``, the report of every pair
-N <= 5, M <= 9 with that pair's ``measure_singular_exponent`` or the text
+N, M <= 9 with that pair's ``measure_singular_exponent`` or the text
 of its refusal.  Each entry's ``report`` is the exact output of
 ``asymconv demo monomial --n N --m M`` once it is written through
 ``canonical_json``.
@@ -138,8 +138,10 @@ def test_square_cube_demo_matches_golden(capsys):
     assert_matches(json.loads(out), expected)
 
 
-#: The demo domain the benchmark draws from: every pair N <= 5, M <= 9.
-DEMO_DOMAIN = [(n, m) for n in range(1, 6) for m in range(1, 10)]
+#: The demo domain: every pair N, M <= 9, the first germ outermost (the
+#: benchmark draws from its first 45 pairs, N <= 5).  N = 10 or M = 10
+#: takes plateau^N or plateau^M = 0.9^10 below the safety radius 0.35.
+DEMO_DOMAIN = [(n, m) for n in range(1, 10) for m in range(1, 10)]
 
 
 def demo_domain_document() -> dict:
@@ -170,6 +172,25 @@ def test_demo_cli_prints_the_domain_golden_entry(capsys):
     golden = json.loads((DATA / "golden_demo_domain.json").read_text())
     entry = next(e for e in golden["pairs"] if (e["n"], e["m"]) == (2, 2))
     assert out == canonical_json(entry["report"])
+
+
+def test_demo_cli_prints_the_widest_domain_entry(capsys):
+    # the installed-demo CI step cmp's this command against the same entry
+    code = main(["demo", "monomial", "--n", "9", "--m", "9"])
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = json.loads((DATA / "golden_demo_domain.json").read_text())
+    assert (golden["pairs"][-1]["n"], golden["pairs"][-1]["m"]) == (9, 9)
+    assert out == canonical_json(golden["pairs"][-1]["report"])
+
+
+@pytest.mark.parametrize("n, m", [(10, 1), (10, 9), (1, 10), (9, 10)])
+def test_demo_beyond_the_domain_is_domain_error(capsys, n, m):
+    # 0.9^10 = 0.349 is below the safety radius 0.35
+    code = main(["demo", "monomial", "--n", str(n), "--m", str(m)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1 and "plateau" in captured.err
 
 
 @pytest.mark.parametrize("command", ["convolve", "types", "bernstein"])

@@ -1,11 +1,13 @@
 import ast
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 import asymconv.quadrature_oracle as oracle
 from asymconv.cli import _write_csv
-from asymconv.convolution_engine import CaseTag, classify_case
-from asymconv.expansion_algebra import Chirality, LogPolynomial
+from asymconv.convolution_engine import CaseTag, classify_case, kernel_leading_constant
+from asymconv.expansion_algebra import Chirality, LogPolynomial, degree_rule
 from asymconv.gamma_kernel import F_const, G_q
 from asymconv.quadrature_oracle import (
     IllConditioned,
@@ -64,6 +66,52 @@ def collar_tables(af, bf, p, q, j, k, anti):
     """[level, jp, kp]: each level's collar, as _inner_moments builds them."""
     levels = oracle._LEVELS
     return np.array([oracle._collar(level, af, bf, p, q, j, k, anti) for level in levels])
+
+
+def _sweep_grid():
+    """The ROADMAP's 128-spec oracle sweep, as perfbench/generators.py builds it."""
+    path = Path(__file__).parent.parent / "perfbench" / "generators.py"
+    module_spec = importlib.util.spec_from_file_location("generators", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return [KernelSpec.from_json_dict(doc) for doc in module.sweep_grid()]
+
+
+SWEEP = _sweep_grid()
+
+#: lambda = log(9/4): the far field's lower end reads (2 log(3 sigma/2))^n = (lambda + l)^n
+_LAMBDA = math.log(9 / 4)
+
+
+def resonant_row(spec):
+    """The far series' row whose power r equals c, or None, decided once on
+    the spec's Fractions: row beta - max(0, -mode) holds r = 2 beta + mode,
+    so r = c at beta = (c - mode)/2, a+b+1 (holo) or a+b+1+q (anti)."""
+    c = 2 * (spec.a + spec.b + 1) + spec.p + spec.q
+    mode = spec.p - spec.q if spec.chirality is ANTI else spec.p + spec.q
+    beta = (c - mode) / 2
+    if beta.denominator != 1 or beta < max(0, -mode):
+        return None
+    return int(beta) - max(0, -mode)
+
+
+def readout(entry, level, row):
+    """P, the coefficients in l = Log sigma^2 of K(sigma) = sigma^c P(l)
+    + sum_r smooth[r] sigma^r, from one collar level of the entry: inner
+    minus sum_n ends_total[n] (lambda + l)^n, and at an exact resonance
+    (``row`` from resonant_row, which the entry zeroes) minus
+    sum_m weights[row, m] (lambda + l)^(m+1) / (2(m+1)), the lower end of
+    int R^-1 (Log R^2)^m dR, which adds slot j+k+1."""
+    inner = entry.inner[level]
+    P = np.zeros(len(inner) + (row is not None), dtype=complex)
+    P[: len(inner)] = inner
+    shifts = list(enumerate(entry.ends_total))
+    if row is not None:
+        shifts += [(m + 1, w / (2 * (m + 1))) for m, w in enumerate(entry.weights[row])]
+    for n, coeff in shifts:
+        for i in range(n + 1):
+            P[i] -= coeff * math.comb(n, i) * _LAMBDA ** (n - i)
+    return P
 
 
 class TestKernelSpec:
@@ -742,6 +790,26 @@ class TestSpecCache:
         _inner_moments.cache_clear()
         assert len(calls) == 3
 
+    def test_overflowing_collar_is_refused_before_any_table(self, monkeypatch):
+        # at a = -1/3, q = 0 the collar's largest (5/2)^(2a+p) passes the
+        # largest double between p = 775 and 776, and at b = -1/4, p = 0
+        # its (3/2)^(2b+q) between q = 1751 and 1752: the refusal comes
+        # before the mode jets or the collar geometry are asked for
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(oracle, "_collar_geometry", reached)
+        for p, q in ((775, 0), (0, 1751)):
+            with pytest.raises(Reached):
+                _inner_moments(-1 / 3, -0.25, p, q, 0, 0, False)
+        monkeypatch.setattr(oracle, "_mode_jets", reached)
+        for p, q, anti in ((776, 0, False), (800, 0, False), (0, 1752, False), (800, 3, True)):
+            with pytest.raises(ValueError, match="beyond float range"):
+                _inner_moments(-1 / 3, -0.25, p, q, 0, 0, anti)
+
     def test_pochhammer_jets_built_once_per_factor(self, monkeypatch):
         # the far series and the disk |v| <= 1/2 share the jets of a + p
         # and a; the disk |v - 1| <= 1/2 reads those of b + q and b
@@ -852,6 +920,70 @@ def test_oracle_takes_no_closed_form_from_gamma_kernel():
             names = [alias.name for alias in node.names]
             assert not any(name.endswith("gamma_kernel") for name in names), names
     assert not taken, taken
+
+
+class TestReadout:
+    """The kernel's constants read from its own cache entry by exact
+    algebra (level 1), with no sample and no fit."""
+
+    @staticmethod
+    def leading_error(spec):
+        P = readout(entry_of(spec), 1, resonant_row(spec))
+        _, base, norm = kernel_leading_constant(
+            spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
+        )
+        L = degree_rule(spec.a, spec.b, spec.j, spec.k)
+        return abs(P[L].real - base * norm) / abs(base * norm)
+
+    def test_resonant_row_is_the_entry_zero_row(self):
+        # the row decided on Fractions is the one whose float power is c
+        rows = 0
+        for spec in SWEEP:
+            entry, row = entry_of(spec), resonant_row(spec)
+            assert np.flatnonzero(entry.powers == entry.c).tolist() == ([] if row is None else [row])
+            rows += row is not None
+        assert rows > 0
+
+    def test_sweep_leading_slot_is_the_closed_form(self):
+        # 128 of 128 agree, worst 2.6e-12; the fit passes 100 of them
+        assert len(SWEEP) == 128
+        worst = max(self.leading_error(spec) for spec in SWEEP)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize(
+        "a, b, j, k",
+        [(F(1, 7), F(8, 9), 0, 0), (F(1), F(1, 3), 1, 0), (F(1), F(1), 1, 1)],
+    )
+    def test_anti_p_q_1_kernels_agree(self, a, b, j, k):
+        # Generic, OneIntegerFactor and BothInteger; the fit reads relative
+        # errors of 1035, 192 and 995 on them (7.9e-13, 2.5e-12, 1.9e-11 here)
+        assert self.leading_error(KernelSpec(a=a, b=b, p=1, q=1, j=j, k=k, chirality=ANTI)) <= 1e-10
+
+    def test_reproduces_the_kernel_samples(self):
+        # sigma^c P(l) + sum_r smooth[r] sigma^r against eval_kernel_integral,
+        # worst 2.5e-15 relative over the sweep
+        for spec in SWEEP:
+            entry = entry_of(spec)
+            P = readout(entry, 1, resonant_row(spec))
+            for sigma in (0.2, 0.2 * 2.0**-7, 0.2 * 2.0**-15):
+                value = eval_kernel_integral(spec, sigma)
+                ell = math.log(sigma * sigma)
+                model = sigma**entry.c * np.polynomial.polynomial.polyval(ell, P)
+                model += entry.smooth @ sigma**entry.powers
+                assert abs(model - value) <= 1e-13 * abs(value), (spec, sigma)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(a=F(1), b=F(-1, 3), p=0, q=1, j=0, k=1),
+            KernelSpec(a=F(2), b=F(-1, 2), p=2, q=1, j=0, k=2, chirality=ANTI),
+        ],
+    )
+    def test_smooth_kernels_read_no_singular_slot(self, spec):
+        # natural a and no log of s - u: no singular content (worst 1.5e-13)
+        assert classify_case(spec.a, spec.b, spec.j, spec.k) is CaseTag.SMOOTH
+        P = readout(entry_of(spec), 1, resonant_row(spec))
+        assert np.abs(P).max() <= 1e-12
 
 
 class TestExtractLeadingCoeffs:
