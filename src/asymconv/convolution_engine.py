@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .expansion_algebra import (
     CaseTag,
@@ -27,7 +27,7 @@ from .expansion_algebra import (
     LogPolynomial,
     RationalInput,
     SingularTerm,
-    _case,
+    _CaseTable,
     _exact_int,
     as_fraction,
     case_degree,
@@ -39,7 +39,11 @@ from .gamma_kernel import (
     Chirality,
     F_const,
     _check_slice,
+    _gamma_factor,
+    _GammaFactor,
     _integer_case_log2,
+    _integer_case_rational,
+    _pair_coefficient,
     degenerate_case1_coeff,
     integer_case_log_coeff,
     tilde_F_const,
@@ -145,15 +149,27 @@ def _case_constant(
     if case is CaseTag.ONE_INTEGER_FACTOR:
         base = degenerate_case1_coeff(p, q, a, b, chirality)
         return base * (j if is_natural(a) else k)
-    # lgamma's estimate refuses a constant far below float range before
-    # any factorial is built; nearer the edge the exact rational decides
+    base = _integer_base(p, q, a, b, chirality, integer_case_log_coeff)
+    base *= j
+    base *= k
+    return base / case_degree(case, j, k)
+
+
+def _integer_base(
+    p: int, q: int, a: Fraction, b: Fraction, chirality: Chirality, log_coeff: Callable
+) -> float:
+    """-4 * log_coeff(p, q, int(a), int(b), chirality), the BothInteger C,
+    as a float.  log_coeff is integer_case_log_coeff, or for the engine's
+    validated terms its check-free body _integer_case_rational.
+
+    lgamma's estimate refuses a constant far below float range before
+    any factorial is built; nearer the edge the exact rational decides.
+    """
     log2, error = _integer_case_log2(p, q, a, b, chirality)
     if log2 + error > -1138:  # 64 bits below 2^-1074, the smallest float
-        base = -4.0 * float(integer_case_log_coeff(p, q, int(a), int(b), chirality))
+        base = -4.0 * float(log_coeff(p, q, int(a), int(b), chirality))
         if base != 0:  # the exact rational is never zero
-            base *= j
-            base *= k
-            return base / case_degree(case, j, k)
+            return base
     raise ValueError(
         "BothInteger constant at a=%s, b=%s is below float range: "
         "-4*integer_case_log_coeff is about 2^%.0f" % (a, b, log2)
@@ -165,7 +181,8 @@ class _TermFacts(NamedTuple):
 
     ``a_num`` and ``r_num`` are a and r times the common denominator D
     of the pair's documents, so that the sum rules of a pair are integer
-    sums and "a+b+1 is natural" is a divisibility test by D.
+    sums and "a+b+1 is natural" is a divisibility test by D.  ``factor``
+    is the Gamma factor of its kernel exponent a with its monomial degree.
     """
 
     degree: int
@@ -178,6 +195,7 @@ class _TermFacts(NamedTuple):
     r_num: int
     m: int
     n: int
+    factor: _GammaFactor
 
 
 def _term_facts(term: SingularTerm, denominator: int) -> _TermFacts:
@@ -190,11 +208,12 @@ def _term_facts(term: SingularTerm, denominator: int) -> _TermFacts:
     return _TermFacts(
         term.poly.degree, term.poly.leading, a, p, chirality, is_natural(a),
         r_num + min(term.m, term.n) * denominator, r_num, term.m, term.n,
+        _gamma_factor("the kernel exponent", a, p),
     )
 
 
 def _pair_rule(
-    t1: _TermFacts, t2: _TermFacts, denominator: int
+    t1: _TermFacts, t2: _TermFacts, denominator: int, cases: _CaseTable
 ) -> Tuple[CaseTag, int, complex, Optional[Tuple[int, int, int]]]:
     """(case, degree, leading coefficient, output key) of one term pair.
 
@@ -202,18 +221,31 @@ def _pair_rule(
     sum r1+r2+1 folded back into that window by shifting one unit of
     |s|^2 into the monomial powers when needed.  Smooth has no key.  The
     kernel is ANTI when both terms carry a monomial and the two point
-    opposite ways.
+    opposite ways.  The base constant is _case_constant's, from the two
+    terms' Gamma factors: a, b > -1 here, so a+b+s+1 is natural only at
+    a resonance and no pair needs the exact pole test off it.
     """
-    j, c1, a, p, chir1, a_natural, a_num, r1, m1, n1 = t1
-    k, c2, b, q, chir2, b_natural, b_num, r2, m2, n2 = t2
+    j, c1, a, p, chir1, a_natural, a_num, r1, m1, n1, fa = t1
+    k, c2, b, q, chir2, b_natural, b_num, r2, m2, n2, fb = t2
     total = a_num + b_num + denominator
     resonant = total >= 0 and total % denominator == 0
-    case = _case(a_natural, b_natural, resonant, j, k)
-    degree = case_degree(case, j, k)
+    case, degree = cases[a_natural, b_natural, resonant, j, k]
     if case is CaseTag.SMOOTH:
         return case, degree, 0j, None
-    chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
-    leading = c1 * c2 * _case_constant(case, p, q, a, b, j, k, chir) * RHO_NORM
+    shift = p if p and q and chir1 is not chir2 else 0
+    if case is CaseTag.GENERIC:
+        base = _pair_coefficient(fa, fb, shift)
+    elif case is CaseTag.RESONANT:
+        base = _pair_coefficient(fa, fb, shift, total // denominator) / degree
+    elif case is CaseTag.ONE_INTEGER_FACTOR:
+        base = _pair_coefficient(fa, fb, shift) * (j if a_natural else k)
+    else:
+        chir = Chirality.ANTI if shift else Chirality.HOLO
+        base = _integer_base(p, q, a, b, chir, _integer_case_rational)
+        base *= j
+        base *= k
+        base = base / degree
+    leading = c1 * c2 * base * RHO_NORM
     if leading == 0:
         raise ValueError(_VANISHING)
     r_out = r1 + r2 + denominator
@@ -232,7 +264,7 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
     """
     denominator = math.lcm(t1.r.denominator, t2.r.denominator)
     case, degree, leading, key = _pair_rule(
-        _term_facts(t1, denominator), _term_facts(t2, denominator), denominator
+        _term_facts(t1, denominator), _term_facts(t2, denominator), denominator, _CaseTable()
     )
     if key is None:
         return ConvolutionResult(
@@ -266,10 +298,11 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     denominator = math.lcm(*(t.r.denominator for t in e1.terms + e2.terms))
     left = [_term_facts(t, denominator) for t in e1.terms]
     right = [_term_facts(t, denominator) for t in e2.terms]
+    cases = _CaseTable()
     buckets: Dict[Tuple[int, int, int], Tuple[List[complex], List[float]]] = {}
     for t1 in left:
         for t2 in right:
-            _, degree, leading, key = _pair_rule(t1, t2, denominator)
+            _, degree, leading, key = _pair_rule(t1, t2, denominator, cases)
             if key is None:
                 continue
             totals, peaks = buckets.setdefault(key, ([], []))

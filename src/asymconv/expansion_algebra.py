@@ -364,8 +364,9 @@ def _case(
 ) -> CaseTag:
     """classify_case on validated input, given which of a, b and a + b + 1
     are natural.  combine_types and the convolution engine's pair rule
-    call it with those flags precomputed: each exponent's own flag once
-    per document, the sum's flag by an integer divisibility test."""
+    reach it through a _CaseTable, with those flags precomputed: each
+    exponent's own flag once per document, the sum's flag by an integer
+    divisibility test."""
     if (a_natural and j == 0) or (b_natural and k == 0):
         return CaseTag.SMOOTH
     if a_natural and b_natural:
@@ -388,6 +389,18 @@ def case_degree(case: CaseTag, j: int, k: int) -> int:
     if case is CaseTag.SMOOTH:
         return -1
     return j + k - 1
+
+
+class _CaseTable(dict):
+    """(case, degree) of a term pair, keyed by (a natural, b natural, a+b+1
+    natural, j, k) and filled by _case and case_degree on first use.
+    combine_types and the convolution engine build one per call and drop
+    it with the call, so a repeated document costs what its first did."""
+
+    def __missing__(self, key: Tuple[bool, bool, bool, int, int]) -> Tuple[CaseTag, int]:
+        case = _case(*key)
+        value = self[key] = (case, case_degree(case, key[3], key[4]))
+        return value
 
 
 def degree_rule(
@@ -415,6 +428,7 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
     test by D.
     """
     denominator = math.lcm(*(x.denominator for x in (*left.entries, *right.entries)))
+    cases = _CaseTable()
     combined: Dict[int, int] = {}
     right_entries = [
         (beta.numerator * (denominator // beta.denominator), nu, is_natural(beta))
@@ -426,7 +440,7 @@ def combine_types(left: ExponentSetType, right: ExponentSetType) -> ExponentSetT
         for beta_num, nu, beta_natural in right_entries:
             gamma = alpha_shifted + beta_num
             sum_natural = gamma >= 0 and gamma % denominator == 0
-            degree = case_degree(_case(alpha_natural, beta_natural, sum_natural, mu, nu), mu, nu)
+            degree = cases[alpha_natural, beta_natural, sum_natural, mu, nu][1]
             if degree >= 0 and combined.get(gamma, -1) < degree:
                 combined[gamma] = degree
     return ExponentSetType(
@@ -473,15 +487,27 @@ def _canonical(value, indent: int) -> str:
     pad = " " * indent
     indent += 2
     inner = " " * indent
-    if not isinstance(value, dict):
-        parts = [inner + _canonical(v, indent) for v in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    is_dict = isinstance(value, dict)
     parts = []
-    for key in sorted(value):
-        if not isinstance(key, str):
-            raise TypeError("canonical documents use string keys only")
-        parts.append(inner + _quote(key) + ": " + _canonical(value[key], indent))
-    return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    for element in sorted(value) if is_dict else value:
+        if is_dict:  # the element is a key
+            if not isinstance(element, str):
+                raise TypeError("canonical documents use string keys only")
+            item, head = value[element], inner + _quote(element) + ": "
+        else:
+            item, head = element, inner
+        kind = type(item)
+        if kind is float:
+            parts.append(head + _format_float(item))
+        elif kind is str:
+            parts.append(head + _quote(item))
+        elif kind is int:
+            parts.append(head + str(item))
+        else:
+            parts.append(head + _canonical(item, indent))
+    if is_dict:
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
 
 
 def canonical_json(data) -> str:
@@ -490,7 +516,9 @@ def canonical_json(data) -> str:
     Identical inputs produce byte-identical output, which the report files
     rely on.  Ends with a newline.  Plain floats, strings, ints, lists,
     tuples and dicts are dispatched on their exact type; None, bool and
-    subclasses (the str-Enum values) take the isinstance chain.  A string
-    or key is quoted directly when json.dumps would leave it unescaped.
+    subclasses (the str-Enum values) take the isinstance chain.  A list
+    or dict formats its float, int and str leaves in its own loop, so only
+    containers and those rare types recurse.  A string or key is quoted
+    directly when json.dumps would leave it unescaped.
     """
     return _canonical(data, 0) + "\n"

@@ -3,8 +3,11 @@
 Each case constant is C, the leading Laurent coefficient of one Gamma
 ratio in (a, b): its value off the loci, its residue where a+b+1 is
 natural, its derivative across a natural a or b.  F_const, G_q,
-tilde_F_const and degenerate_case1_coeff read C from one rule;
-integer_case_log_coeff is the exact -C/4 where a and b are both natural.
+tilde_F_const and degenerate_case1_coeff read C from one rule, in two
+parts: each exponent's _GammaFactor, and the pair's own arguments
+(_pair_coefficient), which the convolution engine calls directly with
+factors built once per term.  integer_case_log_coeff is the exact -C/4
+where a and b are both natural.
 
 Every function here evaluates a ratio of Gamma values (or a limit of one)
 in log-space with explicit sign tracking, so large parameters cannot
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .expansion_algebra import Chirality, RationalInput, _exact_int, _float, as_fraction
 from .expansion_algebra import in_slice, is_natural
@@ -41,41 +44,57 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
-    """Product of Gamma(n_i) over product of Gamma(d_j), in log-space.
-
-    A denominator at a pole contributes an exact zero factor.  A numerator
-    at a pole raises GammaPoleError unless a denominator pole cancels it;
+def _is_zero_ratio(poles: int, zeros: int) -> bool:
+    """Whether a Gamma ratio with ``poles`` numerator and ``zeros``
+    denominator arguments at poles is an exact zero (more zeros).  A
+    numerator pole that no denominator pole cancels raises GammaPoleError;
     an exactly balanced pair is refused as indeterminate, since its value
-    depends on the direction of approach.  Past those checks no argument
-    is a pole, and Gamma(x) is negative exactly where floor(x) is a
-    negative odd integer.
-    """
-    zeros = sum(1 for x in denominators if _is_nonpositive_integer(x))
-    poles = sum(1 for x in numerators if _is_nonpositive_integer(x))
+    depends on the direction of approach."""
     if poles > zeros:
         raise GammaPoleError("uncancelled Gamma pole in numerator")
     if poles == zeros and poles > 0:
         raise GammaPoleError("indeterminate Gamma ratio (pole meets zero)")
-    if zeros > poles:
-        return 0.0
-    logs: List[float] = []
-    sign = 1
-    for x in numerators:
-        logs.append(math.lgamma(x))
-        if x < 0 and math.floor(x) % 2:
-            sign = -sign
-    for x in denominators:
-        logs.append(-math.lgamma(x))
-        if x < 0 and math.floor(x) % 2:
-            sign = -sign
-    # summing in sorted order makes the value independent of argument
-    # order, so symmetric ratios are exactly symmetric in floating point
+    return zeros > poles
+
+
+def _gamma_sign(x: float) -> int:
+    """The sign of Gamma(x) off its poles: negative exactly where floor(x)
+    is a negative odd integer."""
+    return -1 if x < 0 and math.floor(x) % 2 else 1
+
+
+def _signed_exp(sign: int, logs: List[float]) -> float:
+    """sign * exp(the sum of logs), the sum rounded once by math.fsum, so
+    its value does not depend on the order of the logs.  The sort fixes
+    the order of the partial sums, so the same logs overflow alike in
+    any order; a magnitude beyond float range is a ValueError."""
     log_value = math.fsum(sorted(logs))
     try:
         return sign * math.exp(log_value)
     except OverflowError:
         raise ValueError("Gamma ratio beyond float range: log = %r" % log_value) from None
+
+
+def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
+    """Product of Gamma(n_i) over product of Gamma(d_j), in log-space.
+
+    A denominator at a pole contributes an exact zero factor, and poles
+    are balanced by _is_zero_ratio.  Past those checks no argument is a
+    pole.
+    """
+    zeros = sum(1 for x in denominators if _is_nonpositive_integer(x))
+    poles = sum(1 for x in numerators if _is_nonpositive_integer(x))
+    if _is_zero_ratio(poles, zeros):
+        return 0.0
+    logs: List[float] = []
+    sign = 1
+    for x in numerators:
+        logs.append(math.lgamma(x))
+        sign *= _gamma_sign(x)
+    for x in denominators:
+        logs.append(-math.lgamma(x))
+        sign *= _gamma_sign(x)
+    return _signed_exp(sign, logs)
 
 
 def beta_tail_integral(u: float, v: float) -> float:
@@ -191,8 +210,7 @@ def _check_slice(
 ) -> Tuple[Fraction, Fraction, Chirality]:
     """(a, b, chirality) once the exact layer's rules accept them: p and q
     integers >= 0, (a, b) in the admissible slice a+p/2 > -1, b+q/2 > -1
-    (KernelSpec's bounds), and Chirality(chirality).  A member skips the
-    enum lookup: F_const runs once per Generic pair of a convolution."""
+    (KernelSpec's bounds), and Chirality(chirality)."""
     _exact_int("p", p)
     _exact_int("q", q)
     a = as_fraction(a)
@@ -201,9 +219,7 @@ def _check_slice(
         raise ValueError(
             "parameters outside the admissible slice: need a+p/2 > -1 and b+q/2 > -1"
         )
-    if chirality.__class__ is not Chirality:
-        chirality = Chirality(chirality)
-    return a, b, chirality
+    return a, b, Chirality(chirality)
 
 
 def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
@@ -211,8 +227,9 @@ def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
 
     In lowest terms a+b is an integer only when a and b share their
     denominator; it is then decided on the integer numerators, several
-    times cheaper than two Fraction sums.  Every singular pair of a
-    convolution asks, and a Generic pair's constant asks twice.
+    times cheaper than two Fraction sums.  The case constants ask; a
+    convolution's pairs decide it on numerators over their common
+    denominator instead.
     """
     denominator = a.denominator
     if b.denominator != denominator:
@@ -221,6 +238,95 @@ def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
     if total < 0 or total % denominator:
         return None
     return total // denominator
+
+
+class _GammaFactor(NamedTuple):
+    """What one exponent x with a monomial of degree p brings to every
+    leading coefficient it enters: the Gamma(x+p+1) / Gamma(-x) part of
+    the ratio, or at a natural x = n, Gamma(x+p+1) times the derivative
+    (-1)^(n+1) n! of 1/Gamma(-n-e).  Built once per exponent; a pair adds
+    only its own arguments (_pair_coefficient).
+
+    ``logs`` holds lgamma(x+p+1) and, off the naturals, -lgamma(-x),
+    unsummed so that a pair's one fsum rounds once; it is None where one
+    of them is beyond float range.  ``poles`` and ``zeros`` count x+p+1
+    at a pole and -x at a pole (1/Gamma(-x) an exact zero); ``sign`` is
+    the sign of the Gamma values off those poles.  ``refusal`` says why
+    n! is beyond float range; a pair raises it, the factor never does.
+    """
+
+    x: float
+    p: int
+    logs: Optional[Tuple[float, ...]]
+    sign: int
+    poles: int
+    zeros: int
+    factor: float
+    refusal: Optional[str]
+
+
+def _gamma_factor(name: str, x: Fraction, p: int) -> _GammaFactor:
+    """The _GammaFactor of the exponent x (named ``name`` if its magnitude
+    is beyond float range) with a monomial of degree p."""
+    x_f = _float(name, x)
+    up, down = x_f + p + 1, -x_f
+    zeros, factor, refusal = 0, 1.0, None
+    if is_natural(x):  # (-1)^(n+1) n! at n = x replaces 1/Gamma(-x)
+        n, down = x.numerator, None
+        if n > 170:  # 171! is the first factorial beyond float range
+            refusal = "%d! at the natural exponent %d is beyond float range" % (n, n)
+        else:
+            factor = float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
+    elif _is_nonpositive_integer(down):
+        zeros = 1
+    poles = int(_is_nonpositive_integer(up))
+    if poles or zeros:  # the ratio is zero or refused: no log or sign is read
+        return _GammaFactor(x_f, p, (), 1, poles, zeros, factor, refusal)
+    try:
+        if down is None:
+            logs: Optional[Tuple[float, ...]] = (math.lgamma(up),)
+        else:
+            logs = (math.lgamma(up), -math.lgamma(down))
+    except OverflowError:
+        logs = None
+    sign = _gamma_sign(up) * (1 if down is None else _gamma_sign(down))
+    return _GammaFactor(x_f, p, logs, sign, poles, zeros, factor, refusal)
+
+
+def _pair_coefficient(
+    fa: _GammaFactor, fb: _GammaFactor, shift: int, resonance: Optional[int] = None
+) -> float:
+    """C of _leading_coefficient from the factors of a and b: the pair
+    adds its own arguments, -a-b-s-1 (at a natural a+b+1 = ``resonance``,
+    the residue's a+b+s+2) and a+b+p+q+2-s, checks them for poles, and
+    hands every log of the ratio to one fsum.  The natural a+b+s+1 off
+    resonance is the caller's to refuse.  Refusals come in the order of
+    the one-rule ratio: n! at a, then at b, then poles, then magnitude.
+    """
+    a_f, p, logs_a, sign_a, poles_a, zeros_a, factor_a, refusal_a = fa
+    b_f, q, logs_b, sign_b, poles_b, zeros_b, factor_b, refusal_b = fb
+    if refusal_a or refusal_b:
+        raise ValueError(refusal_a or refusal_b)
+    sign = -1 if shift % 2 else 1
+    last = a_f + b_f + (p - shift) + q + 2
+    if resonance is None:
+        own = -a_f - b_f - shift - 1  # Gamma(-m), m = a+b+s+1
+        poles = poles_a + poles_b + _is_nonpositive_integer(own)
+        zeros = zeros_a + zeros_b + _is_nonpositive_integer(last)
+    else:
+        own = a_f + b_f + shift + 2  # 1/m! = 1/Gamma(m+1)
+        sign *= (-1) ** (resonance + shift + 1)
+        poles = poles_a + poles_b
+        zeros = zeros_a + zeros_b + _is_nonpositive_integer(last) + _is_nonpositive_integer(own)
+    factor = factor_a * factor_b
+    if _is_zero_ratio(poles, zeros):
+        return sign * factor * 0.0
+    if logs_a is None or logs_b is None:
+        raise OverflowError("math range error")  # what math.lgamma raised for that factor
+    own_log = math.lgamma(own)
+    logs = [*logs_a, *logs_b, own_log if resonance is None else -own_log, -math.lgamma(last)]
+    ratio_sign = sign_a * sign_b * _gamma_sign(own) * _gamma_sign(last)
+    return sign * factor * _signed_exp(ratio_sign, logs)
 
 
 def _leading_coefficient(
@@ -237,31 +343,15 @@ def _leading_coefficient(
     With a and b both natural, C = -4*integer_case_log_coeff up to rounding.
     Off resonance, a natural m (a pole of Gamma(-m)) is decided exactly
     by _natural_sum, since the float -a-b-s-1 may round off the pole;
-    _gamma_ratio still refuses a rounded sum that lands on one.
+    _pair_coefficient still refuses a rounded sum that lands on one.
     """
-    a_f, b_f = _float("a", a), _float("b", b)
+    fa, fb = _gamma_factor("a", a, p), _gamma_factor("b", b, q)
     shift = 0 if chirality2 is Chirality.HOLO else p
-    sign = -1 if shift % 2 else 1
-    numerators = [a_f + p + 1, b_f + q + 1]
-    denominators = [a_f + b_f + (p - shift) + q + 2]
     if resonance is None:
         m = _natural_sum(a, b, shift)
         if m is not None:
             raise GammaPoleError("Gamma pole of Gamma(-m) at m = a+b+%d+1 = %d" % (shift, m))
-        numerators.append(-a_f - b_f - shift - 1)
-    else:
-        denominators.append(a_f + b_f + shift + 2)  # 1/m! = 1/Gamma(m+1)
-        sign *= (-1) ** (resonance + shift + 1)
-    factor = 1.0
-    for x, x_f in ((a, a_f), (b, b_f)):
-        if is_natural(x):  # (-1)^(n+1) n! at n = x
-            n = x.numerator
-            if n > 170:  # 171! is the first factorial beyond float range
-                raise ValueError("%d! at the natural exponent %d is beyond float range" % (n, n))
-            factor *= float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
-        else:
-            denominators.append(-x_f)
-    return sign * factor * _gamma_ratio(numerators, denominators)
+    return _pair_coefficient(fa, fb, shift, resonance)
 
 
 def F_const(
@@ -311,6 +401,11 @@ def integer_case_log_coeff(
     """
     for name, value in (("p", p), ("q", q), ("a", a), ("b", b)):
         _exact_int(name, value)
+    return _integer_case_rational(p, q, a, b, chirality2)
+
+
+def _integer_case_rational(p: int, q: int, a: int, b: int, chirality2: Chirality) -> Fraction:
+    """integer_case_log_coeff on validated input."""
     fact = math.factorial
     first, second = (
         Fraction(fact(x) * fact(y), fact(x + y + 1))

@@ -638,11 +638,46 @@ def _kernel_samples(spec: KernelSpec) -> List[float]:
 # direct finite-part construction (independent route to G_q)
 
 
+#: lambda = log(9/4): the far field's lower end reads (2 log(3 sigma/2))^n = (lambda + l)^n
+_LAMBDA = math.log(9 / 4)
+
+
+def _resonant_row(spec):
+    """The far series' row whose power r equals c, or None, decided once on
+    the spec's Fractions: row beta - max(0, -mode) holds r = 2 beta + mode,
+    so r = c at beta = (c - mode)/2, a+b+1 (holo) or a+b+1+q (anti)."""
+    c = 2 * (spec.a + spec.b + 1) + spec.p + spec.q
+    mode = spec.p - spec.q if spec.chirality is Chirality.ANTI else spec.p + spec.q
+    beta = (c - mode) / 2
+    if beta.denominator != 1 or beta < max(0, -mode):
+        return None
+    return int(beta) - max(0, -mode)
+
+
+def _readout(entry, level, row):
+    """P, the coefficients in l = Log sigma^2 of K(sigma) = sigma^c P(l)
+    + sum_r smooth[r] sigma^r, from one collar level of the entry: inner
+    minus sum_n ends_total[n] (lambda + l)^n, and at an exact resonance
+    (``row`` from _resonant_row, which the entry zeroes) minus
+    sum_m weights[row, m] (lambda + l)^(m+1) / (2(m+1)), the lower end of
+    int R^-1 (Log R^2)^m dR, which adds slot j+k+1."""
+    inner = entry.inner[level]
+    P = np.zeros(len(inner) + (row is not None), dtype=complex)
+    P[: len(inner)] = inner
+    shifts = list(enumerate(entry.ends_total))
+    if row is not None:
+        shifts += [(m + 1, w / (2 * (m + 1))) for m, w in enumerate(entry.weights[row])]
+    for n, coeff in shifts:
+        for i in range(n + 1):
+            P[i] -= coeff * math.comb(n, i) * _LAMBDA ** (n - i)
+    return P
+
+
 def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     """Finite part of the plane integral of |1-t|^{2a} t^q |t|^{2b}
     against (1/2pi) dx dy, with no Gamma-ratio input.
 
-    It is the log-free slot of the _inner_moments entry of the kernel
+    It is slot 0 of the _readout of the _inner_moments entry of the kernel
     (a, b, 0, q, 0, 0): the table [0, 0] of |t| <= 3/2 (two disk series and
     the collar) minus ends_total[0], the far field's lower end at X = 3/2,
     which is the finite part of each power rho^{c-1-r} of the angular mean
@@ -653,7 +688,8 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     is a domain error: the finite part does not exist as a plain number
     on the resonance locus, where the kernel picks up a log term instead.
     Resonant constants are checked through the log-column fit of
-    verify_constant, not through this route.
+    verify_constant, not through this route.  The domain b + q > -1 is
+    wider than a KernelSpec's, so the readout takes no _resonant_row.
     """
     a = as_fraction(a)
     b = as_fraction(b)
@@ -668,9 +704,8 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
             "finite part on this route; fit the log column instead"
         )
     entry = _inner_moments(_float("a", a), _float("b", b), 0, q, 0, 0, False)
-    outer = entry.ends_total[0]
-    v0, v1 = (inner[0].real - outer for inner in entry.inner)
-    gross = max(g[0] for g in entry.gross) + abs(outer)
+    v0, v1 = (float(_readout(entry, level, None)[0].real) for level in (0, 1))
+    gross = max(g[0] for g in entry.gross) + abs(entry.ends_total[0])
     return _refined(v0, v1, 1e-3 * gross, "the finite part at q=%d" % q)
 
 

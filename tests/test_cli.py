@@ -293,6 +293,22 @@ class TestConvolve:
         assert out == ""
         assert "171! at the natural exponent 171 is beyond float range" in err
 
+    def test_smooth_pairs_never_ask_for_the_factorial(self, tmp_path, capsys):
+        # r = 0 with m = n = 171 at log degree 0 is a plain natural power:
+        # every pair is Smooth, so the 171! of its Gamma factor is never
+        # refused, and the output is the empty expansion
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(
+            '{"terms": [{"r": "0", "m": 171, "n": 171, "log_coeffs": [[1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        right.write_text(
+            '{"terms": [{"r": "-1/3", "m": 0, "n": 0, "log_coeffs": [[1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        code, out, err = run(capsys, ["convolve", str(left), str(right)])
+        assert (code, out, err) == (0, '{\n  "smooth_order": 1,\n  "terms": []\n}\n', "")
+
     def test_both_integer_underflow_names_float_range(self, tmp_path, capsys):
         doc = tmp_path / "e.json"
         doc.write_text(

@@ -1,5 +1,7 @@
 """Tests for case classification, term convolution, and root combination."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,8 @@ from asymconv.convolution_engine import (
     RHO_NORM,
     BernsteinCombination,
     CaseTag,
+    _pair_rule,
+    _term_facts,
     bernstein_combine,
     classify_case,
     convolve_expansions,
@@ -21,6 +25,7 @@ from asymconv.expansion_algebra import (
     Expansion,
     LogPolynomial,
     SingularTerm,
+    _CaseTable,
     canonical_json,
     degree_rule,
     normalize_term,
@@ -344,6 +349,46 @@ class TestPairRuleReference:
         expected = reference_convolution(e1, e2)
         assert canonical_json(out.to_json_dict()) == canonical_json(expected.to_json_dict())
         assert out.compensated == expected.compensated
+
+
+def _zero_signs(z):
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+class TestEngineConstants:
+    def test_pair_rule_is_the_kernel_constant_bit_for_bit(self):
+        # every pair of the generated terms: the engine's leading coefficient,
+        # built from the two terms' Gamma factors, is the product of the
+        # per-kernel constant, zero signs included
+        coeffs = (1.0, -0.5, 0.25j, 1.5 - 0.75j, -2.0 + 0.5j)
+        terms = [
+            SingularTerm(r=r, m=m, n=n, poly=LogPolynomial.of_coeffs(
+                [0.0] * degree + [coeffs[i % len(coeffs)]]))
+            for i, (r, m, n, degree) in enumerate(itertools.product(
+                (F(0), F(-1, 2), F(-1, 3), F(-2, 3), F(-1, 4), F(-1, 6)),
+                range(3), range(3), range(3)))
+        ]
+        denominator = math.lcm(*(t.r.denominator for t in terms))
+        facts = [_term_facts(t, denominator) for t in terms]
+        cases = _CaseTable()
+        reached = set()
+        for t1, f1 in zip(terms, facts):
+            a, p, chir1 = normalize_term(t1)
+            for t2, f2 in zip(terms, facts):
+                b, q, chir2 = normalize_term(t2)
+                chir = Chirality.ANTI if p and q and chir1 is not chir2 else Chirality.HOLO
+                j, k = t1.poly.degree, t2.poly.degree
+                case, _, leading, _ = _pair_rule(f1, f2, denominator, cases)
+                expected_case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
+                assert case is expected_case
+                if case is CaseTag.SMOOTH:
+                    continue
+                expected = t1.poly.leading * t2.poly.leading * base * RHO_NORM
+                assert leading == expected and _zero_signs(leading) == _zero_signs(expected)
+                reached.add((case, chir))
+        assert reached == {
+            (case, chir) for case in CaseTag if case is not CaseTag.SMOOTH for chir in Chirality
+        }
 
 
 class TestBernsteinCombine:

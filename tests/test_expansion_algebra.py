@@ -12,6 +12,8 @@ from asymconv.expansion_algebra import (
     ExponentSetType,
     LogPolynomial,
     SingularTerm,
+    _format_float,
+    _quote,
     as_fraction,
     canonical_json,
     case_degree,
@@ -442,6 +444,45 @@ def _reference_canonical(value, indent: int, step: int) -> str:
     raise TypeError("cannot serialize %r" % type(value).__name__)
 
 
+def _recursive_canonical(value, indent: int) -> str:
+    """The writer that recursed into every leaf, which canonical_json
+    replaced: its bytes and refusals are the reference."""
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is not list and kind is not tuple and kind is not dict:
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return _format_float(value)
+        if isinstance(value, str):
+            return _quote(value)
+        if not isinstance(value, (list, tuple, dict)):
+            raise TypeError("cannot serialize %r" % type(value).__name__)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = " " * indent
+    indent += 2
+    inner = " " * indent
+    if not isinstance(value, dict):
+        parts = [inner + _recursive_canonical(v, indent) for v in value]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    parts = []
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise TypeError("canonical documents use string keys only")
+        parts.append(inner + _quote(key) + ": " + _recursive_canonical(value[key], indent))
+    return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+
+
 #: strings json.dumps escapes, and some it leaves alone
 tricky_strings = st.sampled_from([
     "", "plain", 'say "hi"', "back\\slash", "tab\there", "nul\x00", "line\nbreak",
@@ -471,6 +512,20 @@ json_documents = st.recursive(
     ),
     max_leaves=24,
 )
+#: documents holding a non-finite float or a non-string key somewhere
+refused_leaves = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.builds(lambda key, v: {key: v}, st.sampled_from([1, 1.5, None, True, (1, 2)]), json_scalars),
+)
+refused_documents = st.recursive(
+    refused_leaves,
+    lambda children: st.one_of(
+        st.tuples(st.lists(json_documents, max_size=3), children).map(lambda t: t[0] + [t[1]]),
+        st.tuples(json_documents, children),
+        st.dictionaries(json_strings, children, min_size=1, max_size=3),
+    ),
+    max_leaves=6,
+)
 
 
 class TestCanonicalJson:
@@ -498,6 +553,21 @@ class TestCanonicalJson:
     def test_matches_the_isinstance_reference(self, doc):
         assert canonical_json(doc) == _reference_canonical(doc, 0, 2) + "\n"
         assert json.loads(canonical_json(doc)) == json.loads(json.dumps(doc))
+
+    @given(json_documents)
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_recursive_writer(self, doc):
+        # leaves are formatted in their container's loop: same bytes
+        assert canonical_json(doc) == _recursive_canonical(doc, 0) + "\n"
+
+    @given(refused_documents)
+    @settings(max_examples=120, deadline=None)
+    def test_refuses_as_the_recursive_writer_did(self, doc):
+        with pytest.raises((ValueError, TypeError)) as new:
+            canonical_json(doc)
+        with pytest.raises((ValueError, TypeError)) as old:
+            _recursive_canonical(doc, 0)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
 
     def test_covers_every_kind_of_value(self):
         doc = {

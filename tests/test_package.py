@@ -159,8 +159,8 @@ def test_traced_names_are_called(monkeypatch):
     from fractions import Fraction as F
 
     from asymconv import KernelSpec, MonomialGerm, thom_sebastiani_demo, verify_constant
-    from asymconv.convolution_engine import convolve_terms
-    from asymconv.expansion_algebra import Chirality, kernel_term
+    from asymconv.convolution_engine import kernel_leading_constant
+    from asymconv.expansion_algebra import Chirality
 
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     tracing = importlib.import_module("tracing")
@@ -175,11 +175,11 @@ def test_traced_names_are_called(monkeypatch):
         return {name for name, row in tracer.summary().items() if row["calls"]}
 
     def pairs():
-        # Generic, Resonant, OneIntegerFactor and BothInteger pairs
+        # Generic, Resonant, OneIntegerFactor and BothInteger kernels; the
+        # engine's pairs read the terms' Gamma factors, not these names
         for a, b, j, k in ((F(-1, 3), F(-1, 4), 0, 0), (F(-1, 2), F(-1, 2), 0, 0),
                            (F(1), F(-1, 4), 1, 0), (F(0), F(1), 1, 1)):
-            convolve_terms(kernel_term(a, 1, Chirality.HOLO, j),
-                           kernel_term(b, 1, Chirality.ANTI, k))
+            kernel_leading_constant(1, 1, a, b, j, k, Chirality.ANTI)
 
     assert traced(pairs) >= {
         "gamma_kernel." + name

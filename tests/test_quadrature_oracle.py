@@ -32,6 +32,8 @@ from asymconv.quadrature_oracle import (
     _kernel_samples,
     _mode_coefficients,
     _radii,
+    _readout,
+    _resonant_row,
     eval_kernel_integral,
     finite_part_direct,
     fit_radial_samples,
@@ -78,41 +80,6 @@ def _sweep_grid():
 
 
 SWEEP = _sweep_grid()
-
-#: lambda = log(9/4): the far field's lower end reads (2 log(3 sigma/2))^n = (lambda + l)^n
-_LAMBDA = math.log(9 / 4)
-
-
-def resonant_row(spec):
-    """The far series' row whose power r equals c, or None, decided once on
-    the spec's Fractions: row beta - max(0, -mode) holds r = 2 beta + mode,
-    so r = c at beta = (c - mode)/2, a+b+1 (holo) or a+b+1+q (anti)."""
-    c = 2 * (spec.a + spec.b + 1) + spec.p + spec.q
-    mode = spec.p - spec.q if spec.chirality is ANTI else spec.p + spec.q
-    beta = (c - mode) / 2
-    if beta.denominator != 1 or beta < max(0, -mode):
-        return None
-    return int(beta) - max(0, -mode)
-
-
-def readout(entry, level, row):
-    """P, the coefficients in l = Log sigma^2 of K(sigma) = sigma^c P(l)
-    + sum_r smooth[r] sigma^r, from one collar level of the entry: inner
-    minus sum_n ends_total[n] (lambda + l)^n, and at an exact resonance
-    (``row`` from resonant_row, which the entry zeroes) minus
-    sum_m weights[row, m] (lambda + l)^(m+1) / (2(m+1)), the lower end of
-    int R^-1 (Log R^2)^m dR, which adds slot j+k+1."""
-    inner = entry.inner[level]
-    P = np.zeros(len(inner) + (row is not None), dtype=complex)
-    P[: len(inner)] = inner
-    shifts = list(enumerate(entry.ends_total))
-    if row is not None:
-        shifts += [(m + 1, w / (2 * (m + 1))) for m, w in enumerate(entry.weights[row])]
-    for n, coeff in shifts:
-        for i in range(n + 1):
-            P[i] -= coeff * math.comb(n, i) * _LAMBDA ** (n - i)
-    return P
-
 
 class TestKernelSpec:
     def test_coercion(self):
@@ -749,6 +716,35 @@ class TestFinitePartDirect:
         direct = finite_part_direct(a, b, q)
         assert direct == pytest.approx(G_q(a, b, q), rel=1e-12)
 
+    def test_is_the_formula_it_replaced_bit_for_bit(self):
+        # the reference is the formula the readout's slot 0 replaced,
+        # inner[level][0].real - ends_total[0], through the same _refined;
+        # a refusal must be the same refusal
+        values = sorted({F(n, d) for d in (2, 3, 4, 5, 7) for n in range(1 - d, d)})
+        points = 0
+        for a, b in itertools.product(values, repeat=2):
+            for q in range(4):
+                if (a + b + 1).denominator == 1:
+                    continue
+                entry = _inner_moments(float(a), float(b), 0, q, 0, 0, False)
+                outer = entry.ends_total[0]
+                v0, v1 = (inner[0].real - outer for inner in entry.inner)
+                gross = max(g[0] for g in entry.gross) + abs(outer)
+                try:
+                    expected = oracle._refined(v0, v1, 1e-3 * gross, "the finite part at q=%d" % q)
+                except ToleranceNotMet as exc:
+                    expected = str(exc)
+                try:
+                    direct = finite_part_direct(a, b, q)
+                except ToleranceNotMet as exc:
+                    direct = str(exc)
+                assert type(direct) is type(expected), (a, b, q)
+                assert direct == expected, (a, b, q)
+                if isinstance(direct, float):
+                    assert math.copysign(1.0, direct) == math.copysign(1.0, expected)
+                points += 1
+        assert points > 3000
+
     def test_resonant_is_domain_error(self):
         with pytest.raises(ValueError):
             finite_part_direct(F(-1, 2), F(-1, 2), 0)
@@ -928,7 +924,7 @@ class TestReadout:
 
     @staticmethod
     def leading_error(spec):
-        P = readout(entry_of(spec), 1, resonant_row(spec))
+        P = _readout(entry_of(spec), 1, _resonant_row(spec))
         _, base, norm = kernel_leading_constant(
             spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
         )
@@ -939,7 +935,7 @@ class TestReadout:
         # the row decided on Fractions is the one whose float power is c
         rows = 0
         for spec in SWEEP:
-            entry, row = entry_of(spec), resonant_row(spec)
+            entry, row = entry_of(spec), _resonant_row(spec)
             assert np.flatnonzero(entry.powers == entry.c).tolist() == ([] if row is None else [row])
             rows += row is not None
         assert rows > 0
@@ -964,7 +960,7 @@ class TestReadout:
         # worst 2.5e-15 relative over the sweep
         for spec in SWEEP:
             entry = entry_of(spec)
-            P = readout(entry, 1, resonant_row(spec))
+            P = _readout(entry, 1, _resonant_row(spec))
             for sigma in (0.2, 0.2 * 2.0**-7, 0.2 * 2.0**-15):
                 value = eval_kernel_integral(spec, sigma)
                 ell = math.log(sigma * sigma)
@@ -982,7 +978,7 @@ class TestReadout:
     def test_smooth_kernels_read_no_singular_slot(self, spec):
         # natural a and no log of s - u: no singular content (worst 1.5e-13)
         assert classify_case(spec.a, spec.b, spec.j, spec.k) is CaseTag.SMOOTH
-        P = readout(entry_of(spec), 1, resonant_row(spec))
+        P = _readout(entry_of(spec), 1, _resonant_row(spec))
         assert np.abs(P).max() <= 1e-12
 
 
