@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .expansion_algebra import (
     CaseTag,
@@ -42,7 +42,6 @@ from .gamma_kernel import (
     _gamma_factor,
     _GammaFactor,
     _integer_case_log2,
-    _integer_case_rational,
     _pair_coefficient,
     degenerate_case1_coeff,
     integer_case_log_coeff,
@@ -149,27 +148,15 @@ def _case_constant(
     if case is CaseTag.ONE_INTEGER_FACTOR:
         base = degenerate_case1_coeff(p, q, a, b, chirality)
         return base * (j if is_natural(a) else k)
-    base = _integer_base(p, q, a, b, chirality, integer_case_log_coeff)
-    base *= j
-    base *= k
-    return base / case_degree(case, j, k)
-
-
-def _integer_base(
-    p: int, q: int, a: Fraction, b: Fraction, chirality: Chirality, log_coeff: Callable
-) -> float:
-    """-4 * log_coeff(p, q, int(a), int(b), chirality), the BothInteger C,
-    as a float.  log_coeff is integer_case_log_coeff, or for the engine's
-    validated terms its check-free body _integer_case_rational.
-
-    lgamma's estimate refuses a constant far below float range before
-    any factorial is built; nearer the edge the exact rational decides.
-    """
+    # lgamma's estimate refuses a constant far below float range before
+    # any factorial is built; nearer the edge the exact rational decides
     log2, error = _integer_case_log2(p, q, a, b, chirality)
     if log2 + error > -1138:  # 64 bits below 2^-1074, the smallest float
-        base = -4.0 * float(log_coeff(p, q, int(a), int(b), chirality))
+        base = -4.0 * float(integer_case_log_coeff(p, q, int(a), int(b), chirality))
         if base != 0:  # the exact rational is never zero
-            return base
+            base *= j
+            base *= k
+            return base / case_degree(case, j, k)
     raise ValueError(
         "BothInteger constant at a=%s, b=%s is below float range: "
         "-4*integer_case_log_coeff is about 2^%.0f" % (a, b, log2)
@@ -241,10 +228,7 @@ def _pair_rule(
         base = _pair_coefficient(fa, fb, shift) * (j if a_natural else k)
     else:
         chir = Chirality.ANTI if shift else Chirality.HOLO
-        base = _integer_base(p, q, a, b, chir, _integer_case_rational)
-        base *= j
-        base *= k
-        base = base / degree
+        base = _case_constant(case, p, q, a, b, j, k, chir)
     leading = c1 * c2 * base * RHO_NORM
     if leading == 0:
         raise ValueError(_VANISHING)

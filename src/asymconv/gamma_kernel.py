@@ -401,11 +401,6 @@ def integer_case_log_coeff(
     """
     for name, value in (("p", p), ("q", q), ("a", a), ("b", b)):
         _exact_int(name, value)
-    return _integer_case_rational(p, q, a, b, chirality2)
-
-
-def _integer_case_rational(p: int, q: int, a: int, b: int, chirality2: Chirality) -> Fraction:
-    """integer_case_log_coeff on validated input."""
     fact = math.factorial
     first, second = (
         Fraction(fact(x) * fact(y), fact(x + y + 1))

@@ -642,25 +642,13 @@ def _kernel_samples(spec: KernelSpec) -> List[float]:
 _LAMBDA = math.log(9 / 4)
 
 
-def _resonant_row(spec):
-    """The far series' row whose power r equals c, or None, decided once on
-    the spec's Fractions: row beta - max(0, -mode) holds r = 2 beta + mode,
-    so r = c at beta = (c - mode)/2, a+b+1 (holo) or a+b+1+q (anti)."""
-    c = 2 * (spec.a + spec.b + 1) + spec.p + spec.q
-    mode = spec.p - spec.q if spec.chirality is Chirality.ANTI else spec.p + spec.q
-    beta = (c - mode) / 2
-    if beta.denominator != 1 or beta < max(0, -mode):
-        return None
-    return int(beta) - max(0, -mode)
-
-
 def _readout(entry, level, row):
     """P, the coefficients in l = Log sigma^2 of K(sigma) = sigma^c P(l)
     + sum_r smooth[r] sigma^r, from one collar level of the entry: inner
     minus sum_n ends_total[n] (lambda + l)^n, and at an exact resonance
-    (``row`` from _resonant_row, which the entry zeroes) minus
-    sum_m weights[row, m] (lambda + l)^(m+1) / (2(m+1)), the lower end of
-    int R^-1 (Log R^2)^m dR, which adds slot j+k+1."""
+    (``row``, the far series' row whose power equals c, which the entry
+    zeroes) minus sum_m weights[row, m] (lambda + l)^(m+1) / (2(m+1)), the
+    lower end of int R^-1 (Log R^2)^m dR, which adds slot j+k+1."""
     inner = entry.inner[level]
     P = np.zeros(len(inner) + (row is not None), dtype=complex)
     P[: len(inner)] = inner
@@ -689,7 +677,7 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     on the resonance locus, where the kernel picks up a log term instead.
     Resonant constants are checked through the log-column fit of
     verify_constant, not through this route.  The domain b + q > -1 is
-    wider than a KernelSpec's, so the readout takes no _resonant_row.
+    wider than a KernelSpec's, and off resonance the readout takes no row.
     """
     a = as_fraction(a)
     b = as_fraction(b)

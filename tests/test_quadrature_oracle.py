@@ -33,7 +33,6 @@ from asymconv.quadrature_oracle import (
     _mode_coefficients,
     _radii,
     _readout,
-    _resonant_row,
     eval_kernel_integral,
     finite_part_direct,
     fit_radial_samples,
@@ -80,6 +79,19 @@ def _sweep_grid():
 
 
 SWEEP = _sweep_grid()
+
+
+def resonant_row(spec):
+    """The far series' row whose power r equals c, or None, decided once on
+    the spec's Fractions: row beta - max(0, -mode) holds r = 2 beta + mode,
+    so r = c at beta = (c - mode)/2, a+b+1 (holo) or a+b+1+q (anti)."""
+    c = 2 * (spec.a + spec.b + 1) + spec.p + spec.q
+    mode = spec.p - spec.q if spec.chirality is ANTI else spec.p + spec.q
+    beta = (c - mode) / 2
+    if beta.denominator != 1 or beta < max(0, -mode):
+        return None
+    return int(beta) - max(0, -mode)
+
 
 class TestKernelSpec:
     def test_coercion(self):
@@ -924,7 +936,7 @@ class TestReadout:
 
     @staticmethod
     def leading_error(spec):
-        P = _readout(entry_of(spec), 1, _resonant_row(spec))
+        P = _readout(entry_of(spec), 1, resonant_row(spec))
         _, base, norm = kernel_leading_constant(
             spec.p, spec.q, spec.a, spec.b, spec.j, spec.k, spec.chirality
         )
@@ -935,7 +947,7 @@ class TestReadout:
         # the row decided on Fractions is the one whose float power is c
         rows = 0
         for spec in SWEEP:
-            entry, row = entry_of(spec), _resonant_row(spec)
+            entry, row = entry_of(spec), resonant_row(spec)
             assert np.flatnonzero(entry.powers == entry.c).tolist() == ([] if row is None else [row])
             rows += row is not None
         assert rows > 0
@@ -960,7 +972,7 @@ class TestReadout:
         # worst 2.5e-15 relative over the sweep
         for spec in SWEEP:
             entry = entry_of(spec)
-            P = _readout(entry, 1, _resonant_row(spec))
+            P = _readout(entry, 1, resonant_row(spec))
             for sigma in (0.2, 0.2 * 2.0**-7, 0.2 * 2.0**-15):
                 value = eval_kernel_integral(spec, sigma)
                 ell = math.log(sigma * sigma)
@@ -978,7 +990,7 @@ class TestReadout:
     def test_smooth_kernels_read_no_singular_slot(self, spec):
         # natural a and no log of s - u: no singular content (worst 1.5e-13)
         assert classify_case(spec.a, spec.b, spec.j, spec.k) is CaseTag.SMOOTH
-        P = _readout(entry_of(spec), 1, _resonant_row(spec))
+        P = _readout(entry_of(spec), 1, resonant_row(spec))
         assert np.abs(P).max() <= 1e-12
 
 
