@@ -28,6 +28,7 @@ from .expansion_algebra import (
     RationalInput,
     SingularTerm,
     _CaseTable,
+    _check_output_size,
     _exact_int,
     as_fraction,
     case_degree,
@@ -334,8 +335,9 @@ def bernstein_combine(
     """Combine two sets of negative rational roots by pairwise summation.
 
     All roots must be negative rationals; kappa >= 0 is the caller's
-    integer-shift budget and only widens the candidate set.  An empty
-    input yields an empty result.
+    integer-shift budget and only widens the candidate set, whose
+    |canonical| (kappa + 1) elements must stay within the output cap
+    (_check_output_size).  An empty input yields an empty result.
     """
     _exact_int("kappa", kappa)
     r1 = [as_fraction(x) for x in roots1]
@@ -345,5 +347,6 @@ def bernstein_combine(
             raise ValueError("Bernstein roots must be negative, got %s" % x)
     raw = frozenset(x + y for x in r1 for y in r2)
     canonical = frozenset(_canonical_rep(s) for s in raw)
+    _check_output_size("the candidates at kappa %d" % kappa, len(canonical) * (kappa + 1))
     candidates = frozenset(c - t for c in canonical for t in range(kappa + 1))
     return BernsteinCombination(raw=raw, canonical=canonical, candidates=candidates)

@@ -74,6 +74,18 @@ def _exact_int(name: str, value, minimum: int = 0) -> int:
     return value
 
 
+#: The most elements one output may hold: a term's log slots, a Bernstein
+#: candidate set.  A larger request is refused before anything is allocated.
+_MAX_OUTPUT_ELEMENTS = 2**20
+
+
+def _check_output_size(what: str, count: int) -> None:
+    """ValueError naming ``what`` where count passes _MAX_OUTPUT_ELEMENTS."""
+    if count > _MAX_OUTPUT_ELEMENTS:
+        raise ValueError("%s would hold %d elements, beyond the output cap of %d"
+                         % (what, count, _MAX_OUTPUT_ELEMENTS))
+
+
 def in_slice(x: Fraction, degree: int) -> bool:
     """x + degree/2 > -1: the admissible slice of an exponent x whose term
     carries a monomial of the given degree (degree 0: x > -1).  Decided
@@ -122,8 +134,9 @@ class LogPolynomial:
 
     @staticmethod
     def monomial(degree: int, c: complex = 1.0) -> "LogPolynomial":
-        """c * X^degree."""
+        """c * X^degree, degree + 1 slots within _MAX_OUTPUT_ELEMENTS."""
         _exact_int("degree", degree)
+        _check_output_size("a log degree of %d" % degree, degree + 1)
         return LogPolynomial.of_coeffs([0.0] * degree + [complex(c)])
 
     @property

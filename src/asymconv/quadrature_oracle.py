@@ -213,28 +213,25 @@ def _mode_jets(c: float, extra: int, order: int, modes: Sequence[int]) -> tuple:
     return first, _pochhammer_jets(c, _SERIES_TERMS - min(*modes, 0), order)
 
 
-def _mode_coefficients(
-    c: float, extra: int, n: int, order: int, jets=None
-) -> Tuple[np.ndarray, np.ndarray]:
+def _mode_coefficients(n: int, order: int, jets: tuple) -> Tuple[np.ndarray, np.ndarray]:
     """Angular mode n of |1-w|^{2c} (1-w)^extra as a power series in |w|.
 
     Returns (powers, coefficients): row beta - max(0, -n) holds the power
-    2 beta + n and the Taylor coefficients in e, to e^order, of
+    2 beta + n (as a float) and the Taylor coefficients in e, to e^order, of
     [(-c-e-extra)_(beta+n)/(beta+n)!] [(-c-e)_beta/beta!], the coefficient
     of w^(beta+n) wbar^beta once (1-w)^(c+extra) (1-wbar)^c is multiplied
     out.  The mean of e^{-i n arg w} |1-w|^{2c} (1-w)^extra (Log|1-w|^2)^i
-    is therefore i! times column i summed against |w|^powers.  Two modes
-    of one kernel may share their ``jets`` (_mode_jets).
+    is therefore i! times column i summed against |w|^powers.  ``jets`` are
+    the _mode_jets of c + extra and c, which two modes of one kernel share.
     """
     b0 = max(0, -n)
-    jets = jets or _mode_jets(c, extra, order, (n,))
     first = jets[0][b0 + n : b0 + n + _SERIES_TERMS]
     second = jets[1][b0 : b0 + _SERIES_TERMS]
     out = np.zeros((_SERIES_TERMS, order + 1))
     for i in range(order + 1):
         for l in range(i + 1):
             out[:, i] += first[:, l] * second[:, i - l]
-    return 2 * np.arange(b0, b0 + _SERIES_TERMS) + n, out
+    return 2.0 * np.arange(b0, b0 + _SERIES_TERMS) + n, out
 
 
 def _power_log_antiderivative(E, mmax: int, L: float, x_pow) -> np.ndarray:
@@ -251,9 +248,9 @@ def _power_log_antiderivative(E, mmax: int, L: float, x_pow) -> np.ndarray:
 
 
 def _disk_moments(
-    c: float, extra: int, n: int, order: int, radial_exp: float, logmax: int, jets=None
+    n: int, order: int, radial_exp: float, logmax: int, jets: tuple, factorials: Sequence[float]
 ) -> np.ndarray:
-    """Moments over the disk |z| <= 1/2 from the angular mode series.
+    """Moments over the disk |z| <= 1/2 from the mode series of ``jets``, i! in ``factorials``.
 
     T[i, r] = (1/2pi) iint rho^radial_exp (Log rho^2)^r e^{-i n theta}
     |1-z|^{2c} (1-z)^extra (Log|1-z|^2)^i dx dy for i <= order, r <= logmax.
@@ -261,11 +258,10 @@ def _disk_moments(
     from 0 to 1/2, with E = radial_exp + 2 + 2 beta + n > 0 for every
     integrable case, is _power_log_antiderivative at X = 1/2.
     """
-    powers, coeffs = _mode_coefficients(c, extra, n, order, jets)
+    powers, coeffs = _mode_coefficients(n, order, jets)
     E = radial_exp + 2.0 + powers
     radial = _power_log_antiderivative(E, logmax, math.log(0.25), 0.5**E)
-    factorials = [math.factorial(i) for i in range(order + 1)]
-    return (coeffs * factorials).T @ radial.T
+    return (coeffs * factorials[: order + 1]).T @ radial.T
 
 
 class _CollarGeometry(NamedTuple):
@@ -406,24 +402,28 @@ def _inner_moments(
     A sample's near powers are a set of ``window`` rows.  E steps by 2, so
     the window holds at most two rows, and ``near`` holds a _NearSeries for
     each of its non-empty sets, built here: the entry is shared by threads
-    and never changes.  A collar beyond float range is refused first.
+    and never changes.  Every integer the tables read passes _float, the largest being
+    (j+k)!: j + k > 170 and a collar beyond float range are refused before any recurrence.
     """
+    if j + k > 170:  # 171! is the first factorial beyond float range
+        raise ValueError("the log degree j+k = %d needs (j+k)!, beyond float range" % (j + k))
     # the collar's largest |1-v|^(2a+p) |v|^(2b+q) is at v = -3/2
     top = max(0.0, 2.0 * af + p) * math.log(2.5) + max(0.0, 2.0 * bf + q) * math.log(1.5)
     if top > math.log(sys.float_info.max):
         raise ValueError("the collar's |1-v|^(2a+p) |v|^(2b+q) reaches e^%.0f at v = -3/2, "
                          "beyond float range" % top)
-    mode, near_mode = (p - q, q) if anti else (p + q, -q)
+    mode, near_mode, b_mode = (p - q, q, p) if anti else (p + q, -q, -p)
     jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
-    disks = _disk_moments(af, p, near_mode, j, 2.0 * bf + q, k, jets)
-    disks = disks + _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+    factorials = [_float("i!", math.factorial(i)) for i in range(max(j, k) + 1)]
+    disks = _disk_moments(near_mode, j, 2.0 * bf + q, k, jets, factorials)
+    b_jets = _mode_jets(bf, q, k, (b_mode,))
+    disks = disks + _disk_moments(b_mode, k, 2.0 * af + p, j, b_jets, factorials).T
     collars = np.array([_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS])
-    powers, coeffs = _mode_coefficients(af, p, mode, j, jets)
-    powers = powers.astype(float)
+    powers, coeffs = _mode_coefficients(mode, j, jets)
     tables = disks + collars
     c = 2.0 * (af + bf + 1.0) + p + q
     E = c - powers
-    perms = [(-1) ** p * math.perm(j, i) for i in range(j + 1)]
+    perms = [_float("perm(j, i)", (-1) ** p * math.perm(j, i)) for i in range(j + 1)]
     weights = np.zeros((len(powers), j + k + 1))
     weights[:, k:] = (coeffs * perms)[:, ::-1]
     divisor = np.where(E == 0.0, np.inf, E)  # 1/inf = 0
@@ -435,12 +435,12 @@ def _inner_moments(
     ends = poly * 1.5 ** E[:, None]
     shifted = np.zeros((2, 2, j + k + 1), dtype=complex)  # [inner|gross, level, o]
     for jp, kp in itertools.product(range(j + 1), range(k + 1)):
-        comb = math.comb(j, jp) * math.comb(k, kp)
+        comb = _float("comb(j, jp) comb(k, kp)", math.comb(j, jp) * math.comb(k, kp))
         unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
         shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
     # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
     window = tuple((r, E[r].item()) for r in np.flatnonzero(np.abs(E) <= 1.1).tolist())
-    t = np.arange(_NEAR_TERMS)
+    t = np.arange(_NEAR_TERMS)  # t! in floats: int64 wraps from 21! on
     near = {}
     for size in range(1, len(window) + 1):
         for rows in itertools.combinations([r for r, _ in window], size):
@@ -449,7 +449,7 @@ def _inner_moments(
             rest[index] = False
             near[rows] = _NearSeries(*_frozen(
                 index, rest, poly[rest, 0], ends[rest].sum(0),
-                (c - powers[index, None]) ** t / np.cumprod(np.maximum(t, 1)),
+                (c - powers[index, None]) ** t / np.cumprod(np.maximum(t, 1.0)),
                 weights[index],
             ))
     logs = np.arange(j + k + 1)[:, None]

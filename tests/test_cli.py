@@ -540,6 +540,26 @@ class TestVerify:
         assert err.startswith("FAILED ") and "ValueError: the collar's" in err
         assert err.endswith("beyond float range\n")
 
+    def test_log_degrees_fail_alone(self, tmp_path, capsys):
+        # j = 21 passes the largest factorial in int64 and j + k = 171 float
+        # range: each fails alone with a ValueError, and the corner spec is
+        # still reported
+        corner = {"a": "-1/3", "b": "-1/4", "p": 0, "q": 0, "j": 0, "k": 0}
+        high = [{**corner, "p": 1, "q": 1, "j": 21}, {**corner, "p": 1, "q": 1, "j": 100, "k": 71}]
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps(high + [corner]))
+        base = tmp_path / "report"
+        code, out, err = run(capsys, ["verify", str(specs), "--report", str(base)])
+        assert code == 1
+        assert out.startswith("verified 3 specs: 1 passed, 2 failed\n")
+        lines = err.splitlines()
+        assert len(lines) == 2 and "Traceback" not in err
+        assert all(line.startswith("FAILED ") and "ValueError: " in line for line in lines)
+        assert lines[1].endswith("ValueError: the log degree j+k = 171 needs (j+k)!, "
+                                 "beyond float range")
+        doc = json.loads(base.with_suffix(".json").read_text())
+        assert [r["spec"] for r in doc["reports"]] == [{**corner, "chirality": "holo"}]
+
     def test_empty_spec_list(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text("[]")
@@ -702,8 +722,8 @@ class TestExitCodeRule:
 # Number faults, each a typed refusal: a zero denominator (exit 2 in a
 # flag, which argparse refuses, and 3 in a document, naming the item), an
 # exponent or integer field beyond float range and a BothInteger constant
-# far below it (exit 3).  None may end in a traceback: exit 1 means a
-# verification failed.
+# far below it, and an output past the 2^20-element cap (exit 3).  None
+# may end in a traceback: exit 1 means a verification failed.
 _N = 10**400
 _GOOD_SPEC = _SPEC % '"-1/3"'
 _POWERS_TERM = (
@@ -738,6 +758,11 @@ NUMBER_FAULTS = [
      "BothInteger constant at a=100000, b=100000 is below float range"),
     ("demo-exponent", ["demo", "monomial", "--n", str(_N), "--m", "2"], None, 3,
      "exponent is beyond float range"),
+    # an output of more than 2^20 elements is refused before any is built
+    ("constant-j-cap", ["constant", "-a", "-1/3", "-b", "-1/4", "-j", "1000000000"], None, 3,
+     "a log degree of 1000000000 would hold 1000000001 elements, beyond the output cap of 1048576"),
+    ("bernstein-kappa-cap", ["bernstein", "--kappa", "1000000000"], '["-1/2"]', 3,
+     "the candidates at kappa 1000000000 would hold 1000000001 elements, beyond the output cap"),
 ]
 
 

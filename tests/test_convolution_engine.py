@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymconv import expansion_algebra
 from asymconv.convolution_engine import (
     INTEGER_CASE_SCALE,
     RHO_NORM,
@@ -412,6 +413,15 @@ class TestBernsteinCombine:
         out = bernstein_combine([F(-1, 2)], [F(-1, 3)], kappa=2)
         assert out.canonical == {F(-5, 6)}
         assert out.candidates == {F(-5, 6), F(-11, 6), F(-17, 6)}
+
+    def test_candidates_are_capped_before_any_is_built(self, monkeypatch):
+        # |canonical| (kappa + 1) candidates, at most the output cap, here
+        # lowered to the cusp pair's two classes at kappa = 2
+        monkeypatch.setattr(expansion_algebra, "_MAX_OUTPUT_ELEMENTS", 6)
+        out = bernstein_combine([F(-1, 2)], [F(-1, 3), F(-2, 3)], kappa=2)
+        assert len(out.candidates) == 6
+        with pytest.raises(ValueError, match="^the candidates at kappa 3 would hold 8 elements"):
+            bernstein_combine([F(-1, 2)], [F(-1, 3), F(-2, 3)], kappa=3)
 
     def test_rejects_nonnegative_roots(self):
         with pytest.raises(ValueError):

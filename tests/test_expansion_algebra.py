@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asymconv import expansion_algebra
 from asymconv.expansion_algebra import (
     CaseTag,
     Chirality,
@@ -66,6 +67,21 @@ class TestLogPolynomial:
         assert poly.leading == 2.0
         assert poly.coefficient(0) == 0.0
         assert poly.coefficient(7) == 0.0
+
+    def test_monomial_slots_are_capped_before_any_is_built(self, monkeypatch):
+        # degree + 1 slots, at most 2^20; the cap is checked on the count
+        expansion_algebra._check_output_size("x", 2**20)
+        with pytest.raises(ValueError, match="output cap of 1048576$"):
+            expansion_algebra._check_output_size("x", 2**20 + 1)
+        calls = []
+        monkeypatch.setattr(expansion_algebra, "_MAX_OUTPUT_ELEMENTS", 4)
+        monkeypatch.setattr(LogPolynomial, "of_coeffs", staticmethod(calls.append))
+        LogPolynomial.monomial(3)
+        assert len(calls[0]) == 4
+        with pytest.raises(ValueError, match="^a log degree of 4 would hold 5 elements, "
+                                             "beyond the output cap of 4$"):
+            LogPolynomial.monomial(4)
+        assert len(calls) == 1
 
     def test_addition_cancels(self):
         left = LogPolynomial.of_coeffs([1.0, 1.0])

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import functools
 import importlib.util
@@ -31,6 +32,7 @@ from asymconv.quadrature_oracle import (
     _inner_moments,
     _kernel_samples,
     _mode_coefficients,
+    _mode_jets,
     _radii,
     _readout,
     eval_kernel_integral,
@@ -54,13 +56,22 @@ def entry_of(spec):
 def far_series(af, bf, p, q, j, k, anti):
     """(powers, coefficients) of the far field's angular mode, as
     _inner_moments builds them."""
-    return _mode_coefficients(af, p, p - q if anti else p + q, j)
+    mode = p - q if anti else p + q
+    return _mode_coefficients(mode, j, _mode_jets(af, p, j, (mode,)))
+
+
+def disk_moments(c, extra, n, order, radial_exp, logmax):
+    """_disk_moments of the mode n of |1-z|^{2c} (1-z)^extra, with its own
+    jets and float factorials."""
+    factorials = [float(math.factorial(i)) for i in range(order + 1)]
+    jets = _mode_jets(c, extra, order, (n,))
+    return _disk_moments(n, order, radial_exp, logmax, jets, factorials)
 
 
 def disk_tables(af, bf, p, q, j, k, anti):
     """[jp, kp]: the two disk series summed, as _inner_moments adds them."""
-    patch0 = _disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
-    return patch0 + _disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
+    patch0 = disk_moments(af, p, q if anti else -q, j, 2.0 * bf + q, k)
+    return patch0 + disk_moments(bf, q, p if anti else -p, k, 2.0 * af + p, j).T
 
 
 def collar_tables(af, bf, p, q, j, k, anti):
@@ -525,7 +536,7 @@ class TestDiskMoments:
     largest entry; 1e-14 leaves a margin of fifteen.
     """
 
-    # (c, extra, n, order, radial_exp, logmax), as _inner_moments calls it
+    # (c, extra, n, order, radial_exp, logmax), as _inner_moments builds them
     CASES = [
         (-1 / 3, 0, 0, 0, -0.5, 0),
         # holo patch0 of a=-2/5, b=-7/20, (1,1): the negative mode -q
@@ -565,7 +576,7 @@ class TestDiskMoments:
     @pytest.mark.parametrize("case", CASES)
     def test_matches_polar_quadrature(self, case):
         reference = self.brute_force(*case)
-        value = _disk_moments(*case)
+        value = disk_moments(*case)
         assert value.shape == reference.shape
         assert np.abs(value - reference).max() <= 1e-14 * np.abs(reference).max()
 
@@ -817,6 +828,53 @@ class TestSpecCache:
         for p, q, anti in ((776, 0, False), (800, 0, False), (0, 1752, False), (800, 3, True)):
             with pytest.raises(ValueError, match="beyond float range"):
                 _inner_moments(-1 / 3, -0.25, p, q, 0, 0, anti)
+
+    @pytest.mark.parametrize("j, k", [(171, 0), (0, 171), (100, 71), (10**9, 0)])
+    def test_log_degree_beyond_float_factorial_is_refused_first(self, monkeypatch, j, k):
+        # (j+k)! is the largest integer the tables read and 171! is beyond
+        # float range: the refusal comes before any recurrence or collar,
+        # at once even at j = 10^9; j + k = 170 goes on to the jets
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(oracle, "_pochhammer_jets", reached)
+        monkeypatch.setattr(oracle, "_collar_geometry", reached)
+        with pytest.raises(ValueError, match=r"j\+k = %d needs \(j\+k\)!, beyond float range$"
+                           % (j + k)):
+            _inner_moments(-1 / 3, -0.25, 1, 1, j, k, False)
+        with pytest.raises(Reached):
+            _inner_moments(-1 / 3, -0.25, 1, 1, 170, 0, False)
+
+    @pytest.mark.parametrize("j, k, anti", [(21, 0, False), (0, 21, True), (12, 13, False),
+                                            (25, 25, True), (100, 70, False)])
+    def test_tables_stay_float_past_int64_factorials(self, j, k, anti):
+        # 21! passes int64: an integer list handed to numpy as it is became
+        # an object array, and the build an untyped UFuncTypeError
+        with np.errstate(all="ignore"):  # (100, 70) reaches NaN: a numeric fault, not a type one
+            entry = _inner_moments(-1 / 3, -0.25, 1, 1, j, k, anti)
+        assert entry.window, "the near series must be built too"
+        series = list(entry.near.values())
+        arrays = [x for x in [*entry, *itertools.chain(*series)] if isinstance(x, np.ndarray)]
+        assert arrays and all(arr.dtype != object for arr in arrays)
+        values = [entry.powers, entry.weights, entry.smooth, entry.ends, entry.near_scale]
+        values += [arr for s in series for arr in (s.smooth, s.ends_total, s.jets, s.weights)]
+        assert all(arr.dtype in (np.float64, np.complex128) for arr in values)
+        assert all(type(x) is complex for row in entry.inner for x in row)
+        assert all(type(x) is float for row in entry.gross for x in row)
+        _inner_moments.cache_clear()
+
+    def test_near_jets_divide_by_the_true_factorials(self):
+        # E^t / t! to t = 24: an int64 product of 1..t wraps from 21! on,
+        # to -4.2e18 at t = 21
+        for spec in (KernelSpec(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=0, k=0), *SWEEP[:16]):
+            entry = entry_of(spec)
+            for series in entry.near.values():
+                for E, jets in zip(entry.c - entry.powers[series.index], series.jets):
+                    expected = [E**t / math.factorial(t) for t in range(oracle._NEAR_TERMS)]
+                    assert np.allclose(jets, expected, rtol=1e-15, atol=0.0), spec
 
     def test_pochhammer_jets_built_once_per_factor(self, monkeypatch):
         # the far series and the disk |v| <= 1/2 share the jets of a + p
@@ -1098,6 +1156,29 @@ class TestVerifyConstant:
         report = verify_constant(spec)
         assert report.case is CaseTag.SMOOTH
         assert report.relative_error < 1e-12
+
+    def test_every_outcome_is_typed(self):
+        # a seeded draw over the admissible domain, log degrees past 20!
+        # (the largest factorial in int64) included: each spec agrees or is
+        # refused with one of the three reasons verify lists as a failure
+        rng = random.Random(35)
+        values = sorted({F(n, d) for d in range(1, 8) for n in range(-d + 1, 3 * d + 1)})
+        degrees = (0, 1, 2, 5, 20, 21, 25)
+        outcomes = collections.Counter()
+        while sum(outcomes.values()) < 250:
+            try:
+                spec = KernelSpec(a=rng.choice(values), b=rng.choice(values),
+                                  p=rng.randint(0, 6), q=rng.randint(0, 6),
+                                  j=rng.choice(degrees), k=rng.choice(degrees),
+                                  chirality=rng.choice((HOLO, ANTI)))
+            except ValueError:  # outside the kernel slice
+                continue
+            try:
+                verify_constant(spec)
+                outcomes["report"] += 1
+            except (ToleranceNotMet, IllConditioned, ValueError) as exc:
+                outcomes[type(exc).__name__] += 1
+        assert outcomes["report"] > 0 and outcomes["ValueError"] > 0
 
     def test_fits_once_through_its_own_module_name(self, monkeypatch):
         # the measurement stage: one fit per spec, looked up in
