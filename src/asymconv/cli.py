@@ -230,43 +230,32 @@ def thom_sebastiani_demo(g1: asymconv.MonomialGerm, g2: asymconv.MonomialGerm):
     return asymconv.thom_sebastiani_demo(g1, g2)
 
 
-def _verify_one(spec: asymconv.KernelSpec):
-    """(report, None) or (None, reason): a spec the oracle cannot check,
-    including one it refuses with ValueError, fails alone and does not
-    abort the batch."""
-    try:
-        return verify_constant(spec), None
-    except (asymconv.ToleranceNotMet, asymconv.IllConditioned, ValueError) as exc:
-        return None, "%s: %s" % (type(exc).__name__, exc)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     tolerance = args.tolerance
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be > 0")
     if args.jobs < 1:
-        raise ValueError("parallelism must be >= 1")
+        raise ValueError("jobs must be >= 1")
     specs: List[asymconv.KernelSpec] = _load(
         args.specs, _each(asymconv.KernelSpec.from_json_dict, "spec"), "a spec list"
     )
     outputs = () if args.report is None else (args.report + ".json", args.report + ".csv")
-    with _check_writable(outputs), ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(_verify_one, specs))
-
     done: List[asymconv.VerificationReport] = []
     failures: List[str] = []
-    for spec, (report, problem) in zip(specs, outcomes):
-        if problem is not None:
-            failures.append("%s: %s" % (json.dumps(spec.to_json_dict()), problem))
-            continue
-        done.append(report)
-        if not (report.relative_error <= tolerance):
-            failures.append(
-                "%s: relative error %.3e exceeds tolerance %.3e"
-                % (json.dumps(spec.to_json_dict()), report.relative_error, tolerance)
-            )
+    with _check_writable(outputs):
+        for spec in specs:
+            name = json.dumps(spec.to_json_dict())
+            # a spec the oracle cannot check, including one it refuses
+            # with ValueError, fails alone and does not abort the batch
+            try:
+                report = verify_constant(spec)
+            except (asymconv.ToleranceNotMet, asymconv.IllConditioned, ValueError) as exc:
+                failures.append("%s: %s: %s" % (name, type(exc).__name__, exc))
+                continue
+            done.append(report)
+            if not (report.relative_error <= tolerance):
+                failures.append("%s: relative error %.3e exceeds tolerance %.3e"
+                                % (name, report.relative_error, tolerance))
 
     # The consistency summary concerns the one global measure
     # normalization, which every singular case shares.
@@ -377,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write BASE.json and BASE.csv report files",
     )
     verify_p.add_argument("--tolerance", type=float, default=1e-2)
-    verify_p.add_argument("--jobs", type=int, default=1)
+    verify_p.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="N >= 1; specs are checked in order on one thread, and N never changes the report",
+    )
     verify_p.set_defaults(run=cmd_verify)
 
     bern_p = sub.add_parser(

@@ -401,9 +401,10 @@ def _inner_moments(
 
     A sample's near powers are a set of ``window`` rows.  E steps by 2, so
     the window holds at most two rows, and ``near`` holds a _NearSeries for
-    each of its non-empty sets, built here: the entry is shared by threads
-    and never changes.  Every integer the tables read passes _float, the largest being
-    (j+k)!: j + k > 170 and a collar beyond float range are refused before any recurrence.
+    each of its non-empty sets, built here: the entry never changes.  Every integer
+    the tables read passes _float, the largest being (j+k)!: j + k > 170 and a collar
+    beyond float range are refused before any recurrence, and a float overflow or
+    invalid operation in the build (100 <= j+k <= 170 can meet one) is a ValueError.
     """
     if j + k > 170:  # 171! is the first factorial beyond float range
         raise ValueError("the log degree j+k = %d needs (j+k)!, beyond float range" % (j + k))
@@ -412,59 +413,63 @@ def _inner_moments(
     if top > math.log(sys.float_info.max):
         raise ValueError("the collar's |1-v|^(2a+p) |v|^(2b+q) reaches e^%.0f at v = -3/2, "
                          "beyond float range" % top)
-    mode, near_mode, b_mode = (p - q, q, p) if anti else (p + q, -q, -p)
-    jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
-    factorials = [_float("i!", math.factorial(i)) for i in range(max(j, k) + 1)]
-    disks = _disk_moments(near_mode, j, 2.0 * bf + q, k, jets, factorials)
-    b_jets = _mode_jets(bf, q, k, (b_mode,))
-    disks = disks + _disk_moments(b_mode, k, 2.0 * af + p, j, b_jets, factorials).T
-    collars = np.array([_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS])
-    powers, coeffs = _mode_coefficients(mode, j, jets)
-    tables = disks + collars
-    c = 2.0 * (af + bf + 1.0) + p + q
-    E = c - powers
-    perms = [_float("perm(j, i)", (-1) ** p * math.perm(j, i)) for i in range(j + 1)]
-    weights = np.zeros((len(powers), j + k + 1))
-    weights[:, k:] = (coeffs * perms)[:, ::-1]
-    divisor = np.where(E == 0.0, np.inf, E)  # 1/inf = 0
-    poly = np.zeros_like(weights)  # [r, n]: coefficient of (Log X^2)^n
-    for m in range(k, j + k + 1):
-        for n in range(m + 1):
-            scale = math.perm(m, m - n) * (-2.0) ** (m - n)
-            poly[:, n] += weights[:, m] * scale / divisor ** (m - n + 1)
-    ends = poly * 1.5 ** E[:, None]
-    shifted = np.zeros((2, 2, j + k + 1), dtype=complex)  # [inner|gross, level, o]
-    for jp, kp in itertools.product(range(j + 1), range(k + 1)):
-        comb = _float("comb(j, jp) comb(k, kp)", math.comb(j, jp) * math.comb(k, kp))
-        unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
-        shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
-    # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
-    window = tuple((r, E[r].item()) for r in np.flatnonzero(np.abs(E) <= 1.1).tolist())
-    t = np.arange(_NEAR_TERMS)  # t! in floats: int64 wraps from 21! on
-    near = {}
-    for size in range(1, len(window) + 1):
-        for rows in itertools.combinations([r for r, _ in window], size):
-            index = np.array(rows)
-            rest = np.ones(len(powers), dtype=bool)
-            rest[index] = False
-            near[rows] = _NearSeries(*_frozen(
-                index, rest, poly[rest, 0], ends[rest].sum(0),
-                (c - powers[index, None]) ** t / np.cumprod(np.maximum(t, 1.0)),
-                weights[index],
-            ))
-    logs = np.arange(j + k + 1)[:, None]
-    return _SpecSeries(
-        *_frozen(
-            powers, weights, poly[:, 0].copy(), ends,
-            np.arange(1.0, j + k + _NEAR_TERMS + 1), logs + t, -(2.0**logs),
-        ),
-        ends_total=tuple(ends.sum(axis=0).tolist()),
-        inner=tuple(map(tuple, shifted[0].tolist())),
-        gross=tuple(map(tuple, shifted[1].real.tolist())),
-        window=window,
-        near=types.MappingProxyType(near),
-        c=c, mode=mode,
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            mode, near_mode, b_mode = (p - q, q, p) if anti else (p + q, -q, -p)
+            jets = _mode_jets(af, p, j, (mode, near_mode))  # shared with the far series
+            factorials = [_float("i!", math.factorial(i)) for i in range(max(j, k) + 1)]
+            disks = _disk_moments(near_mode, j, 2.0 * bf + q, k, jets, factorials)
+            b_jets = _mode_jets(bf, q, k, (b_mode,))
+            disks = disks + _disk_moments(b_mode, k, 2.0 * af + p, j, b_jets, factorials).T
+            collars = np.array([_collar(level, af, bf, p, q, j, k, anti) for level in _LEVELS])
+            powers, coeffs = _mode_coefficients(mode, j, jets)
+            tables = disks + collars
+            c = 2.0 * (af + bf + 1.0) + p + q
+            E = c - powers
+            perms = [_float("perm(j, i)", (-1) ** p * math.perm(j, i)) for i in range(j + 1)]
+            weights = np.zeros((len(powers), j + k + 1))
+            weights[:, k:] = (coeffs * perms)[:, ::-1]
+            divisor = np.where(E == 0.0, np.inf, E)  # 1/inf = 0
+            poly = np.zeros_like(weights)  # [r, n]: coefficient of (Log X^2)^n
+            for m in range(k, j + k + 1):
+                for n in range(m + 1):
+                    scale = math.perm(m, m - n) * (-2.0) ** (m - n)
+                    poly[:, n] += weights[:, m] * scale / divisor ** (m - n + 1)
+            ends = poly * 1.5 ** E[:, None]
+            shifted = np.zeros((2, 2, j + k + 1), dtype=complex)  # [inner|gross, level, o]
+            for jp, kp in itertools.product(range(j + 1), range(k + 1)):
+                comb = _float("comb(j, jp) comb(k, kp)", math.comb(j, jp) * math.comb(k, kp))
+                unsigned = comb * (abs(disks[jp, kp]) + abs(collars[:, jp, kp]))
+                shifted[:, :, j - jp + k - kp] += comb * tables[:, jp, kp], unsigned
+            # sigma <= 1/4 keeps |T| >= log(8/3) > 1/1.1: no other power is near
+            window = tuple((r, E[r].item()) for r in np.flatnonzero(np.abs(E) <= 1.1).tolist())
+            t = np.arange(_NEAR_TERMS)  # t! in floats: int64 wraps from 21! on
+            near = {}
+            for size in range(1, len(window) + 1):
+                for rows in itertools.combinations([r for r, _ in window], size):
+                    index = np.array(rows)
+                    rest = np.ones(len(powers), dtype=bool)
+                    rest[index] = False
+                    near[rows] = _NearSeries(*_frozen(
+                        index, rest, poly[rest, 0], ends[rest].sum(0),
+                        (c - powers[index, None]) ** t / np.cumprod(np.maximum(t, 1.0)),
+                        weights[index],
+                    ))
+            logs = np.arange(j + k + 1)[:, None]
+            return _SpecSeries(
+                *_frozen(
+                    powers, weights, poly[:, 0].copy(), ends,
+                    np.arange(1.0, j + k + _NEAR_TERMS + 1), logs + t, -(2.0**logs),
+                ),
+                ends_total=tuple(ends.sum(axis=0).tolist()),
+                inner=tuple(map(tuple, shifted[0].tolist())),
+                gross=tuple(map(tuple, shifted[1].real.tolist())),
+                window=window,
+                near=types.MappingProxyType(near),
+                c=c, mode=mode,
+            )
+    except FloatingPointError as exc:  # never a NaN entry, nor a numpy warning
+        raise ValueError("the build at log degree j+k = %d left float range: %s" % (j + k, exc))
 
 
 def _horner(coeffs: Sequence, x):

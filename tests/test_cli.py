@@ -9,6 +9,8 @@ stable contract: 0 success, 1 verification failure, 2 parse error,
 import gc
 import json
 import math
+import threading
+import warnings
 
 import pytest
 
@@ -459,8 +461,8 @@ class TestVerify:
         assert outputs[0] == outputs[1]
 
     def test_worker_count_does_not_change_report(self, tmp_path, capsys):
-        # each run starts cold, so the three workers race to build the
-        # spec entries and the collar geometry both specs share
+        # each run starts cold, so both build the spec entries and the
+        # collar geometry both specs share; --jobs 3 must not move a byte
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([SPEC_GENERIC, SPEC_ANTI]))
         blobs = []
@@ -475,6 +477,31 @@ class TestVerify:
             assert code == 0
             blobs.append(base.with_suffix(".json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_specs_are_checked_in_order_without_a_thread(self, tmp_path, capsys, monkeypatch):
+        # --jobs N is kept for the byte contract alone: every spec runs on
+        # the calling thread, in the order of the spec file
+        def no_thread(thread):
+            raise AssertionError("verify started a thread")
+
+        seen = []
+        original = cli.verify_constant
+
+        def recorded(spec):
+            seen.append((spec.to_json_dict(), threading.get_ident()))
+            return original(spec)
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(cli, "verify_constant", recorded)
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([SPEC_ANTI, SPEC_GENERIC]))
+        base = tmp_path / "report"
+        code, out, _ = run(capsys, ["verify", str(specs), "--report", str(base), "--jobs", "2"])
+        assert code == 0
+        assert out.startswith("verified 2 specs: 2 passed, 0 failed\n")
+        assert seen == [(SPEC_ANTI, threading.get_ident()), (SPEC_GENERIC, threading.get_ident())]
+        doc = json.loads(base.with_suffix(".json").read_text())
+        assert [r["spec"] for r in doc["reports"]] == [SPEC_ANTI, SPEC_GENERIC]
 
     def test_mixed_cases_share_one_normalization_pool(self, tmp_path, capsys):
         # Every singular case, BothInteger included, is stated under the
@@ -557,6 +584,26 @@ class TestVerify:
         assert all(line.startswith("FAILED ") and "ValueError: " in line for line in lines)
         assert lines[1].endswith("ValueError: the log degree j+k = 171 needs (j+k)!, "
                                  "beyond float range")
+        doc = json.loads(base.with_suffix(".json").read_text())
+        assert [r["spec"] for r in doc["reports"]] == [{**corner, "chirality": "holo"}]
+
+    def test_overflowing_build_fails_alone(self, tmp_path, capsys):
+        # at j + k = 170 the far series' (j+k)!/E^(j+k) weights leave float
+        # range: the spec fails alone with one ValueError that names j+k,
+        # and no numpy warning reaches stderr
+        corner = {"a": "-1/3", "b": "-1/4", "p": 0, "q": 0, "j": 0, "k": 0}
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{**corner, "p": 1, "q": 1, "j": 100, "k": 70}, corner]))
+        base = tmp_path / "report"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["verify", str(specs), "--report", str(base)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 1
+        assert out.startswith("verified 2 specs: 1 passed, 1 failed\n")
+        (line,) = err.splitlines()
+        assert line.startswith("FAILED ")
+        assert "ValueError: the build at log degree j+k = 170 left float range: overflow" in line
         doc = json.loads(base.with_suffix(".json").read_text())
         assert [r["spec"] for r in doc["reports"]] == [{**corner, "chirality": "holo"}]
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from asymconv import expansion_algebra
@@ -352,6 +352,60 @@ class TestPairRuleReference:
         assert out.compensated == expected.compensated
 
 
+#: unit terms |s|^(2r) s^m sbar^n (Log|s|^2)^j: r over the denominators
+#: 2, 3, 4, 5 and 7 in (-1, 0], m, n <= 2 and j <= 1
+unit_terms = st.builds(
+    lambda r, m, n, degree: SingularTerm(r=r, m=m, n=n, poly=LogPolynomial.monomial(degree)),
+    st.sampled_from([2, 3, 4, 5, 7]).flatmap(lambda d: st.integers(0, d - 1).map(
+        lambda n: F(-n, d))),
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+)
+
+
+class TestAssociativity:
+    """f + g + h in both bracketings: the exact layer must not see the
+    order in which three germs are summed."""
+
+    @seed(1)
+    @given(st.tuples(unit_terms, unit_terms, unit_terms))
+    @settings(max_examples=150, deadline=None)
+    def test_convolve_terms(self, triple):
+        # both bracketings end Smooth, or both reach one key at one degree
+        # with leading coefficients that agree to roundoff
+        f, g, h = triple
+        fg, gh = convolve_terms(f, g).term, convolve_terms(g, h).term
+        left = None if fg is None else convolve_terms(fg, h)
+        right = None if gh is None else convolve_terms(f, gh)
+        left, right = (None if end is None or end.term is None else end for end in (left, right))
+        assert (left is None) == (right is None)
+        if left is not None:
+            assert left.term.key == right.term.key and left.degree == right.degree
+            assert abs(left.leading_coeff - right.leading_coeff) <= 1e-12 * abs(
+                left.leading_coeff
+            )
+
+    @seed(1)
+    @given(st.tuples(*[st.lists(singular_terms(), min_size=1, max_size=3)] * 3))
+    @settings(max_examples=50, deadline=None)
+    def test_convolve_expansions(self, triple):
+        # each pair carries only its leading log slot, so a key's lower
+        # slots (the pairs of lower degree) are dropped when it is convolved
+        # again; each key's leading slot must not depend on the bracketing
+        e1, e2, e3 = (Expansion(terms=terms, smooth_order=2) for terms in triple)
+        inner = convolve_expansions(e1, e2), convolve_expansions(e2, e3)
+        assume(not (inner[0].compensated or inner[1].compensated))
+        left, right = convolve_expansions(inner[0], e3), convolve_expansions(e1, inner[1])
+        compensated = left.compensated | right.compensated
+        left, right = (
+            {t.key: t.poly for t in side.terms if t.key not in compensated}
+            for side in (left, right)
+        )
+        assert left.keys() == right.keys()
+        for key, poly in left.items():
+            assert poly.degree == right[key].degree
+            assert abs(poly.leading - right[key].leading) <= 1e-9 * abs(poly.leading)
+
+
 def _zero_signs(z):
     return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
 
@@ -446,6 +500,31 @@ class TestBernsteinCombine:
         if (n, m) == (2, 3):
             # at kappa = 0 the canonical window [-1, 0) holds -1/6, not -7/6
             assert F(-7, 6) not in bernstein_combine(first, second).candidates
+
+    @pytest.mark.parametrize("count, top, needed", [(3, 6, {1: 11, 2: 24}),
+                                                    (4, 5, {1: 1, 2: 28, 3: 6})])
+    def test_n_germ_brieskorn_pham_budget(self, count, top, needed):
+        # x1^N1 + ... + xn^Nn: folding bernstein_combine left over the
+        # one-variable roots -k/N_t, with one kappa at each step, reaches
+        # -1 and every -(i_1/N_1 + ... + i_n/N_n), 0 < i_t < N_t, at
+        # kappa = n - 1, and some exponent sets need all of it
+        first_kappa = {}
+        for exponents in itertools.combinations_with_replacement(range(2, top + 1), count):
+            roots = {F(-1)} | {
+                -sum(map(F, parts, exponents))
+                for parts in itertools.product(*(range(1, n) for n in exponents))
+            }
+            for kappa in range(count):
+                candidates = [F(-k, exponents[0]) for k in range(1, exponents[0] + 1)]
+                for n in exponents[1:]:
+                    candidates = bernstein_combine(
+                        candidates, [F(-k, n) for k in range(1, n + 1)], kappa=kappa
+                    ).candidates
+                if roots <= candidates:
+                    break
+            assert roots <= candidates, exponents
+            first_kappa[kappa] = first_kappa.get(kappa, 0) + 1
+        assert first_kappa == needed
 
     @given(
         roots1=st.sets(

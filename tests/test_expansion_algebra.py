@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from asymconv import expansion_algebra
 from asymconv.expansion_algebra import (
@@ -135,6 +135,17 @@ class TestCombineTypes:
         a = ExponentSetType(dict(left))
         b = ExponentSetType(dict(right))
         assert combine_types(a, b).entries == combine_types(b, a).entries
+
+    @seed(1)
+    @given(st.tuples(*[st.dictionaries(
+        exponents_over_one_to_twelve, log_degrees, min_size=1, max_size=4)] * 3))
+    @settings(max_examples=80, deadline=None)
+    def test_associative(self, triple):
+        # the type of f + g + h does not depend on the bracketing
+        a, b, c = (ExponentSetType(dict(entries)) for entries in triple)
+        assert combine_types(combine_types(a, b), c).entries == combine_types(
+            a, combine_types(b, c)
+        ).entries
 
     @given(type_entries, type_entries)
     def test_output_keys_exceed_minus_one(self, left, right):

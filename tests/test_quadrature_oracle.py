@@ -849,12 +849,14 @@ class TestSpecCache:
             _inner_moments(-1 / 3, -0.25, 1, 1, 170, 0, False)
 
     @pytest.mark.parametrize("j, k, anti", [(21, 0, False), (0, 21, True), (12, 13, False),
-                                            (25, 25, True), (100, 70, False)])
+                                            (25, 25, True), (50, 49, False), (99, 0, False),
+                                            (120, 0, False)])
     def test_tables_stay_float_past_int64_factorials(self, j, k, anti):
         # 21! passes int64: an integer list handed to numpy as it is became
-        # an object array, and the build an untyped UFuncTypeError
-        with np.errstate(all="ignore"):  # (100, 70) reaches NaN: a numeric fault, not a type one
-            entry = _inner_moments(-1 / 3, -0.25, 1, 1, j, k, anti)
+        # an object array, and the build an untyped UFuncTypeError; below
+        # the overflow that test_overflowing_build_is_refused pins, every
+        # entry is finite
+        entry = _inner_moments(-1 / 3, -0.25, 1, 1, j, k, anti)
         assert entry.window, "the near series must be built too"
         series = list(entry.near.values())
         arrays = [x for x in [*entry, *itertools.chain(*series)] if isinstance(x, np.ndarray)]
@@ -862,9 +864,20 @@ class TestSpecCache:
         values = [entry.powers, entry.weights, entry.smooth, entry.ends, entry.near_scale]
         values += [arr for s in series for arr in (s.smooth, s.ends_total, s.jets, s.weights)]
         assert all(arr.dtype in (np.float64, np.complex128) for arr in values)
+        assert all(np.isfinite(arr).all() for arr in values)
+        assert np.isfinite([entry.inner, entry.gross]).all() and np.isfinite(entry.ends_total).all()
         assert all(type(x) is complex for row in entry.inner for x in row)
         assert all(type(x) is float for row in entry.gross for x in row)
         _inner_moments.cache_clear()
+
+    @pytest.mark.parametrize("j, k", [(100, 70), (85, 85), (170, 0), (0, 170)])
+    def test_overflowing_build_is_refused(self, j, k):
+        # (j+k)! / E^(j+k) and its neighbours leave float range: one
+        # ValueError naming j+k, never a NaN entry or a numpy warning
+        # (filterwarnings makes one an error)
+        with pytest.raises(ValueError, match=r"^the build at log degree j\+k = 170 left float "
+                                             r"range: (overflow|invalid value) encountered in "):
+            _inner_moments(-1 / 3, -0.25, 1, 1, j, k, False)
 
     def test_near_jets_divide_by_the_true_factorials(self):
         # E^t / t! to t = 24: an int64 product of 1..t wraps from 21! on,
