@@ -29,6 +29,7 @@ from .expansion_algebra import (
     SingularTerm,
     _CaseTable,
     _check_output_size,
+    _check_slice,
     _exact_int,
     as_fraction,
     case_degree,
@@ -39,7 +40,6 @@ from .expansion_algebra import (
 from .gamma_kernel import (
     Chirality,
     F_const,
-    _check_slice,
     _gamma_factor,
     _GammaFactor,
     _integer_case_log2,

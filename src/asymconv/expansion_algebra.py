@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 RationalInput = Union[Fraction, int, str]
 
@@ -65,6 +65,23 @@ def is_natural(x: Fraction) -> bool:
     return x.denominator == 1 and x.numerator >= 0
 
 
+def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
+    """a+b+1+shift when it is natural, else None: the one "is a+b+1 natural"
+    test on Fractions, for classify_case, the case constants, the oracle's
+    fit, finite part and smooth-power gap, and the fiber demo.  In lowest
+    terms a+b is an integer only when a and b share their denominator, so
+    it is decided on the integer numerators, several times cheaper than
+    two Fraction sums.  combine_types and a convolution's pairs decide it
+    on numerators over their common denominator instead."""
+    denominator = a.denominator
+    if b.denominator != denominator:
+        return None
+    total = a.numerator + b.numerator + (shift + 1) * denominator
+    if total < 0 or total % denominator:
+        return None
+    return total // denominator
+
+
 def _exact_int(name: str, value, minimum: int = 0) -> int:
     """An integer field >= minimum and within float range (as _float says).  Floats,
     bools and strings are refused instead of truncated; the exact layer's one integer rule."""
@@ -104,6 +121,22 @@ class Chirality(str, Enum):
 
     HOLO = "holo"
     ANTI = "anti"
+
+
+def _check_slice(
+    p: int, q: int, a: RationalInput, b: RationalInput, chirality: Chirality
+) -> Tuple[Fraction, Fraction, Chirality]:
+    """(a, b, chirality) once p and q are integers >= 0, (a, b) lies in the
+    admissible slice a+p/2 > -1, b+q/2 > -1 (refused one side at a time),
+    and Chirality(chirality) holds: KernelSpec's and the constants' check."""
+    _exact_int("p", p)
+    _exact_int("q", q)
+    a, b = as_fraction(a), as_fraction(b)
+    if not in_slice(a, p):
+        raise ValueError("need a + p/2 > -1 for local integrability at s")
+    if not in_slice(b, q):
+        raise ValueError("need b + q/2 > -1 for local integrability at 0")
+    return a, b, Chirality(chirality)
 
 
 @dataclass(frozen=True)
@@ -360,8 +393,7 @@ def classify_case(a: RationalInput, b: RationalInput, j: int, k: int) -> CaseTag
 
     Preconditions: ``a, b > -1``; ``j, k >= 0``.
     """
-    af = as_fraction(a)
-    bf = as_fraction(b)
+    af, bf = as_fraction(a), as_fraction(b)
     if not (in_slice(af, 0) and in_slice(bf, 0)):
         raise ValueError("exponents must lie in (-1, oo), got a=%s b=%s" % (af, bf))
     try:
@@ -369,7 +401,8 @@ def classify_case(a: RationalInput, b: RationalInput, j: int, k: int) -> CaseTag
         _exact_int("k", k)
     except ValueError:
         raise ValueError("log degrees must be integers >= 0, got j=%r k=%r" % (j, k)) from None
-    return _case(is_natural(af), is_natural(bf), is_natural(af + bf + 1), j, k)
+    sum_natural = _natural_sum(af, bf) is not None
+    return _case(is_natural(af), is_natural(bf), sum_natural, j, k)
 
 
 def _case(
@@ -476,12 +509,6 @@ def _quote(text: str) -> str:
 
 def _canonical(value, indent: int) -> str:
     kind = type(value)
-    if kind is float:
-        return _format_float(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return str(value)
     if kind is not list and kind is not tuple and kind is not dict:
         if value is None:
             return "null"
@@ -527,11 +554,11 @@ def canonical_json(data) -> str:
     """Serialize to JSON with sorted keys and fixed 17-significant-digit floats.
 
     Identical inputs produce byte-identical output, which the report files
-    rely on.  Ends with a newline.  Plain floats, strings, ints, lists,
-    tuples and dicts are dispatched on their exact type; None, bool and
-    subclasses (the str-Enum values) take the isinstance chain.  A list
-    or dict formats its float, int and str leaves in its own loop, so only
-    containers and those rare types recurse.  A string or key is quoted
+    rely on.  Ends with a newline.  Lists, tuples and dicts are dispatched
+    on their exact type, and each formats its plain float, int and str
+    leaves in its own loop, so only containers and rare leaves recurse:
+    None, bool, subclasses (the str-Enum values) and a bare scalar
+    document take the isinstance chain.  A string or key is quoted
     directly when json.dumps would leave it unescaped.
     """
     return _canonical(data, 0) + "\n"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .convolution_engine import convolve_terms
 from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int
-from .expansion_algebra import classify_case, is_natural
+from .expansion_algebra import _natural_sum, classify_case
 from .quadrature_oracle import (
     _SMOOTH_CUTOFF,
     KernelSpec,
@@ -256,8 +256,7 @@ def _filter_readout(spec: KernelSpec, values) -> Tuple[LogPolynomial, float]:
     """The singular coefficients read off the deepest window, and the
     condition number: how much the readout amplifies a relative error in
     the samples, from the taps, lambda and the grid alone."""
-    x = spec.a + spec.b + 1
-    resonant, xf = is_natural(x), float(x)
+    resonant, xf = _natural_sum(spec.a, spec.b) is not None, float(spec.a + spec.b + 1)
     lam, sig = 4.0**-xf, np.array(_GRID)
     column = np.abs(sig ** (2.0 * xf) * (np.log(sig**2) if resonant else 1.0))
     # A sigma^{2x} leaves A sigma_i^{2x} P(lambda) in the window from sigma_i,
@@ -308,7 +307,7 @@ def measure_singular_exponent(g1: MonomialGerm, g2: MonomialGerm) -> float:
             "a germ of exponent 1 makes the pair Smooth; "
             "there is no singular exponent to measure"
         )
-    if is_natural(spec.a + spec.b + 1):
+    if _natural_sum(spec.a, spec.b) is not None:
         raise ValueError(
             "combined exponent a+b+1 is a natural number: a resonance, "
             "where the power degenerates into a log"

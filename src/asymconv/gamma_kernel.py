@@ -16,12 +16,12 @@ exact.  Every function that decides a branch on integrality (is an
 exponent a natural number, is a sum resonant) takes its exponents as
 exact rationals and refuses a float with TypeError; only the three
 identity evaluators beta_tail_integral, binomial_gamma_sum and gauss_sum
-take floats, since they classify nothing.  Integer fields, the chirality
-and the admissible slice pass expansion_algebra's rules (_exact_int,
-Chirality, in_slice) and nothing else.  A constant is a plain float,
-GammaPoleError (a ValueError) where the continuation has a pole, or a
-ValueError where its magnitude, or an exponent's, is beyond float range
-(expansion_algebra._float).
+take floats, since they classify nothing.  Integer fields, the chirality,
+the slice and "is a+b+1 natural" pass expansion_algebra's rules and
+nothing else.  Every value here, a Fourier coefficient and an identity
+evaluator's too, is a plain float, GammaPoleError (a ValueError) at a
+pole of the continuation, or a ValueError where it, an exponent or a
+Gamma value it reads is beyond float range; never an OverflowError.
 
 Natural numbers include 0 throughout.
 """
@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .expansion_algebra import Chirality, RationalInput, _exact_int, _float, as_fraction
-from .expansion_algebra import in_slice, is_natural
+from .expansion_algebra import _check_slice, _natural_sum, in_slice, is_natural
 
 
 class GammaPoleError(ValueError):
@@ -63,12 +63,23 @@ def _gamma_sign(x: float) -> int:
     return -1 if x < 0 and math.floor(x) % 2 else 1
 
 
+def _lgamma(x: float) -> float:
+    """math.lgamma(x), or ValueError naming x past lgamma's range (~2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError("Gamma(%r) is beyond float range" % x) from None
+
+
 def _signed_exp(sign: int, logs: List[float]) -> float:
     """sign * exp(the sum of logs), the sum rounded once by math.fsum, so
     its value does not depend on the order of the logs.  The sort fixes
     the order of the partial sums, so the same logs overflow alike in
-    any order; a magnitude beyond float range is a ValueError."""
-    log_value = math.fsum(sorted(logs))
+    any order; a magnitude or partial sum beyond float range is a ValueError."""
+    try:
+        log_value = math.fsum(sorted(logs))
+    except OverflowError:
+        raise ValueError("Gamma ratio beyond float range: a partial sum of its logs") from None
     try:
         return sign * math.exp(log_value)
     except OverflowError:
@@ -89,10 +100,10 @@ def _gamma_ratio(numerators: List[float], denominators: List[float]) -> float:
     logs: List[float] = []
     sign = 1
     for x in numerators:
-        logs.append(math.lgamma(x))
+        logs.append(_lgamma(x))
         sign *= _gamma_sign(x)
     for x in denominators:
-        logs.append(-math.lgamma(x))
+        logs.append(-_lgamma(x))
         sign *= _gamma_sign(x)
     return _signed_exp(sign, logs)
 
@@ -205,41 +216,6 @@ def gauss_sum(x: float, y: float, z: float) -> float:
     return _gamma_ratio([x, y, z - x - y], [z - x, z - y])
 
 
-def _check_slice(
-    p: int, q: int, a: RationalInput, b: RationalInput, chirality: Chirality
-) -> Tuple[Fraction, Fraction, Chirality]:
-    """(a, b, chirality) once the exact layer's rules accept them: p and q
-    integers >= 0, (a, b) in the admissible slice a+p/2 > -1, b+q/2 > -1
-    (KernelSpec's bounds), and Chirality(chirality)."""
-    _exact_int("p", p)
-    _exact_int("q", q)
-    a = as_fraction(a)
-    b = as_fraction(b)
-    if not (in_slice(a, p) and in_slice(b, q)):
-        raise ValueError(
-            "parameters outside the admissible slice: need a+p/2 > -1 and b+q/2 > -1"
-        )
-    return a, b, Chirality(chirality)
-
-
-def _natural_sum(a: Fraction, b: Fraction, shift: int = 0) -> Optional[int]:
-    """a+b+1+shift when it is natural, else None.
-
-    In lowest terms a+b is an integer only when a and b share their
-    denominator; it is then decided on the integer numerators, several
-    times cheaper than two Fraction sums.  The case constants ask; a
-    convolution's pairs decide it on numerators over their common
-    denominator instead.
-    """
-    denominator = a.denominator
-    if b.denominator != denominator:
-        return None
-    total = a.numerator + b.numerator + (shift + 1) * denominator
-    if total < 0 or total % denominator:
-        return None
-    return total // denominator
-
-
 class _GammaFactor(NamedTuple):
     """What one exponent x with a monomial of degree p brings to every
     leading coefficient it enters: the Gamma(x+p+1) / Gamma(-x) part of
@@ -248,16 +224,16 @@ class _GammaFactor(NamedTuple):
     only its own arguments (_pair_coefficient).
 
     ``logs`` holds lgamma(x+p+1) and, off the naturals, -lgamma(-x),
-    unsummed so that a pair's one fsum rounds once; it is None where one
-    of them is beyond float range.  ``poles`` and ``zeros`` count x+p+1
-    at a pole and -x at a pole (1/Gamma(-x) an exact zero); ``sign`` is
-    the sign of the Gamma values off those poles.  ``refusal`` says why
-    n! is beyond float range; a pair raises it, the factor never does.
+    unsummed so that a pair's one fsum rounds once; where one of them is
+    beyond float range it is _lgamma's message instead.  ``poles`` and
+    ``zeros`` count x+p+1 at a pole and -x at a pole (1/Gamma(-x) an exact
+    zero); ``sign`` is the sign of the Gamma values off those poles.
+    ``refusal`` says why n! is beyond float range; a pair raises either.
     """
 
     x: float
     p: int
-    logs: Optional[Tuple[float, ...]]
+    logs: Union[Tuple[float, ...], str]
     sign: int
     poles: int
     zeros: int
@@ -284,11 +260,11 @@ def _gamma_factor(name: str, x: Fraction, p: int) -> _GammaFactor:
         return _GammaFactor(x_f, p, (), 1, poles, zeros, factor, refusal)
     try:
         if down is None:
-            logs: Optional[Tuple[float, ...]] = (math.lgamma(up),)
+            logs: Union[Tuple[float, ...], str] = (_lgamma(up),)
         else:
-            logs = (math.lgamma(up), -math.lgamma(down))
-    except OverflowError:
-        logs = None
+            logs = (_lgamma(up), -_lgamma(down))
+    except ValueError as exc:
+        logs = str(exc)
     sign = _gamma_sign(up) * (1 if down is None else _gamma_sign(down))
     return _GammaFactor(x_f, p, logs, sign, poles, zeros, factor, refusal)
 
@@ -321,10 +297,10 @@ def _pair_coefficient(
     factor = factor_a * factor_b
     if _is_zero_ratio(poles, zeros):
         return sign * factor * 0.0
-    if logs_a is None or logs_b is None:
-        raise OverflowError("math range error")  # what math.lgamma raised for that factor
-    own_log = math.lgamma(own)
-    logs = [*logs_a, *logs_b, own_log if resonance is None else -own_log, -math.lgamma(last)]
+    if type(logs_a) is str or type(logs_b) is str:  # _lgamma's message
+        raise ValueError(logs_a if type(logs_a) is str else logs_b)
+    own_log = _lgamma(own)
+    logs = [*logs_a, *logs_b, own_log if resonance is None else -own_log, -_lgamma(last)]
     ratio_sign = sign_a * sign_b * _gamma_sign(own) * _gamma_sign(last)
     return sign * factor * _signed_exp(ratio_sign, logs)
 
@@ -420,10 +396,11 @@ def _integer_case_log2(p: int, q: int, a, b, chirality2: Chirality) -> Tuple[flo
     """(log2 |C|, a bound on its error in bits) from math.lgamma of the six factorial
     arguments, no factorial built.  The bound, 1e-12 of the lgamma magnitudes, is far
     above their few-ulp error, and below one bit wherever a factorial is feasible; an
-    argument sum beyond float range gives -inf or nan."""
+    argument beyond lgamma's range is _lgamma's ValueError, and an argument sum beyond
+    float range gives -inf or nan."""
     logs = []
     for x, y in _integer_case_pairs(p, q, _float("a", a), _float("b", b), chirality2):
-        logs += [math.lgamma(x + 1.0), math.lgamma(y + 1.0), -math.lgamma(x + y + 2.0)]
+        logs += [_lgamma(x + 1.0), _lgamma(y + 1.0), -_lgamma(x + y + 2.0)]
     return sum(logs) / math.log(2), 1e-12 * sum(map(abs, logs)) / math.log(2)
 
 

@@ -54,13 +54,14 @@ from .expansion_algebra import (
     Chirality,
     LogPolynomial,
     RationalInput,
+    _check_slice,
     _exact_int,
     _float,
     _format_float,
+    _natural_sum,
     as_fraction,
     degree_rule,
     in_slice,
-    is_natural,
 )
 
 
@@ -99,13 +100,9 @@ class KernelSpec:
         for name in ("a", "b"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
             _float(name, getattr(self, name))
-        chir = Chirality(self.chirality)
-        for name in ("p", "q", "j", "k"):
+        chir = _check_slice(self.p, self.q, self.a, self.b, self.chirality)[2]
+        for name in ("j", "k"):
             _exact_int(name, getattr(self, name))
-        if not in_slice(self.a, self.p):
-            raise ValueError("need a + p/2 > -1 for local integrability at s")
-        if not in_slice(self.b, self.q):
-            raise ValueError("need b + q/2 > -1 for local integrability at 0")
         object.__setattr__(self, "chirality", chir if self.q else Chirality.HOLO)
 
     def to_json_dict(self) -> dict:
@@ -556,7 +553,8 @@ def _refuse_near_smooth_power(spec: KernelSpec) -> None:
     power |s|^{2t} of the model, the one gap rule of the fit and the demo."""
     x = spec.a + spec.b + 1
     t_min = -spec.p if spec.chirality is Chirality.ANTI else 0
-    if not is_natural(x) and min(abs(x - t) for t in range(t_min, _SMOOTH_CUTOFF + 1)) < 1e-3:
+    near = min(abs(x - t) for t in range(t_min, _SMOOTH_CUTOFF + 1)) < 1e-3
+    if near and _natural_sum(spec.a, spec.b) is None:
         raise IllConditioned(
             "exponent a+b+1 = %.6f lies within 1e-3 of a smooth power; "
             "use the resonant model only for exact resonance" % x
@@ -601,10 +599,8 @@ def fit_radial_samples(
     radii = _radii(spec)
     if len(values) != len(radii):
         raise ValueError("got %d samples for %d radii" % (len(values), len(radii)))
-    x = spec.a + spec.b + 1
-    xf = float(x)
-    resonant_exponent = is_natural(x)
-    l_min = 1 if resonant_exponent else 0
+    xf = float(spec.a + spec.b + 1)
+    l_min = 0 if _natural_sum(spec.a, spec.b) is None else 1
     L = degree_rule(spec.a, spec.b, spec.j, spec.k)
     if L < 0:
         L = max(spec.j + spec.k, 1)
@@ -684,14 +680,13 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
     verify_constant, not through this route.  The domain b + q > -1 is
     wider than a KernelSpec's, and off resonance the readout takes no row.
     """
-    a = as_fraction(a)
-    b = as_fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     _exact_int("q", q)
     if not in_slice(a, 0):
         raise ValueError("need a > -1")
     if not in_slice(b, 2 * q):
         raise ValueError("need b + q > -1")
-    if is_natural(a + b + 1):
+    if _natural_sum(a, b) is not None:
         raise ValueError(
             "a+b+1 is a natural number: resonant exponent, no plain "
             "finite part on this route; fit the log column instead"

@@ -607,6 +607,20 @@ class TestVerify:
         doc = json.loads(base.with_suffix(".json").read_text())
         assert [r["spec"] for r in doc["reports"]] == [{**corner, "chirality": "holo"}]
 
+    def test_gamma_beyond_float_range_fails_alone(self, tmp_path, capsys):
+        # p = 10^306 passes the integer rule, but Gamma(a+p+1) is beyond
+        # float range: the spec fails alone with a ValueError, never an
+        # OverflowError that would end the batch
+        corner = {"a": "-1/3", "b": "-1/4", "p": 0, "q": 0, "j": 0, "k": 0}
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{**corner, "p": 10**306}, corner]))
+        code, out, err = run(capsys, ["verify", str(specs)])
+        assert code == 1
+        assert out.startswith("verified 2 specs: 1 passed, 1 failed\n")
+        (line,) = err.splitlines()
+        assert line.startswith("FAILED ") and "Traceback" not in err
+        assert line.endswith("ValueError: Gamma(1e+306) is beyond float range")
+
     def test_empty_spec_list(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text("[]")
@@ -803,6 +817,11 @@ NUMBER_FAULTS = [
     ("constant-both-integer-far", ["constant", "-a", "100000", "-b", "100000", "-j", "1", "-k",
                                    "1"], None, 3,
      "BothInteger constant at a=100000, b=100000 is below float range"),
+    # p = 10^306 is within float range, but Gamma(a+p+1) is not
+    ("constant-p-gamma", ["constant", "-a", "-1/3", "-b", "-1/4", "-p", str(10**306)], None, 3,
+     "Gamma(1e+306) is beyond float range"),
+    ("convolve-power-m-gamma", ["convolve"], _POWERS_TERM % (10**306, 0), 3,
+     "Gamma(1e+306) is beyond float range"),
     ("demo-exponent", ["demo", "monomial", "--n", str(_N), "--m", "2"], None, 3,
      "exponent is beyond float range"),
     # an output of more than 2^20 elements is refused before any is built

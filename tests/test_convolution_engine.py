@@ -113,6 +113,15 @@ class TestKernelLeadingConstant:
             assert base_jk == j * k / (j + k - 1)
             assert norm == RHO_NORM
 
+    def test_gamma_beyond_float_range_is_a_value_error(self):
+        # a term pair reads its Gamma factors once per term, a BothInteger
+        # kernel its lgamma estimate: each names the argument past range
+        big = term("-1/3", m=10**306)
+        with pytest.raises(ValueError, match=r"Gamma\(1e\+306\) is beyond float range"):
+            convolve_terms(big, term("-1/4"))
+        with pytest.raises(ValueError, match=r"Gamma\(1e\+306\) is beyond float range"):
+            kernel_leading_constant(0, 0, 10**306, 10**306, 1, 1, Chirality.HOLO)
+
     def test_smooth_is_zero(self):
         case, base, norm = kernel_leading_constant(
             0, 0, 2, F(-1, 2), 0, 3, Chirality.HOLO

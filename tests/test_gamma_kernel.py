@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from asymconv.expansion_algebra import Chirality
+from asymconv.expansion_algebra import Chirality, _natural_sum
 from asymconv.gamma_kernel import (
     F_const,
     G_q,
     GammaPoleError,
     _gamma_ratio,
     _integer_case_log2,
-    _natural_sum,
     beta_tail_integral,
     binomial_gamma_sum,
     degenerate_case1_coeff,
@@ -95,6 +94,27 @@ class TestExactInputs:
         assert math.isfinite(F_const(1, 0, near, F(-1, 4), HOLO))
         with pytest.raises(ValueError):
             F_const(1, 0, F(-3, 2), F(-1, 4), HOLO)
+
+
+class TestGammaBeyondFloatRange:
+    """A Gamma argument past lgamma's range (~2.5e305) is a ValueError that
+    names it, never an OverflowError (test_input_contract holds one case
+    per entry point); every earlier refusal keeps its place."""
+
+    def test_the_pair_names_its_own_argument(self):
+        # each exponent's lgamma is finite at p = q = 2e305, but the pair's
+        # Gamma(a+b+p+q+2), at 4e305, is not
+        with pytest.raises(ValueError) as info:
+            F_const(2 * 10**305, 2 * 10**305, F(-1, 3), F(-1, 4), HOLO)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "Gamma(4e+305) is beyond float range"
+
+    def test_factorial_and_pole_refusals_come_first(self):
+        # n! at a natural exponent, then a pole, before the magnitude
+        with pytest.raises(ValueError, match="171! at the natural exponent 171"):
+            degenerate_case1_coeff(10**306, 0, F(171), F(-1, 4), HOLO)
+        with pytest.raises(GammaPoleError, match="uncancelled Gamma pole"):
+            F_const(10**306, 1, F(-1, 3), F(-1, 4), ANTI)
 
 
 class TestBetaTailIntegral:

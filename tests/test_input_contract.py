@@ -30,14 +30,17 @@ from asymconv.expansion_algebra import (
     is_natural,
     kernel_term,
 )
+from asymconv.expansion_algebra import _check_slice
 from asymconv.fiber_demo import MonomialGerm
 from asymconv.gamma_kernel import (
     F_const,
     G_q,
     GammaPoleError,
+    beta_tail_integral,
     binomial_gamma_sum,
     degenerate_case1_coeff,
     fourier_coefficient,
+    gauss_sum,
     integer_case_log_coeff,
     tilde_F_const,
 )
@@ -98,6 +101,8 @@ def test_integer_field_is_refused(entry, kwargs, field, value):
         entry(**bad)
 
 
+_GAMMA_1E306 = r"Gamma\(1e\+306\) is beyond float range"
+
 # (entry point, keyword arguments, message): one number fault each.  The
 # F_const point is off resonance, so the float conversion is what refuses.
 NUMBER_FAULTS = [
@@ -110,6 +115,19 @@ NUMBER_FAULTS = [
      "p is beyond float range"),
     (SingularTerm, dict(r="-1/2", m=10**400, n=0, poly=LogPolynomial.monomial(0)),
      "m is beyond float range"),
+    # a Gamma value whose log is beyond float range (an argument past
+    # ~2.5e305) is refused by name, never with a bare OverflowError, and so
+    # is a partial sum of the logs beyond it
+    (fourier_coefficient, dict(a=10**306 + F(1, 2), q=0, r=2), _GAMMA_1E306),
+    (beta_tail_integral, dict(u=1e306, v=0), _GAMMA_1E306),
+    (binomial_gamma_sum, dict(p=0, x=2e305, y=2e305), r"Gamma\(4e\+305\) is beyond float range"),
+    (gauss_sum, dict(x=2e305, y=2e305, z=4.0000000001e305), "a partial sum of its logs"),
+    (G_q, dict(a=F(-1, 3), b=F(-1, 4), q=10**306), _GAMMA_1E306),
+    (tilde_F_const, dict(p=10**306, q=0, a=F(-1, 3), b=F(-2, 3), chirality2=HOLO), _GAMMA_1E306),
+    (degenerate_case1_coeff, dict(p=10**306, q=0, a=2, b=F(-1, 4), chirality2=HOLO),
+     _GAMMA_1E306),
+    (kernel_leading_constant,
+     dict(p=10**306, q=0, a=F(-1, 3), b=F(-1, 4), j=0, k=0, chirality=HOLO), _GAMMA_1E306),
 ]
 
 
@@ -162,6 +180,34 @@ def test_chirality_rule_in_the_pair_constant_and_the_spec():
             KernelSpec(a="-1/3", b="-1/4", p=0, q=q, j=0, k=0, chirality=5)
     with pytest.raises(ValueError):
         kernel_term(F(-1, 2), 1, 5, 0)
+
+
+# (a, b, p, q) outside the slice on one side, and that side's message
+SLICE_FAULTS = [
+    (F(-3, 2), F(-1, 4), 1, 1, r"need a \+ p/2 > -1 for local integrability at s"),
+    (F(-1, 3), F(-2), 0, 2, r"need b \+ q/2 > -1 for local integrability at 0"),
+    (F(-3, 2), F(-3, 2), 0, 0, r"need a \+ p/2 > -1 for local integrability at s"),
+]
+
+
+@pytest.mark.parametrize("a, b, p, q, message", SLICE_FAULTS, ids=["a", "b", "both"])
+def test_one_slice_rule_names_the_side(a, b, p, q, message):
+    # the spec, the case constants and the engine's kernel constant read
+    # the slice through _check_slice alone, so all refuse with its message
+    refusals = [
+        lambda: _check_slice(p, q, a, b, HOLO),
+        lambda: KernelSpec(a=a, b=b, p=p, q=q, j=0, k=0),
+        lambda: F_const(p, q, a, b, HOLO),
+        lambda: tilde_F_const(p, q, a, b, HOLO),
+        lambda: degenerate_case1_coeff(p, q, a, b, ANTI),
+        lambda: kernel_leading_constant(p, q, a, b, 0, 0, ANTI),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=message):
+            refuse()
+    # the bound itself is exact: a + p/2 = -1 + 1e-20 is inside
+    inside = F(-1 - F(p, 2)) + F(1, 10**20)
+    assert _check_slice(p, 0, inside, F(-1, 4), "anti") == (inside, F(-1, 4), ANTI)
 
 
 def test_anti_pole_is_decided_on_exact_rationals():

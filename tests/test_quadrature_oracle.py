@@ -1065,7 +1065,7 @@ class TestReadout:
         assert np.abs(P).max() <= 1e-12
 
 
-class TestExtractLeadingCoeffs:
+class TestFitRadialSamples:
     """fit_radial_samples on the kernel's own samples."""
 
     def test_generic_fit(self):
@@ -1169,6 +1169,23 @@ class TestVerifyConstant:
         report = verify_constant(spec)
         assert report.case is CaseTag.SMOOTH
         assert report.relative_error < 1e-12
+
+    def test_kernel_slice_corner_is_never_confidently_wrong(self):
+        # The corner of the kernel slice, a <= -1 or b <= -1 with a + p/2 and
+        # b + q/2 still > -1.  A scan that let the fit read it got 141 of
+        # 2484 specs wrong, all anti with p + q >= 4, by up to 3e8; two of
+        # them lead this grid, then the Baseline spec.  Each spec must be
+        # refused or agree within 1e-2.
+        named = [(F(-5, 4), F(-1, 3), 3, 3), (F(-5, 4), F(1, 3), 2, 2), (F(-3, 2), F(-1, 2), 2, 1)]
+        grid = [(a, b, p, q) for a, b in itertools.product((F(-5, 4), F(-1, 3)), repeat=2)
+                for p, q in ((2, 1), (2, 2), (3, 3)) if min(a, b) <= -1]
+        for (a, b, p, q), chirality in itertools.product(named + grid, (ANTI, HOLO)):
+            spec = KernelSpec(a=a, b=b, p=p, q=q, j=0, k=0, chirality=chirality)
+            try:
+                report = verify_constant(spec)
+            except (ValueError, ToleranceNotMet, IllConditioned):
+                continue
+            assert report.relative_error <= 1e-2, spec
 
     def test_every_outcome_is_typed(self):
         # a seeded draw over the admissible domain, log degrees past 20!
