@@ -17,7 +17,6 @@ one normalization, RHO_NORM, relates all of them to the measure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -64,8 +63,15 @@ INTEGER_CASE_SCALE: float = -4 * RHO_NORM
 _VANISHING = "leading coefficient of a singular case cannot vanish"
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
+class _ConvolutionResultFields(NamedTuple):
+    term: Optional[SingularTerm]
+    case: CaseTag
+    leading_coeff: complex
+    degree: int
+    normalization: float
+
+
+class ConvolutionResult(_ConvolutionResultFields):
     """Outcome of convolving two singular terms.
 
     ``term`` is None exactly in the Smooth case.  Only the leading log
@@ -76,19 +82,21 @@ class ConvolutionResult:
     ``leading_coeff``: RHO_NORM in every singular case, 0.0 for Smooth.
     """
 
-    term: Optional[SingularTerm]
-    case: CaseTag
-    leading_coeff: complex
-    degree: int
-    normalization: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.term is None) != (self.case is CaseTag.SMOOTH):
+    def __new__(
+        cls, term: Optional[SingularTerm], case: CaseTag, leading_coeff: complex,
+        degree: int, normalization: float,
+    ) -> "ConvolutionResult":
+        if (term is None) != (case is CaseTag.SMOOTH):
             raise ValueError("term must be absent exactly in the Smooth case")
-        if self.degree < -1:
+        if degree < -1:
             raise ValueError("degree must be >= -1")
-        if self.case is not CaseTag.SMOOTH and self.leading_coeff == 0:
+        if case is not CaseTag.SMOOTH and leading_coeff == 0:
             raise ValueError(_VANISHING)
+        return tuple.__new__(cls, (term, case, leading_coeff, degree, normalization))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,8 +317,7 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     return Expansion(terms, smooth_order, compensated=frozenset(flagged))
 
 
-@dataclass(frozen=True)
-class BernsteinCombination:
+class BernsteinCombination(NamedTuple):
     """Root sums of two Bernstein root sets.
 
     ``raw`` holds the plain sums alpha+beta; ``canonical`` their

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -139,8 +138,11 @@ def _check_slice(
     return a, b, Chirality(chirality)
 
 
-@dataclass(frozen=True)
-class LogPolynomial:
+class _LogPolynomialFields(NamedTuple):
+    coefficients: Tuple[complex, ...] = ()
+
+
+class LogPolynomial(_LogPolynomialFields):
     """Polynomial in log|s|^2, coefficient index l holding the (log|s|^2)^l slot.
 
     The zero polynomial is the empty tuple.  A nonzero polynomial always has
@@ -148,11 +150,14 @@ class LogPolynomial:
     zeros from the top.
     """
 
-    coefficients: Tuple[complex, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coefficients and self.coefficients[-1] == 0:
+    def __new__(cls, coefficients: Tuple[complex, ...] = ()) -> "LogPolynomial":
+        if coefficients and coefficients[-1] == 0:
             raise ValueError("leading coefficient must be nonzero (use of_coeffs)")
+        return tuple.__new__(cls, (coefficients,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
     @staticmethod
     def of_coeffs(values: Sequence[complex]) -> "LogPolynomial":
@@ -198,26 +203,32 @@ class LogPolynomial:
         return LogPolynomial.of_coeffs(out)
 
 
-@dataclass(frozen=True)
-class SingularTerm:
+class _SingularTermFields(NamedTuple):
+    r: Fraction
+    m: int
+    n: int
+    poly: LogPolynomial
+
+
+class SingularTerm(_SingularTermFields):
     """One singular term |s|^(2r) * s^m * sbar^n * poly(log|s|^2).
 
     The rational exponent r is kept in the window (-1, 0]; whole powers of
     |s|^2 are carried by the monomial pair (m, n) instead.
     """
 
-    r: Fraction
-    m: int
-    n: int
-    poly: LogPolynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, Fraction):
-            object.__setattr__(self, "r", as_fraction(self.r))
-        if not (in_slice(self.r, 0) and self.r.numerator <= 0):
-            raise ValueError("r must lie in (-1, 0], got %s" % self.r)
-        _exact_int("m", self.m)
-        _exact_int("n", self.n)
+    def __new__(cls, r: RationalInput, m: int, n: int, poly: LogPolynomial) -> "SingularTerm":
+        if not isinstance(r, Fraction):
+            r = as_fraction(r)
+        if not (in_slice(r, 0) and r.numerator <= 0):
+            raise ValueError("r must lie in (-1, 0], got %s" % r)
+        _exact_int("m", m)
+        _exact_int("n", n)
+        return tuple.__new__(cls, (r, m, n, poly))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
     @property
     def key(self) -> Tuple[Fraction, int, int]:
@@ -293,8 +304,13 @@ def kernel_term(
     return SingularTerm(r=a - shift, m=m, n=n, poly=LogPolynomial.monomial(degree))
 
 
-@dataclass
-class Expansion:
+class _ExpansionFields(NamedTuple):
+    terms: List[SingularTerm]
+    smooth_order: int
+    compensated: frozenset = frozenset()
+
+
+class Expansion(_ExpansionFields):
     """A finite list of singular terms plus a smooth remainder marker.
 
     Terms are merged by (r, m, n) on construction and zero polynomials are
@@ -304,27 +320,34 @@ class Expansion:
     remainder is only known modulo O(|s|^(2*smooth_order)).
 
     compensated records (r, m, n) keys whose leading coefficients suffered
-    near-total cancellation during a convolution merge; it is a diagnostic
-    and is not serialized.
+    near-total cancellation during a convolution merge; it is a diagnostic,
+    is not serialized, and equality ignores it.
     """
 
-    terms: List[SingularTerm]
-    smooth_order: int
-    compensated: frozenset = field(default_factory=frozenset, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _exact_int("smooth_order", self.smooth_order)
-        scale = math.lcm(*(term.r.denominator for term in self.terms))
+    def __new__(
+        cls, terms: Sequence[SingularTerm], smooth_order: int, compensated: frozenset = frozenset()
+    ) -> "Expansion":
+        _exact_int("smooth_order", smooth_order)
+        scale = math.lcm(*(term.r.denominator for term in terms))
         merged: Dict[Tuple[int, int, int], SingularTerm] = {}
-        for term in self.terms:
+        for term in terms:
             key = (term.r.numerator * (scale // term.r.denominator), term.m, term.n)
             first = merged.get(key)
             if first is not None:
                 term = SingularTerm(first.r, first.m, first.n, first.poly + term.poly)
             merged[key] = term
-        self.terms = [
-            merged[key] for key in sorted(merged) if not merged[key].poly.is_zero
-        ]
+        terms = [merged[key] for key in sorted(merged) if not merged[key].poly.is_zero]
+        return tuple.__new__(cls, (terms, smooth_order, compensated))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Expansion) and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:  # tuple defines its own
+        return not self == other
 
     def to_json_dict(self) -> dict:
         return {
@@ -338,27 +361,32 @@ class Expansion:
         return Expansion(terms, data["smooth_order"])
 
 
-@dataclass
-class ExponentSetType:
+class _ExponentSetTypeFields(NamedTuple):
+    entries: Dict[Fraction, int]
+
+
+class ExponentSetType(_ExponentSetTypeFields):
     """The (exponent set, max log degree) pair describing an expansion's shape.
 
     entries maps each admissible exponent (> -1, exact rational) to the
     maximal power of log|s|^2 that may accompany it.
     """
 
-    entries: Dict[Fraction, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: Mapping[RationalInput, int]) -> "ExponentSetType":
         # integer comparisons, and one Fraction hash per entry
         clean: Dict[Fraction, int] = {}
-        for index, (key, degree) in enumerate(self.entries.items()):
+        for index, (key, degree) in enumerate(entries.items()):
             frac = as_fraction(key)
             if not in_slice(frac, 0):
                 raise ValueError("exponent %s is not > -1" % frac)
             clean[frac] = _exact_int("log degree", degree)
             if len(clean) == index:
                 raise ValueError("duplicate exponent %s" % frac)
-        self.entries = clean
+        return tuple.__new__(cls, (clean,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
     def to_json_dict(self) -> dict:
         # exponent order, on the integer numerators over the common denominator
@@ -370,7 +398,7 @@ class ExponentSetType:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "ExponentSetType":
-        # __post_init__ converts each key once and refuses two that name one exponent
+        # __new__ converts each key once and refuses two that name one exponent
         return ExponentSetType(entries=data["entries"])
 
 
@@ -520,7 +548,7 @@ def _canonical(value, indent: int) -> str:
             return _format_float(value)
         if isinstance(value, str):
             return _quote(value)
-        if not isinstance(value, (list, tuple, dict)):
+        if not isinstance(value, (list, dict)):  # a tuple subclass is a record
             raise TypeError("cannot serialize %r" % type(value).__name__)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
@@ -558,7 +586,8 @@ def canonical_json(data) -> str:
     on their exact type, and each formats its plain float, int and str
     leaves in its own loop, so only containers and rare leaves recurse:
     None, bool, subclasses (the str-Enum values) and a bare scalar
-    document take the isinstance chain.  A string or key is quoted
-    directly when json.dumps would leave it unescaped.
+    document take the isinstance chain.  A tuple subclass, such as a
+    record, is refused: a document holds its to_json_dict.  A string or
+    key is quoted directly when json.dumps would leave it unescaped.
     """
     return _canonical(data, 0) + "\n"

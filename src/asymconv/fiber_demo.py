@@ -16,9 +16,8 @@ filter removes.  Both are sampled only at the seven radii the filter reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -70,22 +69,28 @@ _RATIOS = tuple(4.0**-t for t in range(_SMOOTH_CUTOFF + 1))
 _TAPS = np.poly(_RATIOS)
 
 
-@dataclass(frozen=True)
-class MonomialGerm:
+class _MonomialGermFields(NamedTuple):
+    exponent: int
+    plateau: float = 0.9
+    support: float = 1.0
+
+
+class MonomialGerm(_MonomialGermFields):
     """Monomial germ x -> x^exponent with a radial cutoff density.
 
     The density is 1 on |x| <= plateau, 0 on |x| >= support, and a
     quintic smoothstep in between.
     """
 
-    exponent: int
-    plateau: float = 0.9
-    support: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _exact_int("exponent", self.exponent, 1)
-        if not (0.0 < self.plateau < self.support <= 1.0):
+    def __new__(cls, exponent: int, plateau: float = 0.9, support: float = 1.0) -> "MonomialGerm":
+        _exact_int("exponent", exponent, 1)
+        if not (0.0 < plateau < support <= 1.0):
             raise ValueError("need 0 < plateau < support <= 1")
+        return tuple.__new__(cls, (exponent, plateau, support))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

@@ -21,7 +21,10 @@ the slice and "is a+b+1 natural" pass expansion_algebra's rules and
 nothing else.  Every value here, a Fourier coefficient and an identity
 evaluator's too, is a plain float, GammaPoleError (a ValueError) at a
 pole of the continuation, or a ValueError where it, an exponent or a
-Gamma value it reads is beyond float range; never an OverflowError.
+Gamma value it reads is beyond float range; never an OverflowError.  A
+leading coefficient is also a ValueError where it is below float range
+(never a silent zero) or where a non-integer exponent's float is an
+integer (never a false pole).
 
 Natural numbers include 0 throughout.
 """
@@ -225,18 +228,18 @@ class _GammaFactor(NamedTuple):
 
     ``logs`` holds lgamma(x+p+1) and, off the naturals, -lgamma(-x),
     unsummed so that a pair's one fsum rounds once; where one of them is
-    beyond float range it is _lgamma's message instead.  ``poles`` and
-    ``zeros`` count x+p+1 at a pole and -x at a pole (1/Gamma(-x) an exact
-    zero); ``sign`` is the sign of the Gamma values off those poles.
-    ``refusal`` says why n! is beyond float range; a pair raises either.
+    beyond float range it is _lgamma's message instead.  ``sign`` is the
+    sign of those Gamma values.  ``refusal`` says why n! is beyond float
+    range, or that x is not an integer but its float is; a pair raises
+    either.  So neither x+p+1 nor -x is ever a pole: a natural x has no
+    Gamma(-x), and every caller keeps an integer x above -p-1 (the
+    slice, or G_q's own check on b).
     """
 
     x: float
     p: int
     logs: Union[Tuple[float, ...], str]
     sign: int
-    poles: int
-    zeros: int
     factor: float
     refusal: Optional[str]
 
@@ -245,19 +248,17 @@ def _gamma_factor(name: str, x: Fraction, p: int) -> _GammaFactor:
     """The _GammaFactor of the exponent x (named ``name`` if its magnitude
     is beyond float range) with a monomial of degree p."""
     x_f = _float(name, x)
+    if x.denominator != 1 and x_f.is_integer():  # this float would read as a pole
+        refusal = "%s is %s, whose float %r has lost the fractional part" % (name, x, x_f)
+        return _GammaFactor(x_f, p, (), 1, 1.0, refusal)
     up, down = x_f + p + 1, -x_f
-    zeros, factor, refusal = 0, 1.0, None
+    factor, refusal = 1.0, None
     if is_natural(x):  # (-1)^(n+1) n! at n = x replaces 1/Gamma(-x)
         n, down = x.numerator, None
         if n > 170:  # 171! is the first factorial beyond float range
             refusal = "%d! at the natural exponent %d is beyond float range" % (n, n)
         else:
             factor = float(math.factorial(n)) * (1.0 if n % 2 else -1.0)
-    elif _is_nonpositive_integer(down):
-        zeros = 1
-    poles = int(_is_nonpositive_integer(up))
-    if poles or zeros:  # the ratio is zero or refused: no log or sign is read
-        return _GammaFactor(x_f, p, (), 1, poles, zeros, factor, refusal)
     try:
         if down is None:
             logs: Union[Tuple[float, ...], str] = (_lgamma(up),)
@@ -266,7 +267,7 @@ def _gamma_factor(name: str, x: Fraction, p: int) -> _GammaFactor:
     except ValueError as exc:
         logs = str(exc)
     sign = _gamma_sign(up) * (1 if down is None else _gamma_sign(down))
-    return _GammaFactor(x_f, p, logs, sign, poles, zeros, factor, refusal)
+    return _GammaFactor(x_f, p, logs, sign, factor, refusal)
 
 
 def _pair_coefficient(
@@ -277,23 +278,24 @@ def _pair_coefficient(
     the residue's a+b+s+2) and a+b+p+q+2-s, checks them for poles, and
     hands every log of the ratio to one fsum.  The natural a+b+s+1 off
     resonance is the caller's to refuse.  Refusals come in the order of
-    the one-rule ratio: n! at a, then at b, then poles, then magnitude.
+    the one-rule ratio: n! or a lost fraction at a, then at b, then
+    poles, then magnitude, above float range or below it.
     """
-    a_f, p, logs_a, sign_a, poles_a, zeros_a, factor_a, refusal_a = fa
-    b_f, q, logs_b, sign_b, poles_b, zeros_b, factor_b, refusal_b = fb
+    a_f, p, logs_a, sign_a, factor_a, refusal_a = fa
+    b_f, q, logs_b, sign_b, factor_b, refusal_b = fb
     if refusal_a or refusal_b:
         raise ValueError(refusal_a or refusal_b)
     sign = -1 if shift % 2 else 1
     last = a_f + b_f + (p - shift) + q + 2
     if resonance is None:
         own = -a_f - b_f - shift - 1  # Gamma(-m), m = a+b+s+1
-        poles = poles_a + poles_b + _is_nonpositive_integer(own)
-        zeros = zeros_a + zeros_b + _is_nonpositive_integer(last)
+        poles = _is_nonpositive_integer(own)
+        zeros = _is_nonpositive_integer(last)
     else:
         own = a_f + b_f + shift + 2  # 1/m! = 1/Gamma(m+1)
         sign *= (-1) ** (resonance + shift + 1)
-        poles = poles_a + poles_b
-        zeros = zeros_a + zeros_b + _is_nonpositive_integer(last) + _is_nonpositive_integer(own)
+        poles = 0
+        zeros = _is_nonpositive_integer(last) + _is_nonpositive_integer(own)
     factor = factor_a * factor_b
     if _is_zero_ratio(poles, zeros):
         return sign * factor * 0.0
@@ -302,7 +304,10 @@ def _pair_coefficient(
     own_log = _lgamma(own)
     logs = [*logs_a, *logs_b, own_log if resonance is None else -own_log, -_lgamma(last)]
     ratio_sign = sign_a * sign_b * _gamma_sign(own) * _gamma_sign(last)
-    return sign * factor * _signed_exp(ratio_sign, logs)
+    ratio = _signed_exp(ratio_sign, logs)
+    if ratio == 0:  # no pole zeroes it here: exp underflowed
+        raise ValueError("Gamma ratio below float range: log = %r" % math.fsum(sorted(logs)))
+    return sign * factor * ratio
 
 
 def _leading_coefficient(

@@ -42,7 +42,6 @@ import itertools
 import math
 import sys
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -78,16 +77,7 @@ class IllConditioned(RuntimeError):
     radii, by the fit's columns or by the fiber demo's filter."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Exact description of one convolution kernel.
-
-    Exponents are stored as Fractions so that case classification is
-    exact; pass "p/q" strings or Fractions, not floats.  ``chirality``
-    says whether the second factor enters as u^q (holo) or ubar^q
-    (anti); with q = 0 it is normalized to holo.
-    """
-
+class _KernelSpecFields(NamedTuple):
     a: Fraction
     b: Fraction
     p: int
@@ -96,14 +86,32 @@ class KernelSpec:
     k: int
     chirality: Chirality = Chirality.HOLO
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-            _float(name, getattr(self, name))
-        chir = _check_slice(self.p, self.q, self.a, self.b, self.chirality)[2]
-        for name in ("j", "k"):
-            _exact_int(name, getattr(self, name))
-        object.__setattr__(self, "chirality", chir if self.q else Chirality.HOLO)
+
+class KernelSpec(_KernelSpecFields):
+    """Exact description of one convolution kernel.
+
+    Exponents are stored as Fractions so that case classification is
+    exact; pass "p/q" strings or Fractions, not floats.  ``chirality``
+    says whether the second factor enters as u^q (holo) or ubar^q
+    (anti); with q = 0 it is normalized to holo.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, a: RationalInput, b: RationalInput, p: int, q: int, j: int, k: int,
+        chirality: Chirality = Chirality.HOLO,
+    ) -> "KernelSpec":
+        a = as_fraction(a)
+        _float("a", a)
+        b = as_fraction(b)
+        _float("b", b)
+        chirality = _check_slice(p, q, a, b, chirality)[2]
+        _exact_int("j", j)
+        _exact_int("k", k)
+        return tuple.__new__(cls, (a, b, p, q, j, k, chirality if q else Chirality.HOLO))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,7 +126,7 @@ class KernelSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KernelSpec":
-        # __post_init__ converts and checks every field
+        # __new__ converts and checks every field
         fields = {name: data[name] for name in ("a", "b", "p", "q", "j", "k")}
         return KernelSpec(**fields, chirality=data.get("chirality", "holo"))
 
@@ -708,8 +716,7 @@ _CSV_COLUMNS = ("a", "b", "p", "q", "j", "k", "chirality", "case", "fitted_leadi
                 "closed_form", "relative_error", "condition_number", "normalization_used")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Side-by-side record of one oracle-vs-closed-form comparison.
 
     ``normalization_used`` is the measured ratio fitted/base-constant

@@ -194,6 +194,17 @@ class TestConstant:
         assert "BothInteger constant at a=400, b=400 is below float range" in err
         assert "cannot vanish" not in err
 
+    def test_gamma_underflow_names_float_range(self, capsys):
+        # the Generic constant at a = b = 800/3 is about e^-746, below the
+        # smallest float; at a = b = 400/3 it is about 2.3e-164
+        code, out, err = run(capsys, ["constant", "-a", "800/3", "-b", "800/3"])
+        assert (code, out) == (3, "")
+        assert "Gamma ratio below float range: log = -746.47" in err
+        assert "cannot vanish" not in err
+        code, out, _ = run(capsys, ["constant", "-a", "400/3", "-b", "400/3"])
+        assert code == 0
+        assert json.loads(out)["leading_coeff"] == [2.2789461907667739e-164, 0]
+
     def test_both_integer_range_check_comes_before_the_factorials(self, capsys, monkeypatch):
         # (100000!)^2 / 200001! is about 2^-400017: the lgamma estimate
         # refuses it before integer_case_log_coeff builds any factorial
@@ -321,6 +332,19 @@ class TestConvolve:
         assert code == 3
         assert out == ""
         assert "BothInteger constant at a=400, b=400 is below float range" in err
+        assert "cannot vanish" not in err
+
+    def test_gamma_underflow_names_float_range(self, tmp_path, capsys):
+        # a = b = 800/3 as r = -1/3 with m = n = 267: a Generic pair whose
+        # constant, about e^-746, is below the smallest float
+        doc = tmp_path / "e.json"
+        doc.write_text(
+            '{"terms": [{"r": "-1/3", "m": 267, "n": 267, "log_coeffs": [[1, 0]]}],'
+            ' "smooth_order": 1}'
+        )
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert (code, out) == (3, "")
+        assert "Gamma ratio below float range: log = -746.47" in err
         assert "cannot vanish" not in err
 
     def test_both_integer_range_check_comes_before_the_factorials(self, capsys, monkeypatch):

@@ -70,14 +70,16 @@ class TestExactInputs:
         with pytest.raises(GammaPoleError):
             G_q(near, F(-1, 2), 0)
 
-    def test_float_zeros_outnumbering_a_pole_keep_the_sign(self):
-        # a, b = 1e17 + 1/3, 1e17 + 1/4: both -a and -b round onto poles of
-        # Gamma (two zero factors) against one rounded pole of Gamma(-m);
-        # the zero carries the anti sign (-1)^p
+    def test_float_that_lost_the_fraction_is_refused(self):
+        # a, b = 1e17 + 1/3, 1e17 + 1/4: the floats of a and b are integers,
+        # so -a and -b would read as poles of Gamma; a is refused by name
+        # before any pole is counted, not taken as a (signed) zero
         a, b = F(10**17) + F(1, 3), F(10**17) + F(1, 4)
-        for p, chirality, sign in ((1, ANTI, -1.0), (1, HOLO, 1.0), (2, ANTI, 1.0)):
-            value = F_const(p, 1, a, b, chirality)
-            assert value == 0.0 and math.copysign(1.0, value) == sign
+        for p, chirality in ((1, ANTI), (1, HOLO), (2, ANTI)):
+            with pytest.raises(ValueError, match="a is 300000000000000001/3, whose float "
+                               "1e[+]17 has lost the fractional part") as info:
+                F_const(p, 1, a, b, chirality)
+            assert type(info.value) is ValueError
 
     def test_resonance_test_matches_fraction_arithmetic(self):
         # every pair of exponents > -1 with denominators 1..12, up to 2

@@ -128,11 +128,22 @@ NUMBER_FAULTS = [
      _GAMMA_1E306),
     (kernel_leading_constant,
      dict(p=10**306, q=0, a=F(-1, 3), b=F(-1, 4), j=0, k=0, chirality=HOLO), _GAMMA_1E306),
+    # a non-integer exponent whose float is an integer is refused by name,
+    # not counted as a pole of Gamma (a GammaPoleError)
+    (F_const, dict(p=0, q=0, a=2**60 + F(1, 2), b=F(-1, 3), chirality2=HOLO),
+     "a is 2305843009213693953/2, whose float 1.152921504606847e[+]18 has lost"),
+    (kernel_leading_constant,
+     dict(p=0, q=0, a=10**306 + F(1, 2), b=F(-1, 3), j=0, k=0, chirality=HOLO),
+     "whose float 1e[+]306 has lost the fractional part"),
 ]
 
 
-@pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS,
-                         ids=[entry.__name__ for entry, _, _ in NUMBER_FAULTS])
+# the rows of an entry point listed twice are told apart by the message, so
+# that an added row leaves the ids of the rows before it as they were
+@pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS, ids=[
+    entry.__name__ + ("-lost-fraction" if "has lost" in message else "")
+    for entry, _, message in NUMBER_FAULTS
+])
 def test_number_fault_is_a_value_error(entry, kwargs, message):
     with pytest.raises(ValueError, match=message) as info:
         entry(**kwargs)

@@ -1,5 +1,6 @@
-"""The package's public surface and the benchmark tracer's view of it."""
+"""The package's public surface, its records, and the benchmark tracer's view of it."""
 
+import collections
 import importlib
 import inspect
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction as F
 
 import pytest
 
@@ -23,6 +25,10 @@ SUBMODULES = ("gamma_kernel", "expansion_algebra", "convolution_engine",
 
 #: What the oracle and the demo import; the exact layer must not.
 NUMPY_BACKED = ["numpy", "asymconv.quadrature_oracle", "asymconv.fiber_demo"]
+
+#: What no command imports for the records (dataclasses brings inspect,
+#: ast, dis and tokenize), and inspect, which only numpy may bring in.
+WATCHED = NUMPY_BACKED + ["dataclasses", "inspect"]
 
 
 def defining_module(name, obj):
@@ -54,7 +60,7 @@ def test_every_public_name_resolves():
 
 
 def _fresh_cli(argv):
-    """(exit code, stdout, NUMPY_BACKED modules loaded) of
+    """(exit code, stdout, WATCHED modules loaded) of
     ``asymconv.cli.main(argv)`` in a new interpreter started in src/."""
     script = (
         "import contextlib, io, json, sys\n"
@@ -67,7 +73,7 @@ def _fresh_cli(argv):
         "print(json.dumps([code, out.getvalue(), loaded]))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv), json.dumps(NUMPY_BACKED)],
+        [sys.executable, "-c", script, json.dumps(argv), json.dumps(WATCHED)],
         cwd=SRC, capture_output=True, text=True, check=True,
     )
     return tuple(json.loads(done.stdout))
@@ -104,8 +110,9 @@ FRESH_CASES = [(argv, golden, []) for argv, golden in EXACT_LAYER] + [
     # the command perfbench/setup_probe.py times; it has no golden file,
     # so its bytes are checked against this process's run
     (["constant", "-a", "-1/3", "-b", "-1/4"], None, []),
-    (["verify", str(DATA / "golden_specs.json")], None, NUMPY_BACKED[:2]),
-    (["demo", "monomial", "--n", "2", "--m", "2"], _demo_2_2, NUMPY_BACKED),
+    # numpy imports inspect itself
+    (["verify", str(DATA / "golden_specs.json")], None, NUMPY_BACKED[:2] + ["inspect"]),
+    (["demo", "monomial", "--n", "2", "--m", "2"], _demo_2_2, NUMPY_BACKED + ["inspect"]),
 ]
 
 
@@ -195,3 +202,142 @@ def test_traced_names_are_called(monkeypatch):
     # the demo filters its samples and makes no fit
     demo = traced(lambda: thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3)))
     assert demo >= samples and fit not in demo
+
+
+# ---------------------------------------------------------------------------
+# records: immutable NamedTuples, checked at construction
+
+
+def _record_arguments():
+    """Public record name -> keyword arguments of one valid instance."""
+    from asymconv import CaseTag, Chirality, KernelSpec, LogPolynomial, SingularTerm
+
+    term = SingularTerm(r=F(-1, 2), m=1, n=0, poly=LogPolynomial((1j,)))
+    spec = dict(a=F(-1, 3), b=F(-1, 4), p=1, q=1, j=0, k=1, chirality=Chirality.ANTI)
+    roots = frozenset({F(-5, 6)})
+    return {
+        "LogPolynomial": dict(coefficients=(1 + 0j, 2j)),
+        "SingularTerm": dict(r=F(-1, 2), m=1, n=0, poly=LogPolynomial((1j,))),
+        "Expansion": dict(terms=[term], smooth_order=2),
+        "ExponentSetType": dict(entries={F(-1, 2): 1}),
+        "ConvolutionResult": dict(term=term, case=CaseTag.GENERIC, leading_coeff=1j,
+                                  degree=0, normalization=0.5),
+        "BernsteinCombination": dict(raw=roots, canonical=roots, candidates=roots),
+        "KernelSpec": spec,
+        "VerificationReport": dict(spec=KernelSpec(**spec), case=CaseTag.GENERIC,
+                                   fitted_coeffs=LogPolynomial((0.5 + 0j,)), closed_form=0.5,
+                                   relative_error=1e-9, condition_number=10.0,
+                                   normalization_used=0.5),
+        "MonomialGerm": dict(exponent=3, plateau=0.8, support=0.95),
+    }
+
+
+RECORDS = sorted(_record_arguments())
+#: the records whose fields are all immutable, hashable by value
+FROZEN = [name for name in RECORDS if name not in ("Expansion", "ExponentSetType")]
+
+
+def _record(name, **change):
+    return getattr(asymconv, name)(**{**_record_arguments()[name], **change})
+
+
+# (record, changed fields, exception, message): every constructor check
+RECORD_FAULTS = [
+    ("LogPolynomial", dict(coefficients=(1j, 0j)), ValueError, "leading coefficient must be"),
+    ("SingularTerm", dict(r="1/2"), ValueError, r"r must lie in \(-1, 0\], got 1/2"),
+    ("SingularTerm", dict(n=-1), ValueError, "n must be an integer >= 0, got -1"),
+    ("Expansion", dict(smooth_order=2.0), ValueError, "smooth_order must be an integer >= 0"),
+    ("ExponentSetType", dict(entries={"-1": 0}), ValueError, "exponent -1 is not > -1"),
+    ("ExponentSetType", dict(entries={"1/2": 0, F(1, 2): 1}), ValueError, "duplicate exponent"),
+    ("ConvolutionResult", dict(term=None), ValueError, "term must be absent exactly"),
+    ("ConvolutionResult", dict(degree=-2), ValueError, "degree must be >= -1"),
+    ("ConvolutionResult", dict(leading_coeff=0j), ValueError, "cannot vanish"),
+    ("KernelSpec", dict(a=0.5), TypeError, "expected Fraction, int, or 'p/q' string"),
+    ("KernelSpec", dict(b=F(-2)), ValueError, r"need b \+ q/2 > -1"),
+    ("KernelSpec", dict(k=-1), ValueError, "k must be an integer >= 0"),
+    ("KernelSpec", dict(chirality=5), ValueError, "5 is not a valid Chirality"),
+    ("MonomialGerm", dict(exponent=0), ValueError, "exponent must be an integer >= 1"),
+    ("MonomialGerm", dict(plateau=1.0), ValueError, "need 0 < plateau < support <= 1"),
+]
+
+
+@pytest.mark.parametrize("name, change, error, message", RECORD_FAULTS,
+                         ids=[name for name, _, _, _ in RECORD_FAULTS])
+def test_record_checks_run_on_construction_and_replace(name, change, error, message):
+    valid = _record(name)
+    with pytest.raises(error, match=message):
+        _record(name, **change)
+    # _replace (and the _make it calls) runs the checks, as dataclasses.replace did
+    with pytest.raises(error, match=message):
+        valid._replace(**change)
+    fields = {**valid._asdict(), **change}
+    with pytest.raises(error, match=message):
+        type(valid)._make(fields[field] for field in valid._fields)
+
+
+def test_records_convert_their_input():
+    from asymconv import Chirality, ExponentSetType, KernelSpec, SingularTerm
+
+    spec = KernelSpec(a="-1/3", b=1, p=0, q=0, j=0, k=0, chirality="anti")
+    assert (spec.a, spec.b, spec.chirality) == (F(-1, 3), F(1), Chirality.HOLO)
+    assert type(spec.b) is F and type(spec.chirality) is Chirality
+    # anti is kept from q = 1 on, and _replace converts as the constructor does
+    assert spec._replace(q=1, chirality="anti").chirality is Chirality.ANTI
+    assert spec._replace(a="1/2").a == F(1, 2)
+    term = _record("SingularTerm", r="-1/2")
+    assert type(term.r) is F and term == _record("SingularTerm")
+    assert ExponentSetType({"-1/2": 1}).entries == {F(-1, 2): 1}
+    merged = _record("Expansion", terms=[term, term]).terms
+    assert merged == [SingularTerm(F(-1, 2), 1, 0, term.poly + term.poly)]
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_are_hashable_values(name):
+    first, second = _record(name), _record(name)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert {first: name}[second] == name
+    # a record is a tuple of its fields
+    assert first == tuple(first) == tuple(getattr(first, f) for f in first._fields)
+
+
+def test_kernel_spec_keys_a_counter():
+    counts = collections.Counter([_record("KernelSpec"), _record("KernelSpec", k=0)])
+    counts[_record("KernelSpec", b="-1/4")] += 1
+    assert counts == {_record("KernelSpec"): 2, _record("KernelSpec", k=0): 1}
+
+
+def test_expansion_equality_ignores_compensated():
+    plain = _record("Expansion")
+    flagged = _record("Expansion", compensated=frozenset({(F(-1, 2), 1, 0)}))
+    assert plain == flagged and not plain != flagged
+    assert flagged.compensated and not plain.compensated
+    assert plain != _record("Expansion", smooth_order=3)
+    assert plain != _record("Expansion", terms=[])
+    assert plain != tuple(plain)
+
+
+@pytest.mark.parametrize("name", ["Expansion", "ExponentSetType"])
+def test_records_with_mutable_fields_are_unhashable(name):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(_record(name))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment(name):
+    record = _record(name)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_canonical_json_refuses_a_bare_record(name):
+    record = _record(name)
+    with pytest.raises(TypeError, match="cannot serialize '%s'" % name):
+        asymconv.canonical_json(record)
+    with pytest.raises(TypeError, match="cannot serialize '%s'" % name):
+        asymconv.canonical_json({"record": [record]})

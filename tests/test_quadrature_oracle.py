@@ -1,6 +1,5 @@
 import ast
 import collections
-import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -1261,9 +1260,7 @@ class TestVerifyConstant:
             "relative_error,condition_number,normalization_used"
         )
         # nothing fitted reads fitted_leading 0; a null normalization, empty
-        empty = dataclasses.replace(
-            report, fitted_coeffs=LogPolynomial.zero(), normalization_used=None
-        )
+        empty = report._replace(fitted_coeffs=LogPolynomial.zero(), normalization_used=None)
         path = tmp_path / "reports.csv"
         _write_csv(str(path), [report, empty])
         assert_csv_matches(path.read_text(), [report.to_json_dict(), empty.to_json_dict()])
