@@ -16,6 +16,7 @@ one normalization, RHO_NORM, relates all of them to the measure
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
@@ -33,10 +34,12 @@ from .expansion_algebra import (
     as_fraction,
     case_degree,
     classify_case,
+    in_slice,
     is_natural,
     normalize_term,
 )
 from .gamma_kernel import (
+    RHO_NORM,
     Chirality,
     F_const,
     _gamma_factor,
@@ -48,20 +51,10 @@ from .gamma_kernel import (
     tilde_F_const,
 )
 
-#: Measure normalization applied to every singular case constant.  The
-#: closed-form constants are stated for the measure (i/pi) du ^ dubar
-#: while the convolution itself is taken against (i/4pi) du ^ dubar =
-#: (1/2pi) dx dy; the ratio is exactly 1/2.  Confirmed numerically by the
-#: oracle calibration test to ~1e-3.
-RHO_NORM: float = 0.5
-
 #: The convention factor of integer_case_log_coeff: its rational times
 #: -4 is the Laurent coefficient C, so the BothInteger leading coefficient
 #: at j = k = 1 is integer_case_log_coeff * (-4 * RHO_NORM) = -2 times it.
 INTEGER_CASE_SCALE: float = -4 * RHO_NORM
-
-_VANISHING = "leading coefficient of a singular case cannot vanish"
-
 
 class _ConvolutionResultFields(NamedTuple):
     term: Optional[SingularTerm]
@@ -93,7 +86,7 @@ class ConvolutionResult(_ConvolutionResultFields):
         if degree < -1:
             raise ValueError("degree must be >= -1")
         if case is not CaseTag.SMOOTH and leading_coeff == 0:
-            raise ValueError(_VANISHING)
+            raise ValueError("leading coefficient of a singular case cannot vanish")
         return tuple.__new__(cls, (term, case, leading_coeff, degree, normalization))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
@@ -124,10 +117,13 @@ def kernel_leading_constant(
     and gamma are 1 when a, b and a+b+1 are natural (else 0), and L is
     the output log degree.  The normalization is RHO_NORM in every
     singular case; Smooth returns (Smooth, 0.0, 0.0), once its input has
-    passed the closed forms' checks too.  Then come classify_case and
-    the case-constant step that every term pair of the engine goes through.
+    passed the closed forms' checks too, _check_slice's and a, b > -1.
+    Then come classify_case and the case-constant step that every term
+    pair of the engine goes through.
     """
     af, bf, chirality = _check_slice(p, q, a, b, chirality)
+    if not (in_slice(af, 0) and in_slice(bf, 0)):
+        raise ValueError("a=%s, b=%s: the closed forms cover only a, b > -1" % (af, bf))
     case = classify_case(af, bf, j, k)
     if case is CaseTag.SMOOTH:
         return case, 0.0, 0.0
@@ -239,12 +235,18 @@ def _pair_rule(
         chir = Chirality.ANTI if shift else Chirality.HOLO
         base = _case_constant(case, p, q, a, b, j, k, chir)
     leading = c1 * c2 * base * RHO_NORM
-    if leading == 0:
-        raise ValueError(_VANISHING)
+    if leading == 0:  # no factor is zero: the product left float range
+        raise ValueError("leading coefficient of a term pair is below float range")
     r_out = r1 + r2 + denominator
     if r_out > 0:
         return case, degree, leading, (r_out - denominator, m1 + m2 + 1, n1 + n2 + 1)
     return case, degree, leading, (r_out, m1 + m2, n1 + n2)
+
+
+def _check_finite(coefficients: List[complex], r: Fraction, m: int, n: int) -> None:
+    """ValueError naming the output key where a log coefficient left float range."""
+    if not all(map(cmath.isfinite, coefficients)):
+        raise ValueError("output term r=%s, m=%d, n=%d is beyond float range" % (r, m, n))
 
 
 def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
@@ -264,10 +266,12 @@ def convolve_terms(t1: SingularTerm, t2: SingularTerm) -> ConvolutionResult:
             term=None, case=case, leading_coeff=0j, degree=degree, normalization=0.0
         )
     r_num, m_out, n_out = key
+    r = Fraction(r_num, denominator)
+    _check_finite([leading], r, m_out, n_out)
     # the slot rule of convolve_expansions: every slot starts at 0j, and
     # the leading coefficient is added to the slot of its degree
     poly = LogPolynomial.of_coeffs([0j] * degree + [0j + leading])
-    term = SingularTerm(r=Fraction(r_num, denominator), m=m_out, n=n_out, poly=poly)
+    term = SingularTerm(r=r, m=m_out, n=n_out, poly=poly)
     return ConvolutionResult(
         term=term, case=case, leading_coeff=leading, degree=degree, normalization=RHO_NORM
     )
@@ -309,6 +313,7 @@ def convolve_expansions(e1: Expansion, e2: Expansion) -> Expansion:
     flagged: List[Tuple[Fraction, int, int]] = []
     for (r_num, m, n), (totals, peaks) in buckets.items():
         r = Fraction(r_num, denominator)
+        _check_finite(totals, r, m, n)
         if any(peak > 0 and abs(total) < 1e-9 * peak for total, peak in zip(totals, peaks)):
             flagged.append((r, m, n))
         terms.append(SingularTerm(r=r, m=m, n=n, poly=LogPolynomial.of_coeffs(totals)))

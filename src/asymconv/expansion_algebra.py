@@ -125,9 +125,10 @@ class Chirality(str, Enum):
 def _check_slice(
     p: int, q: int, a: RationalInput, b: RationalInput, chirality: Chirality
 ) -> Tuple[Fraction, Fraction, Chirality]:
-    """(a, b, chirality) once p and q are integers >= 0, (a, b) lies in the
-    admissible slice a+p/2 > -1, b+q/2 > -1 (refused one side at a time),
-    and Chirality(chirality) holds: KernelSpec's and the constants' check."""
+    """The canonical kernel (a, b, chirality) once p and q are integers >= 0,
+    (a, b) lies in the admissible slice a+p/2 > -1, b+q/2 > -1 (refused one
+    side at a time) and Chirality(chirality) holds; at q = 0, with no factor
+    to orient, it is HOLO.  The one kernel rule of KernelSpec and the constants."""
     _exact_int("p", p)
     _exact_int("q", q)
     a, b = as_fraction(a), as_fraction(b)
@@ -135,7 +136,8 @@ def _check_slice(
         raise ValueError("need a + p/2 > -1 for local integrability at s")
     if not in_slice(b, q):
         raise ValueError("need b + q/2 > -1 for local integrability at 0")
-    return a, b, Chirality(chirality)
+    anti = Chirality(chirality) is Chirality.ANTI
+    return a, b, Chirality.ANTI if anti and q else Chirality.HOLO
 
 
 class _LogPolynomialFields(NamedTuple):

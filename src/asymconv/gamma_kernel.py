@@ -39,6 +39,14 @@ from .expansion_algebra import Chirality, RationalInput, _exact_int, _float, as_
 from .expansion_algebra import _check_slice, _natural_sum, in_slice, is_natural
 
 
+#: Measure normalization applied to every singular case constant.  The
+#: closed-form constants are stated for the measure (i/pi) du ^ dubar
+#: while the convolution itself is taken against (i/4pi) du ^ dubar =
+#: (1/2pi) dx dy; the ratio is exactly 1/2.  Confirmed numerically by the
+#: oracle calibration test to ~1e-3.
+RHO_NORM: float = 0.5
+
+
 class GammaPoleError(ValueError):
     """A Gamma factor in a numerator sits at a pole that nothing cancels."""
 
@@ -185,7 +193,7 @@ def G_q(a: RationalInput, b: RationalInput, q: int) -> float:
         raise ValueError("b + q + 1 at a non-positive integer: outside the continuation")
     if is_natural(a) or is_natural(b):
         return 0.0
-    return 0.5 * _leading_coefficient(0, q, a, b, Chirality.HOLO)
+    return RHO_NORM * _leading_coefficient(0, q, a, b, Chirality.HOLO)
 
 
 def binomial_gamma_sum(p: int, x: float, y: float) -> float:
@@ -325,11 +333,15 @@ def _leading_coefficient(
     Off resonance, a natural m (a pole of Gamma(-m)) is decided exactly
     by _natural_sum, since the float -a-b-s-1 may round off the pole;
     _pair_coefficient still refuses a rounded sum that lands on one.
+    There an ANTI ratio takes s = q if a+b+q+1 is not natural: the same
+    function, whose pole is only where a+b+1 is an integer >= -min(p, q).
     """
     fa, fb = _gamma_factor("a", a, p), _gamma_factor("b", b, q)
     shift = 0 if chirality2 is Chirality.HOLO else p
     if resonance is None:
         m = _natural_sum(a, b, shift)
+        if m is not None and _natural_sum(a, b, q) is None:  # not a pole: shift q says so
+            shift, m = q, None
         if m is not None:
             raise GammaPoleError("Gamma pole of Gamma(-m) at m = a+b+%d+1 = %d" % (shift, m))
     return _pair_coefficient(fa, fb, shift, resonance)

@@ -93,7 +93,7 @@ class KernelSpec(_KernelSpecFields):
     Exponents are stored as Fractions so that case classification is
     exact; pass "p/q" strings or Fractions, not floats.  ``chirality``
     says whether the second factor enters as u^q (holo) or ubar^q
-    (anti); with q = 0 it is normalized to holo.
+    (anti); _check_slice makes it holo at q = 0, as for every constant.
     """
 
     __slots__ = ()
@@ -102,14 +102,12 @@ class KernelSpec(_KernelSpecFields):
         cls, a: RationalInput, b: RationalInput, p: int, q: int, j: int, k: int,
         chirality: Chirality = Chirality.HOLO,
     ) -> "KernelSpec":
-        a = as_fraction(a)
+        a, b, chirality = _check_slice(p, q, a, b, chirality)
         _float("a", a)
-        b = as_fraction(b)
         _float("b", b)
-        chirality = _check_slice(p, q, a, b, chirality)[2]
         _exact_int("j", j)
         _exact_int("k", k)
-        return tuple.__new__(cls, (a, b, p, q, j, k, chirality if q else Chirality.HOLO))
+        return tuple.__new__(cls, (a, b, p, q, j, k, chirality))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace runs the checks
 

@@ -393,6 +393,24 @@ class TestConvolve:
         assert out == ""
         assert str(doc) in err and "finite complex" in err
 
+    @pytest.mark.parametrize(
+        "number, message",
+        [("1e-200", "below float range"), ("1e200", "beyond float range")],
+    )
+    def test_pair_product_out_of_float_range_is_domain_error(
+        self, tmp_path, capsys, number, message
+    ):
+        # each coefficient is a float, but the pair's product 1e-400 or
+        # 1e400 is not: refused by name, never a zero or a nan coefficient
+        doc = tmp_path / "e.json"
+        doc.write_text(
+            '{"terms": [{"r": "-1/3", "m": 0, "n": 0, "log_coeffs": [[%s, 0]]}],'
+            ' "smooth_order": 1}' % number
+        )
+        code, out, err = run(capsys, ["convolve", str(doc), str(doc)])
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
 
 SPEC_GENERIC = {
     "a": "-3/10", "b": "-2/5", "p": 0, "q": 0, "j": 0, "k": 0,

@@ -29,6 +29,7 @@ from asymconv.expansion_algebra import (
     _CaseTable,
     canonical_json,
     degree_rule,
+    kernel_term,
     normalize_term,
 )
 from asymconv.gamma_kernel import Chirality, F_const, GammaPoleError, tilde_F_const
@@ -121,6 +122,12 @@ class TestKernelLeadingConstant:
             convolve_terms(big, term("-1/4"))
         with pytest.raises(ValueError, match=r"Gamma\(1e\+306\) is beyond float range"):
             kernel_leading_constant(0, 0, 10**306, 10**306, 1, 1, Chirality.HOLO)
+
+    def test_slice_corner_is_refused_by_name(self):
+        # a + p/2 > -1 admits a = -3/2 at p = 2, but no closed form covers a <= -1
+        message = r"^a=-3/2, b=-1/2: the closed forms cover only a, b > -1$"
+        with pytest.raises(ValueError, match=message):
+            kernel_leading_constant(2, 1, F(-3, 2), F(-1, 2), 0, 0, Chirality.ANTI)
 
     def test_smooth_is_zero(self):
         case, base, norm = kernel_leading_constant(
@@ -259,6 +266,19 @@ class TestConvolveExpansions:
         surviving = {t.key for t in out.terms}
         assert (F(-2, 3), 1, 1) in surviving
         assert (F(-1, 2), 1, 1) in surviving
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [(1e-200, "of a term pair is below float range"),
+         (1e200, r"output term r=-2/3, m=1, n=1 is beyond float range")],
+    )
+    def test_pair_product_out_of_float_range_is_refused(self, c, message):
+        # c * c leaves float range: a ValueError, never a zero or nan coefficient
+        expansion = Expansion([term(F(-1, 3), coeffs=(c,))], smooth_order=1)
+        with pytest.raises(ValueError, match=message):
+            convolve_expansions(expansion, expansion)
+        with pytest.raises(ValueError, match=message):
+            convolve_terms(term(F(-1, 3), coeffs=(c,)), term(F(-1, 3), coeffs=(c,)))
 
     def test_term_count_bound(self):
         e1 = Expansion(
@@ -453,6 +473,31 @@ class TestEngineConstants:
         assert reached == {
             (case, chir) for case in CaseTag if case is not CaseTag.SMOOTH for chir in Chirality
         }
+
+    def test_kernel_constant_is_the_term_pair_bit_for_bit(self):
+        # the kernel as given, q = 0 anti included, and the unit term pair of
+        # the same kernel: _check_slice's canonical chirality makes the case
+        # constant read the engine's ratio, so the bits agree, and so would
+        # any refusal; no kernel of this grid is refused
+        exponents = (F(-2, 3), F(-1, 2), F(-1, 3), F(-1, 5), F(0), F(1, 2), F(2, 3),
+                     F(1), F(3, 2), F(2), F(7, 3))
+        compared = 0
+        for a, b, p, q, chir, (j, k) in itertools.product(
+            exponents, exponents, range(4), range(4), Chirality,
+            ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)),
+        ):
+            pair = (kernel_term(a, p, Chirality.HOLO, j), kernel_term(b, q, chir, k))
+            try:
+                case, base, norm = kernel_leading_constant(p, q, a, b, j, k, chir)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    convolve_terms(*pair)
+                continue
+            result = convolve_terms(*pair)
+            assert result.case is case
+            assert result.leading_coeff == base * norm, (a, b, p, q, chir, j, k)
+            compared += 1
+        assert compared == 19360
 
 
 class TestBernsteinCombine:

@@ -8,6 +8,7 @@ from asymconv.expansion_algebra import Chirality, _natural_sum
 from asymconv.gamma_kernel import (
     F_const,
     G_q,
+    RHO_NORM,
     GammaPoleError,
     _gamma_ratio,
     _integer_case_log2,
@@ -154,6 +155,10 @@ class TestGq:
     def test_resonant_pole_flag(self):
         with pytest.raises(GammaPoleError):
             G_q(F(-1, 2), F(-1, 2), 0)
+
+    def test_is_the_normalized_holo_constant(self):
+        # one RHO_NORM: G_q is the p = 0 holo F_const in the convolution's measure
+        assert G_q(F(-1, 3), F(-1, 4), 2) == RHO_NORM * F_const(0, 2, F(-1, 3), F(-1, 4), HOLO)
 
     def test_involution(self):
         # G is stable under b -> -(a+b+q+2) on the negative-sum slice

@@ -218,7 +218,8 @@ def test_one_slice_rule_names_the_side(a, b, p, q, message):
             refuse()
     # the bound itself is exact: a + p/2 = -1 + 1e-20 is inside
     inside = F(-1 - F(p, 2)) + F(1, 10**20)
-    assert _check_slice(p, 0, inside, F(-1, 4), "anti") == (inside, F(-1, 4), ANTI)
+    # and q = 0 leaves no monomial to orient: the canonical chirality is holo
+    assert _check_slice(p, 0, inside, F(-1, 4), "anti") == (inside, F(-1, 4), HOLO)
 
 
 def test_anti_pole_is_decided_on_exact_rationals():
@@ -229,10 +230,13 @@ def test_anti_pole_is_decided_on_exact_rationals():
 
 def test_anti_pole_scan():
     # Every admissible anti point with p, q <= 4, a with denominator <= 21,
-    # a and b non-natural and a+b+1 a negative integer: F_const raises
-    # GammaPoleError exactly where m = a+b+p+1 is natural, and is a finite
-    # value elsewhere.  Before the exact decision 70 of the 12384 points
-    # returned a value at a pole.
+    # a and b non-natural and a+b+1 a negative integer.  Both shifts of the
+    # anti ratio are one function, Gamma(-n) Gamma(n+1) / (Gamma(n+p+1)
+    # Gamma(n+q+1)) times the a and b factors (n = a+b+1), whose pole is
+    # where n >= -min(p, q).  F_const raises GammaPoleError exactly there
+    # and is a finite value elsewhere, the same in both argument orders.
+    # Before the exact decision 70 of the 12384 points returned a value at
+    # a pole.
     points = poles = 0
     for p in range(5):
         for q in range(5):
@@ -248,10 +252,22 @@ def test_anti_pole_scan():
                         if is_natural(b):
                             continue
                         points += 1
-                        if is_natural(a + b + p + 1):
+                        if a + b + 1 >= -min(p, q):
                             poles += 1
-                            with pytest.raises(GammaPoleError):
-                                F_const(p, q, a, b, ANTI)
+                            for args in ((p, q, a, b), (q, p, b, a)):
+                                with pytest.raises(GammaPoleError):
+                                    F_const(*args, ANTI)
                         else:
-                            assert math.isfinite(F_const(p, q, a, b, ANTI))
-    assert (points, poles) == (12384, 10719)
+                            value = F_const(p, q, a, b, ANTI)
+                            assert math.isfinite(value)
+                            assert math.isclose(F_const(q, p, b, a, ANTI), value, rel_tol=1e-12)
+    assert (points, poles) == (12384, 9054)
+
+
+def test_anti_constant_is_symmetric_in_the_slice_corner():
+    # a+b+p+1 = 0 is natural, a+b+q+1 = -1 is not: no pole, and the value
+    # is the limit from a + 1e-9 in both argument orders
+    value = F_const(2, 1, F(-17, 10), F(-13, 10), ANTI)
+    assert value == F_const(1, 2, F(-13, 10), F(-17, 10), ANTI)
+    near = F_const(2, 1, F(-17, 10) + F(1, 10**9), F(-13, 10), ANTI)
+    assert math.isclose(value, near, rel_tol=1e-8)
