@@ -40,6 +40,7 @@ from .expansion_algebra import (
     Expansion,
     ExponentSetType,
     _float,
+    _format_float,
     as_fraction,
     canonical_json,
     combine_types,
@@ -162,8 +163,22 @@ def _check_writable(paths: Sequence[str]):
 
 
 def _write_csv(path: str, reports: Sequence[asymconv.VerificationReport]) -> None:
-    rows = [asymconv.VerificationReport.csv_header()] + [r.to_csv_row() for r in reports]
-    _write(path, "".join(row + "\n" for row in rows))
+    """A header of the records' fields, fitted_leading (the top fitted log coefficient's
+    real part, 0 if none) for fitted_coeffs, over one to_json_dict row per report."""
+    columns = asymconv.KernelSpec._fields + tuple(
+        "fitted_leading" if name == "fitted_coeffs" else name
+        for name in asymconv.VerificationReport._fields if name != "spec"
+    )
+    lines = [",".join(columns)]
+    for doc in (report.to_json_dict() for report in reports):
+        pairs = doc["fitted_log_coeffs"]
+        record = {**doc["spec"], **doc, "fitted_leading": pairs[-1][0] if pairs else 0.0}
+        # floats as in canonical JSON, None as an empty field
+        lines.append(",".join(
+            "" if value is None else _format_float(value) if isinstance(value, float) else str(value)
+            for value in map(record.__getitem__, columns)
+        ))
+    _write(path, "".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------

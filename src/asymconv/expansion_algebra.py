@@ -57,6 +57,15 @@ def _float(name: str, x: Union[Fraction, int]) -> float:
         raise ValueError("%s is beyond float range" % name) from None
 
 
+def _complex(name: str, *parts) -> complex:
+    """complex(*parts), or ValueError naming it as _float does: the one way
+    a number of the numeric layers becomes a complex."""
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ValueError("%s is beyond float range" % name) from None
+
+
 def is_natural(x: Fraction) -> bool:
     """True when x is an integer >= 0.  Zero counts as natural throughout."""
     # a Fraction's denominator is positive, so its numerator carries the
@@ -163,7 +172,7 @@ class LogPolynomial(_LogPolynomialFields):
 
     @staticmethod
     def of_coeffs(values: Sequence[complex]) -> "LogPolynomial":
-        coeffs = [complex(v) for v in values]
+        coeffs = [_complex("a log coefficient", v) for v in values]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return LogPolynomial(tuple(coeffs))
@@ -177,7 +186,7 @@ class LogPolynomial(_LogPolynomialFields):
         """c * X^degree, degree + 1 slots within _MAX_OUTPUT_ELEMENTS."""
         _exact_int("degree", degree)
         _check_output_size("a log degree of %d" % degree, degree + 1)
-        return LogPolynomial.of_coeffs([0.0] * degree + [complex(c)])
+        return LogPolynomial.of_coeffs([0.0] * degree + [_complex("c", c)])
 
     @property
     def degree(self) -> int:
@@ -249,12 +258,8 @@ class SingularTerm(_SingularTermFields):
         pairs = data["log_coeffs"]
         if any(len(pair) != 2 for pair in pairs):
             raise TypeError("each log_coeffs entry must be a [re, im] pair")
-        try:
-            coeffs = [complex(re, im) for re, im in pairs]
-            finite = all(cmath.isfinite(c) for c in coeffs)
-        except OverflowError:  # a JSON integer beyond float range
-            finite = False
-        if not finite:
+        coeffs = [_complex("a log_coeffs entry", re, im) for re, im in pairs]
+        if not all(cmath.isfinite(c) for c in coeffs):
             raise ValueError("each log_coeffs entry must be a finite complex number")
         return SingularTerm(
             r=data["r"], m=data["m"], n=data["n"], poly=LogPolynomial.of_coeffs(coeffs)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _exact_int
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _complex, _exact_int, _float
 from .expansion_algebra import _natural_sum, classify_case
 from .quadrature_oracle import (
     _SMOOTH_CUTOFF,
@@ -99,8 +99,8 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def bump_profile(germ: MonomialGerm, radius):
-    """Cutoff density value at |x| = radius (scalar or array)."""
-    r = np.asarray(radius, dtype=float)
+    """Cutoff density value at |x| = radius (a scalar, through _float, or an array)."""
+    r = np.asarray(radius, dtype=float) if np.ndim(radius) else _float("radius", radius)
     t = (r - germ.plateau) / (germ.support - germ.plateau)
     out = 1.0 - _smoothstep(t)
     if out.ndim == 0:
@@ -117,7 +117,7 @@ def monomial_fiber_integral(germ: MonomialGerm, s: complex) -> float:
     density is radial, so the sum collapses to a single closed form
     with leading behavior |s|^{2(1/N - 1)} / N for small |s|.
     """
-    s = complex(s)
+    s = _complex("s", s)
     if s == 0:
         raise ValueError("the fiber integral is singular at s = 0")
     n = germ.exponent

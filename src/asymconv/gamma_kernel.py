@@ -125,8 +125,8 @@ def beta_tail_integral(u: float, v: float) -> float:
     Equals (1/2) Gamma((v+1)/2) Gamma(u-(v+1)/2) / Gamma(u); convergence
     needs v > -1 at the origin and u - (v+1)/2 > 0 at infinity.
     """
-    u = float(u)
-    v = float(v)
+    u = _float("argument u", u)
+    v = _float("argument v", v)
     if v <= -1:
         raise ValueError("need v > -1 for convergence at 0")
     if u - (v + 1) / 2 <= 0:
@@ -158,7 +158,8 @@ def fourier_coefficient(a: RationalInput, q: int, r: int) -> float:
         n = int(a)
         if half_plus > n:
             return 0.0
-        return float(sign * math.comb(n, half_plus) * math.comb(n, half_minus))
+        product = sign * math.comb(n, half_plus) * math.comb(n, half_minus)
+        return _float("the natural-a coefficient comb(a, (r+q)/2) comb(a, (r-q)/2)", product)
     a_f = _float("a", a)
     value = _gamma_ratio(
         [a_f + 1, a_f + 1],
@@ -202,8 +203,8 @@ def binomial_gamma_sum(p: int, x: float, y: float) -> float:
     = Gamma(x) Gamma(y+p) / (Gamma(x+y+p) Gamma(y)).
     """
     _exact_int("p", p)
-    x = float(x)
-    y = float(y)
+    x = _float("argument x", x)
+    y = _float("argument y", y)
     if _is_nonpositive_integer(x) or _is_nonpositive_integer(y):
         raise ValueError("x and y must avoid non-positive integers")
     return _gamma_ratio([x, y + p], [x + y + p, y])
@@ -216,9 +217,9 @@ def gauss_sum(x: float, y: float, z: float) -> float:
 
     Convergence requires z - x - y > 0.
     """
-    x = float(x)
-    y = float(y)
-    z = float(z)
+    x = _float("argument x", x)
+    y = _float("argument y", y)
+    z = _float("argument z", z)
     if z - x - y <= 0:
         raise ValueError("series diverges: need z - x - y > 0")
     for name, value in (("x", x), ("y", y), ("z", z)):

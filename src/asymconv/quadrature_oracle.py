@@ -54,9 +54,9 @@ from .expansion_algebra import (
     LogPolynomial,
     RationalInput,
     _check_slice,
+    _complex,
     _exact_int,
     _float,
-    _format_float,
     _natural_sum,
     as_fraction,
     degree_rule,
@@ -533,7 +533,7 @@ def eval_kernel_integral(spec: KernelSpec, s: complex) -> complex:
     than _SAMPLE_TOLERANCE relative to the value, or to a thousandth of
     the gross (unsigned) magnitude when cancellation dominates the value.
     """
-    s = complex(s)
+    s = _complex("s", s)
     sigma = abs(s)
     if not (0.0 < sigma <= 0.25):
         raise ValueError("sample point must satisfy 0 < |s| <= 1/4, got |s|=%g" % sigma)
@@ -605,7 +605,7 @@ def fit_radial_samples(
     radii = _radii(spec)
     if len(values) != len(radii):
         raise ValueError("got %d samples for %d radii" % (len(values), len(radii)))
-    xf = float(spec.a + spec.b + 1)
+    xf = _float("a+b+1", spec.a + spec.b + 1)
     l_min = 0 if _natural_sum(spec.a, spec.b) is None else 1
     L = degree_rule(spec.a, spec.b, spec.j, spec.k)
     if L < 0:
@@ -623,7 +623,7 @@ def fit_radial_samples(
         )
 
     sig = np.array(radii)
-    y = np.asarray(values, dtype=float) / sig ** (spec.p + spec.q)
+    y = np.array([_float("a kernel sample", v) for v in values]) / sig ** (spec.p + spec.q)
     lss = np.log(sig**2)
     cols = [sig ** (2.0 * xf) * lss**l for l in range(l_min, L + 1)]
     cols += [sig ** (2.0 * t) for t in range(t_min, T + 1)]
@@ -707,13 +707,6 @@ def finite_part_direct(a: RationalInput, b: RationalInput, q: int) -> float:
 # verification reports
 
 
-#: The CSV columns of a report, read from its JSON record: the spec's
-#: fields, then the document's, with fitted_leading the real part of the
-#: top fitted log coefficient (0 when nothing was fitted).
-_CSV_COLUMNS = ("a", "b", "p", "q", "j", "k", "chirality", "case", "fitted_leading",
-                "closed_form", "relative_error", "condition_number", "normalization_used")
-
-
 class VerificationReport(NamedTuple):
     """Side-by-side record of one oracle-vs-closed-form comparison.
 
@@ -722,7 +715,7 @@ class VerificationReport(NamedTuple):
     ``relative_error`` compares the fitted leading coefficient against
     the library's own normalized prediction, except for Smooth kernels
     where it is the largest absolute fitted singular coefficient.
-    ``to_json_dict`` is the one record; the CSV row reads it.
+    ``to_json_dict`` is the one record; cli's CSV row reads it.
     """
 
     spec: KernelSpec
@@ -743,23 +736,6 @@ class VerificationReport(NamedTuple):
             "condition_number": self.condition_number,
             "normalization_used": self.normalization_used,
         }
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_CSV_COLUMNS)
-
-    def to_csv_row(self) -> str:
-        doc = self.to_json_dict()
-        pairs = doc["fitted_log_coeffs"]
-        record = {**doc["spec"], **doc, "fitted_leading": pairs[-1][0] if pairs else 0.0}
-        return ",".join(_csv_field(record[name]) for name in _CSV_COLUMNS)
-
-
-def _csv_field(value) -> str:
-    # floats as in canonical JSON, null as an empty field
-    if value is None:
-        return ""
-    return _format_float(value) if isinstance(value, float) else str(value)
 
 
 def compare_with_closed_form(

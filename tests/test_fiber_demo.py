@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import asymconv.fiber_demo as fiber_demo
+from asymconv.cli import _write_csv
 from asymconv.convolution_engine import CaseTag
 from asymconv.fiber_demo import (
     _SAFE_RADIUS,
@@ -355,10 +356,13 @@ class TestThomSebastianiDemo:
         thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
         assert calls == {"fit_radial_samples": 0, "eval_kernel_integral": 7, "_cutoff_remainder": 14}
 
-    def test_reports_are_deterministic(self):
+    def test_reports_are_deterministic(self, tmp_path):
         first = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
         second = thom_sebastiani_demo(MonomialGerm(2), MonomialGerm(3))
-        assert first.to_csv_row() == second.to_csv_row()
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path, report in zip(paths, (first, second)):
+            _write_csv(str(path), [report])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestMeasureSingularExponent:

@@ -1,15 +1,14 @@
 """Golden reports: fixed inputs must keep their report values.
 
-The expected documents in ``tests/data`` are the output of
+The expected report in ``tests/data`` is the output of
 
     asymconv verify tests/data/golden_specs.json --report BASE   (BASE.json)
-    asymconv demo monomial --n 2 --m 3
 
 with one spec per constant case in the spec file.  Strings, ints, bools
 and nulls compare exactly and floats to 1e-12 relative, so a refactor
 that moves any reported value beyond roundoff fails here.  The CSV
-written next to a report must read the same values as its JSON
-(``assert_csv_matches``).
+written next to a report must read the same values as its JSON, under
+the header ``CSV_COLUMNS`` (``assert_csv_matches``).
 
 The exact layer is compared byte for byte instead:
 
@@ -50,9 +49,13 @@ from asymconv.cli import build_parser, main
 from asymconv.convolution_engine import convolve_expansions, convolve_terms
 from asymconv.expansion_algebra import CaseTag, Chirality, Expansion, canonical_json, kernel_term
 from asymconv.fiber_demo import MonomialGerm, measure_singular_exponent, thom_sebastiani_demo
-from asymconv.quadrature_oracle import _CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
+
+#: The CSV header, pinned: KernelSpec's fields, then VerificationReport's
+#: without spec, with fitted_leading in place of fitted_coeffs.
+CSV_COLUMNS = ("a", "b", "p", "q", "j", "k", "chirality", "case", "fitted_leading",
+               "closed_form", "relative_error", "condition_number", "normalization_used")
 
 #: name -> (case, ``asymconv constant`` options) of each golden constant
 GOLDEN_CONSTANTS = {
@@ -100,14 +103,14 @@ def assert_csv_matches(csv_text, reports):
     fitted_log_coeffs pair (0 when there is none).  Strings and ints
     print as text, floats as "%.17g" and null as an empty field."""
     header, *rows = csv_text.splitlines()
-    assert header.split(",") == list(_CSV_COLUMNS)
+    assert tuple(header.split(",")) == CSV_COLUMNS
     assert len(rows) == len(reports)
     for index, (row, report) in enumerate(zip(rows, reports)):
         pairs = report["fitted_log_coeffs"]
         fields = dict(report["spec"], **report, fitted_leading=pairs[-1][0] if pairs else 0.0)
         expected = [
             "" if value is None else "%.17g" % value if isinstance(value, float) else str(value)
-            for value in (fields[name] for name in _CSV_COLUMNS)
+            for value in (fields[name] for name in CSV_COLUMNS)
         ]
         assert row.split(",") == expected, "row %d: %r != %r" % (index, row, expected)
 
@@ -128,14 +131,6 @@ def test_verify_report_matches_golden(tmp_path, capsys):
     ]
     assert_matches(actual, expected)
     assert_csv_matches(base.with_suffix(".csv").read_text(), actual["reports"])
-
-
-def test_square_cube_demo_matches_golden(capsys):
-    code = main(["demo", "monomial", "--n", "2", "--m", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    expected = json.loads((DATA / "golden_demo_2_3.json").read_text())
-    assert_matches(json.loads(out), expected)
 
 
 #: The demo domain: every pair N, M <= 9, the first germ outermost (the
@@ -164,13 +159,14 @@ def test_demo_domain_matches_golden_bytes():
     assert canonical_json(demo_domain_document()) == expected
 
 
-def test_demo_cli_prints_the_domain_golden_entry(capsys):
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_demo_cli_prints_the_domain_golden_entry(capsys, n, m):
     # the installed-demo CI step cmp's this command against the same entry
-    code = main(["demo", "monomial", "--n", "2", "--m", "2"])
+    code = main(["demo", "monomial", "--n", str(n), "--m", str(m)])
     out = capsys.readouterr().out
     assert code == 0
     golden = json.loads((DATA / "golden_demo_domain.json").read_text())
-    entry = next(e for e in golden["pairs"] if (e["n"], e["m"]) == (2, 2))
+    entry = next(e for e in golden["pairs"] if (e["n"], e["m"]) == (n, m))
     assert out == canonical_json(entry["report"])
 
 

@@ -5,9 +5,10 @@ Python int at or above its minimum; floats, bools and strings refused,
 never truncated), reads its chirality with one rule (the enum or its
 string value, nothing else) and decides its poles on exact rationals.
 A rational string with a zero denominator, an integer field whose
-magnitude is beyond float range, and an exponent whose magnitude is
-beyond float range where it would become a float, are refused with
-ValueError.
+magnitude is beyond float range, and any exponent, argument, sample
+point, radius or coefficient whose magnitude is beyond float range where
+it would become a float or a complex, are refused with a ValueError
+that names it, never with an OverflowError.
 """
 
 import math
@@ -31,7 +32,7 @@ from asymconv.expansion_algebra import (
     kernel_term,
 )
 from asymconv.expansion_algebra import _check_slice
-from asymconv.fiber_demo import MonomialGerm
+from asymconv.fiber_demo import MonomialGerm, bump_profile, monomial_fiber_integral
 from asymconv.gamma_kernel import (
     F_const,
     G_q,
@@ -44,11 +45,17 @@ from asymconv.gamma_kernel import (
     integer_case_log_coeff,
     tilde_F_const,
 )
-from asymconv.quadrature_oracle import KernelSpec, finite_part_direct
+from asymconv.quadrature_oracle import (
+    KernelSpec,
+    eval_kernel_integral,
+    finite_part_direct,
+    fit_radial_samples,
+)
 
 F = Fraction
 HOLO = Chirality.HOLO
 ANTI = Chirality.ANTI
+SPEC = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
 
 # (entry point, valid keyword arguments, its integer fields)
 ENTRY_POINTS = [
@@ -135,13 +142,35 @@ NUMBER_FAULTS = [
     (kernel_leading_constant,
      dict(p=0, q=0, a=10**306 + F(1, 2), b=F(-1, 3), j=0, k=0, chirality=HOLO),
      "whose float 1e[+]306 has lost the fractional part"),
+    # a number read beyond float range is refused by name, never with a bare
+    # OverflowError: the natural-a product of binomials, an identity
+    # evaluator's argument, a sample point, a sample, a + b + 1 and a radius
+    (fourier_coefficient, dict(a=600, q=0, r=600),
+     r"the natural-a coefficient comb\(a, \(r\+q\)/2\) comb\(a, \(r-q\)/2\) is beyond float range"),
+    (beta_tail_integral, dict(u=10**400, v=1), "argument u is beyond float range"),
+    (binomial_gamma_sum, dict(p=1, x=10**400, y=0.5), "argument x is beyond float range"),
+    (gauss_sum, dict(x=0.5, y=0.5, z=10**400), "argument z is beyond float range"),
+    (eval_kernel_integral, dict(spec=SPEC, s=10**400), "s is beyond float range"),
+    (fit_radial_samples, dict(spec=SPEC, values=[10**400] * 16),
+     "a kernel sample is beyond float range"),
+    (fit_radial_samples,
+     dict(spec=KernelSpec(a=str(10**308), b=str(10**308), p=0, q=0, j=0, k=0), values=[0.0] * 16),
+     r"a\+b\+1 is beyond float range"),
+    (bump_profile, dict(germ=MonomialGerm(2), radius=10**400), "radius is beyond float range"),
+    (monomial_fiber_integral, dict(germ=MonomialGerm(2), s=10**400), "s is beyond float range"),
+    (LogPolynomial.of_coeffs, dict(values=[10**400]), "a log coefficient is beyond float range"),
+    (LogPolynomial.monomial, dict(degree=0, c=10**400), "c is beyond float range"),
 ]
+
+#: message fragment -> id suffix of the rows of an entry point listed twice
+_ID_SUFFIXES = {"has lost": "-lost-fraction", "argument": "-argument",
+                "comb": "-natural-a", "kernel sample": "-sample"}
 
 
 # the rows of an entry point listed twice are told apart by the message, so
 # that an added row leaves the ids of the rows before it as they were
 @pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS, ids=[
-    entry.__name__ + ("-lost-fraction" if "has lost" in message else "")
+    entry.__name__ + "".join(suffix for part, suffix in _ID_SUFFIXES.items() if part in message)
     for entry, _, message in NUMBER_FAULTS
 ])
 def test_number_fault_is_a_value_error(entry, kwargs, message):

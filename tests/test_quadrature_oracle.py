@@ -23,7 +23,6 @@ from asymconv.quadrature_oracle import (
     IllConditioned,
     KernelSpec,
     ToleranceNotMet,
-    VerificationReport,
     _disk_moments,
     _far_integral,
     _floats,
@@ -1240,11 +1239,14 @@ class TestVerifyConstant:
         assert (smooth.closed_form, smooth.normalization_used) == (0.0, None)
         assert smooth.relative_error == pytest.approx(0.3)
 
-    def test_reports_are_deterministic(self):
+    def test_reports_are_deterministic(self, tmp_path):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
         first = verify_constant(spec)
         second = verify_constant(spec)
-        assert first.to_csv_row() == second.to_csv_row()
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path, report in zip(paths, (first, second)):
+            _write_csv(str(path), [report])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
         dump1 = json.dumps(first.to_json_dict(), sort_keys=True)
         dump2 = json.dumps(second.to_json_dict(), sort_keys=True)
         assert dump1 == dump2
@@ -1252,18 +1254,20 @@ class TestVerifyConstant:
     def test_csv_row_shape(self, tmp_path):
         spec = KernelSpec(a=F(-1, 3), b=F(-1, 4), p=0, q=0, j=0, k=0)
         report = verify_constant(spec)
-        header_fields = VerificationReport.csv_header().split(",")
-        row_fields = report.to_csv_row().split(",")
-        assert len(header_fields) == len(row_fields) == 13
-        assert VerificationReport.csv_header() == (
-            "a,b,p,q,j,k,chirality,case,fitted_leading,closed_form,"
-            "relative_error,condition_number,normalization_used"
-        )
         # nothing fitted reads fitted_leading 0; a null normalization, empty
         empty = report._replace(fitted_coeffs=LogPolynomial.zero(), normalization_used=None)
         path = tmp_path / "reports.csv"
         _write_csv(str(path), [report, empty])
+        header, *rows = path.read_text().splitlines()
+        assert header == (
+            "a,b,p,q,j,k,chirality,case,fitted_leading,closed_form,"
+            "relative_error,condition_number,normalization_used"
+        )
+        assert [len(row.split(",")) for row in rows] == [13, 13]
         assert_csv_matches(path.read_text(), [report.to_json_dict(), empty.to_json_dict()])
-        fields = path.read_text().splitlines()[2].split(",")
+        fields = rows[1].split(",")
         assert (fields[8], fields[12]) == ("0", "")
+        # a run where every spec fails writes the header alone
+        _write_csv(str(path), [])
+        assert path.read_text() == header + "\n"
 
