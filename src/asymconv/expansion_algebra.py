@@ -58,10 +58,13 @@ def _float(name: str, x: Union[Fraction, int]) -> float:
 
 
 def _complex(name: str, *parts) -> complex:
-    """complex(*parts), or ValueError naming it as _float does: the one way
-    a number of the numeric layers becomes a complex."""
+    """complex(*parts), or ValueError naming it as _float does where a part
+    or the modulus is beyond float range: the one way a number of the
+    numeric layers becomes a complex."""
     try:
-        return complex(*parts)
+        z = complex(*parts)
+        abs(z)  # finite parts near the float maximum can still overflow here
+        return z
     except OverflowError:
         raise ValueError("%s is beyond float range" % name) from None
 

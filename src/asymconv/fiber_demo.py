@@ -22,7 +22,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .convolution_engine import convolve_terms
-from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _complex, _exact_int, _float
+from .expansion_algebra import CaseTag, LogPolynomial, SingularTerm, _complex, _exact_int
 from .expansion_algebra import _natural_sum, classify_case
 from .quadrature_oracle import (
     _SMOOTH_CUTOFF,
@@ -99,8 +99,11 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def bump_profile(germ: MonomialGerm, radius):
-    """Cutoff density value at |x| = radius (a scalar, through _float, or an array)."""
-    r = np.asarray(radius, dtype=float) if np.ndim(radius) else _float("radius", radius)
+    """Cutoff density value at |x| = radius (scalar or array)."""
+    try:
+        r = np.asarray(radius, dtype=float)
+    except OverflowError:
+        raise ValueError("radius is beyond float range") from None
     t = (r - germ.plateau) / (germ.support - germ.plateau)
     out = 1.0 - _smoothstep(t)
     if out.ndim == 0:

@@ -137,42 +137,49 @@ NUMBER_FAULTS = [
      dict(p=10**306, q=0, a=F(-1, 3), b=F(-1, 4), j=0, k=0, chirality=HOLO), _GAMMA_1E306),
     # a non-integer exponent whose float is an integer is refused by name,
     # not counted as a pole of Gamma (a GammaPoleError)
-    (F_const, dict(p=0, q=0, a=2**60 + F(1, 2), b=F(-1, 3), chirality2=HOLO),
-     "a is 2305843009213693953/2, whose float 1.152921504606847e[+]18 has lost"),
-    (kernel_leading_constant,
-     dict(p=0, q=0, a=10**306 + F(1, 2), b=F(-1, 3), j=0, k=0, chirality=HOLO),
-     "whose float 1e[+]306 has lost the fractional part"),
+    pytest.param(F_const, dict(p=0, q=0, a=2**60 + F(1, 2), b=F(-1, 3), chirality2=HOLO),
+                 "a is 2305843009213693953/2, whose float 1.152921504606847e[+]18 has lost",
+                 id="F_const-lost-fraction"),
+    pytest.param(kernel_leading_constant,
+                 dict(p=0, q=0, a=10**306 + F(1, 2), b=F(-1, 3), j=0, k=0, chirality=HOLO),
+                 "whose float 1e[+]306 has lost the fractional part",
+                 id="kernel_leading_constant-lost-fraction"),
     # a number read beyond float range is refused by name, never with a bare
     # OverflowError: the natural-a product of binomials, an identity
-    # evaluator's argument, a sample point, a sample, a + b + 1 and a radius
-    (fourier_coefficient, dict(a=600, q=0, r=600),
-     r"the natural-a coefficient comb\(a, \(r\+q\)/2\) comb\(a, \(r-q\)/2\) is beyond float range"),
-    (beta_tail_integral, dict(u=10**400, v=1), "argument u is beyond float range"),
-    (binomial_gamma_sum, dict(p=1, x=10**400, y=0.5), "argument x is beyond float range"),
-    (gauss_sum, dict(x=0.5, y=0.5, z=10**400), "argument z is beyond float range"),
+    # evaluator's argument, a sample point (a part or the modulus), a
+    # sample, a + b + 1 and a radius (a scalar or a list)
+    pytest.param(fourier_coefficient, dict(a=600, q=0, r=600),
+                 r"the natural-a coefficient comb\(a, \(r\+q\)/2\) comb\(a, \(r-q\)/2\) "
+                 "is beyond float range", id="fourier_coefficient-natural-a"),
+    pytest.param(beta_tail_integral, dict(u=10**400, v=1), "argument u is beyond float range",
+                 id="beta_tail_integral-argument"),
+    pytest.param(binomial_gamma_sum, dict(p=1, x=10**400, y=0.5),
+                 "argument x is beyond float range", id="binomial_gamma_sum-argument"),
+    pytest.param(gauss_sum, dict(x=0.5, y=0.5, z=10**400), "argument z is beyond float range",
+                 id="gauss_sum-argument"),
     (eval_kernel_integral, dict(spec=SPEC, s=10**400), "s is beyond float range"),
-    (fit_radial_samples, dict(spec=SPEC, values=[10**400] * 16),
-     "a kernel sample is beyond float range"),
+    pytest.param(eval_kernel_integral, dict(spec=SPEC, s=complex(1.5e308, 1.5e308)),
+                 "s is beyond float range", id="eval_kernel_integral-modulus"),
+    pytest.param(fit_radial_samples, dict(spec=SPEC, values=[10**400] * 16),
+                 "a kernel sample is beyond float range", id="fit_radial_samples-sample"),
     (fit_radial_samples,
      dict(spec=KernelSpec(a=str(10**308), b=str(10**308), p=0, q=0, j=0, k=0), values=[0.0] * 16),
      r"a\+b\+1 is beyond float range"),
     (bump_profile, dict(germ=MonomialGerm(2), radius=10**400), "radius is beyond float range"),
+    pytest.param(bump_profile, dict(germ=MonomialGerm(2), radius=[0.5, 10**400]),
+                 "radius is beyond float range", id="bump_profile-list"),
     (monomial_fiber_integral, dict(germ=MonomialGerm(2), s=10**400), "s is beyond float range"),
+    pytest.param(monomial_fiber_integral, dict(germ=MonomialGerm(2), s=complex(1.5e308, 1.5e308)),
+                 "s is beyond float range", id="monomial_fiber_integral-modulus"),
     (LogPolynomial.of_coeffs, dict(values=[10**400]), "a log coefficient is beyond float range"),
     (LogPolynomial.monomial, dict(degree=0, c=10**400), "c is beyond float range"),
 ]
 
-#: message fragment -> id suffix of the rows of an entry point listed twice
-_ID_SUFFIXES = {"has lost": "-lost-fraction", "argument": "-argument",
-                "comb": "-natural-a", "kernel sample": "-sample"}
-
-
-# the rows of an entry point listed twice are told apart by the message, so
-# that an added row leaves the ids of the rows before it as they were
-@pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS, ids=[
-    entry.__name__ + "".join(suffix for part, suffix in _ID_SUFFIXES.items() if part in message)
-    for entry, _, message in NUMBER_FAULTS
-])
+# a row is named after its entry point; a later row of an entry point
+# already listed is a pytest.param with its own id, so the ids before it
+# stay as they were (a param's id wins over the name read from its values)
+@pytest.mark.parametrize("entry, kwargs, message", NUMBER_FAULTS,
+                         ids=[getattr(row[0], "__name__", None) for row in NUMBER_FAULTS])
 def test_number_fault_is_a_value_error(entry, kwargs, message):
     with pytest.raises(ValueError, match=message) as info:
         entry(**kwargs)
